@@ -69,6 +69,9 @@ class CurveModel:
         self.endo_ring = endo_ring
         self._point_index = {p.name: p for p in self.points}
         self._auto_index = {a.name: a for a in self.automorphisms}
+        self._identity_name = next(
+            (a.name for a in self.automorphisms if self._is_identity_entry(a)), None
+        )
 
     # -- lookups ---------------------------------------------------------
 
@@ -105,10 +108,9 @@ class CurveModel:
 
     @property
     def identity_name(self):
-        for a in self.automorphisms:
-            if self._is_identity_entry(a):
-                return a.name
-        raise ModelError("automorphism table has no identity entry")
+        if self._identity_name is None:
+            raise ModelError("automorphism table has no identity entry")
+        return self._identity_name
 
     def composed_data(self, outer, inner):
         """Table data of the element acting as outer-then-inner pullback.

@@ -361,10 +361,16 @@ def _power(base, n, model, ref_det):
         if isinstance(pos, BasicTransformation):
             return inverse(pos)
         return ext_inverse(pos)
-    acc = base
-    for _ in range(n - 1):
-        acc = _mul(acc, base, model, ref_det)
-    return acc
+    # binary powering: the first product is base * base, as it is when
+    # multiplying by base n - 1 times, so the same inputs raise
+    acc = None
+    while True:
+        if n & 1:
+            acc = base if acc is None else _mul(acc, base, model, ref_det)
+        n >>= 1
+        if not n:
+            return acc
+        base = _mul(base, base, model, ref_det)
 
 
 def eval_expression(text, model, ref_det=None):
@@ -389,7 +395,28 @@ def _divisor_text(model, mult):
     return " ".join(parts)
 
 
+def _residue_system(model, cls):
+    """The marked points' Jacobian classes and the class's own, as integer
+    residue vectors mod q, the lcm of every coordinate denominator."""
+    coords = [model.point(x).jac_class.coords for x in model.point_names]
+    target = cls.jac.coords
+    q = math.lcm(*(v.denominator for v in itertools.chain(*coords, target)))
+    points = [tuple(int(q * v) for v in c) for c in coords]
+    return q, points, tuple(int(q * v) for v in target)
+
+
 def _bounded_divisor_search(model, cls):
+    """The divisor form of least key (l1 norm, coefficient tuple) with every
+    coefficient in [-bound, bound], or None. divisor_form runs it only
+    after the exact solver has shown that some form exists.
+
+    Tuples compare lexicographically, coefficients in integer order from
+    -bound to bound. The l1 levels are walked upward from |degree| in steps
+    of 2 (a level has the degree's parity), and each level in lexicographic
+    order, so the first hit is the least key. A prefix is cut once the
+    remaining degree no longer fits the remaining l1 budget; a candidate
+    is tested on its residues mod q.
+    """
     n = len(model.points)
     if n == 0:
         return None
@@ -398,40 +425,51 @@ def _bounded_divisor_search(model, cls):
         bound -= 1
     if bound < 1:
         return None
-    names = model.point_names
-    best = None
-    for combo in itertools.product(range(-bound, bound + 1), repeat=n):
-        if sum(combo) != cls.degree:
-            continue
-        key = (sum(abs(c) for c in combo), combo)
-        if best is not None and key >= best[0]:
-            continue
-        if of_divisor(model, dict(zip(names, combo))) == cls:
-            best = (key, {k: v for k, v in zip(names, combo) if v})
-    return None if best is None else best[1]
+    q, points, target = _residue_system(model, cls)
+
+    def fits(k, deg, budget):
+        # k coefficients in [-bound, bound] summing to deg with l1 norm
+        # budget (same parity): the positive and the negative parts must
+        # each fill whole coefficients, and together at most k of them
+        pos, neg = (budget + deg) // 2, (budget - deg) // 2
+        return pos >= 0 and neg >= 0 and -(-pos // bound) - (-neg // bound) <= k
+
+    def walk(k, deg, budget, acc):
+        if k == n - 1:
+            if all((x + deg * y - t) % q == 0 for x, y, t in zip(acc, points[k], target)):
+                return (deg,)
+            return None
+        lim = min(bound, budget)
+        for c in range(-lim, lim + 1):
+            if fits(n - k - 1, deg - c, budget - abs(c)):
+                nxt = tuple(x + c * y for x, y in zip(acc, points[k]))
+                rest = walk(k + 1, deg - c, budget - abs(c), nxt)
+                if rest is not None:
+                    return (c,) + rest
+        return None
+
+    deg = cls.degree
+    for level in range(abs(deg), n * bound + 1, 2):
+        if fits(n, deg, level):
+            combo = walk(0, deg, level, (0,) * len(target))
+            if combo is not None:
+                return {x: c for x, c in zip(model.point_names, combo) if c}
+    return None
 
 
 def _solved_divisor_form(model, cls):
     """Integer-solve n_x summing to the degree with matching torsion,
     slack variables absorbing the mod-1 reduction."""
     n = len(model.points)
-    dim = 2 * model.genus
     if n == 0:
         return None
-    coords = [list(model.point(x).jac_class.coords) for x in model.point_names]
-    target = list(cls.jac.coords)
-    q = 1
-    for v in itertools.chain(*coords, target):
-        q = q * v.denominator // math.gcd(q, v.denominator)
-    a = []
-    c = []
-    a.append([1] * n + [0] * dim)
-    c.append(cls.degree)
+    q, points, target = _residue_system(model, cls)
+    dim = len(target)
+    a = [[1] * n + [0] * dim]
+    c = [cls.degree]
     for i in range(dim):
-        row = [int(q * coords[x][i]) for x in range(n)]
-        row += [q if j == i else 0 for j in range(dim)]
-        a.append(row)
-        c.append(int(q * target[i]))
+        a.append([p[i] for p in points] + [q if j == i else 0 for j in range(dim)])
+        c.append(target[i])
     z = solve_integer_system(a, c)
     if z is None:
         return None
@@ -442,12 +480,18 @@ def _solved_divisor_form(model, cls):
 
 
 def divisor_form(model, cls):
-    """Divisor multiplicities realizing a class, or None; small
-    coefficients preferred, exact integer solving as fallback."""
+    """Divisor multiplicities realizing a class, or None.
+
+    Exact first: the integer solver decides whether any divisor form
+    exists, and its None is final. Otherwise the bounded search picks the
+    form of least (l1 norm, lexicographic coefficient tuple); a class whose
+    every form needs a coefficient beyond the bound gets the solver's form.
+    """
+    solved = _solved_divisor_form(model, cls)
+    if solved is None:
+        return None
     found = _bounded_divisor_search(model, cls)
-    if found is not None:
-        return found
-    return _solved_divisor_form(model, cls)
+    return solved if found is None else found
 
 
 def format_canonical(x):

@@ -17,10 +17,6 @@ def zero_matrix(n):
     return [[0] * n for _ in range(n)]
 
 
-def mat_copy(a):
-    return [list(row) for row in a]
-
-
 def mat_eq(a, b):
     return [list(r) for r in a] == [list(r) for r in b]
 
@@ -34,18 +30,12 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    n = len(b)
-    cols = len(b[0]) if n else 0
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def is_square(a, n):
-    return len(a) == n and all(len(row) == n for row in a)
 
 
 def det_int(a):

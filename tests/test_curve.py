@@ -130,6 +130,14 @@ def test_validate_flags_unclosed_table():
     assert any("not closed" in e for e in report.errors)
 
 
+def test_missing_identity_raises_when_read():
+    # loading succeeds; only reading the identity's name fails
+    autos = [{"name": "iota", "perm": {"p": "q", "q": "p"}, "matrix": [[-1, 0], [0, -1]]}]
+    m = load_config(doc(automorphisms=autos))
+    with pytest.raises(ModelError, match="automorphism table has no identity entry"):
+        m.identity_name
+
+
 def test_validate_flags_pullback_mismatch():
     # iota's translation broken: classes no longer map to the permuted points
     autos = [

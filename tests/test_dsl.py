@@ -1,6 +1,7 @@
 """Expression language: tokens, grammar, evaluation, canonical text."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,10 +27,11 @@ from partrans import (
     inverse,
     lift_basic,
     make_basic,
+    of_divisor,
     parse_expression,
 )
-from partrans.dsl import tokenize
-from conftest import rand_basic, rand_tilde
+from partrans.dsl import _solved_divisor_form, tokenize
+from conftest import build_model, rand_basic, rand_tilde
 
 from test_extended import rand_ext
 
@@ -143,6 +145,19 @@ def test_eval_powers(elliptic2):
     assert eval_expression("(D- * H(p))^-1", m) == inverse(eval_expression("D- * H(p)", m))
 
 
+def test_eval_huge_powers_are_fast(elliptic2):
+    m = elliptic2
+    n = 100000000
+    start = time.perf_counter()
+    up = eval_expression(f"T(O(1*q))^{n}", m)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    down = eval_expression(f"T(O(1*q))^-{n}", m)
+    assert time.perf_counter() - start < 1.0
+    assert up.line == of_divisor(m, {"q": n})
+    assert down.line == of_divisor(m, {"q": -n})
+
+
 def test_eval_parenthesized_grouping(cyclic3):
     m = cyclic3
     left = eval_expression("(S(tau) * D-) * H(q)", m)
@@ -201,6 +216,29 @@ def test_divisor_form_unreachable(elliptic2, g1r3n0):
     off_span = LineBundleClass(0, JacobianElement([0, Fraction(1, 2)]))
     assert divisor_form(elliptic2, off_span) is None
     assert divisor_form(g1r3n0, LineBundleClass(1, JacobianElement([0, 0]))) is None
+
+
+def test_divisor_form_off_span_at_seven_points_is_fast():
+    coords = ["0", "1/2", "1/3", "2/3", "1/6", "5/6", "1/2"]
+    m = build_model(1, 2, [(f"x{i}", [c, "0"]) for i, c in enumerate(coords)])
+    line = LineBundleClass(0, JacobianElement([Fraction(1, 7), 0]))
+    t = make_basic(m.identity_name, 1, line, {}, m)
+    start = time.perf_counter()
+    assert divisor_form(m, line) is None
+    assert format_canonical(t) == "T(0, [1/7, 0])"
+    assert time.perf_counter() - start < 0.05
+
+
+def test_divisor_form_at_and_beyond_the_bound():
+    m = build_model(1, 2, [("x0", ["0", "0"]), ("x1", ["1/97", "0"])])
+    # a corner of the box [-6, 6]^2; the solver alone gives -91*x0 + 91*x1
+    assert divisor_form(m, of_divisor(m, {"x0": 6, "x1": -6})) == {"x0": 6, "x1": -6}
+    # every form has |n_x1| >= 47, past the coefficient bound 6
+    cls = of_divisor(m, {"x0": 50, "x1": -50})
+    got = divisor_form(m, cls)
+    assert got == _solved_divisor_form(m, cls)
+    assert of_divisor(m, got) == cls
+    assert max(abs(v) for v in got.values()) > 6
 
 
 def test_round_trip_random_basics(elliptic2, cyclic3, involution):

@@ -1,5 +1,6 @@
 """Property tests over generated words, classes and weight systems."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -21,9 +22,12 @@ from partrans import (
     normalize_word,
     ParabolicInvariant,
     WeightSystem,
+    divisor_form,
+    of_divisor,
 )
+from partrans.dsl import _solved_divisor_form
 from partrans.transform import _word_of
-from conftest import model_cyclic3, model_involution
+from conftest import build_model, model_cyclic3, model_involution
 
 MODEL = model_cyclic3()
 INVOL = model_involution()
@@ -153,3 +157,93 @@ def test_genericity_preserved_by_moves(w, x):
 @given(weights(MODEL))
 def test_canonicalize_fixes_canonical_systems(w):
     assert canonicalize({x: w.vector(x) for x in w.point_names}) == w
+
+
+# -- divisor forms against the product-loop reference ----------------------
+
+
+def oracle_bounded_search(model, cls):
+    """Every coefficient tuple of the box in product order, each tested
+    on the Fraction coordinates of its class mod 1; the least (l1 norm,
+    tuple) key wins."""
+    n = len(model.points)
+    if n == 0:
+        return None
+    bound = max(6, 2 * model.rank)
+    while bound >= 1 and (2 * bound + 1) ** n > 100000:
+        bound -= 1
+    if bound < 1:
+        return None
+    names = model.point_names
+    coords = [model.point(x).jac_class.coords for x in names]
+    best = None
+    for combo in itertools.product(range(-bound, bound + 1), repeat=n):
+        if sum(combo) != cls.degree:
+            continue
+        key = (sum(abs(c) for c in combo), combo)
+        if best is not None and key >= best[0]:
+            continue
+        if all(
+            (sum(c * p[i] for c, p in zip(combo, coords)) - t) % 1 == 0
+            for i, t in enumerate(cls.jac.coords)
+        ):
+            best = (key, {k: v for k, v in zip(names, combo) if v})
+    return None if best is None else best[1]
+
+
+def oracle_divisor_form(model, cls):
+    """Search the box first and fall back on the solver."""
+    found = oracle_bounded_search(model, cls)
+    return found if found is not None else _solved_divisor_form(model, cls)
+
+
+DENOMINATORS = (1, 2, 3, 4, 6, 7, 97)
+
+
+def coord():
+    return st.sampled_from(DENOMINATORS).flatmap(frac)
+
+
+@st.composite
+def marked_model(draw, min_points, max_points):
+    genus = draw(st.integers(1, 2))
+    rank = draw(st.integers(2, 4))
+    n = draw(st.integers(min_points, max_points))
+    points = [
+        (f"x{i}", [str(draw(coord())) for _ in range(2 * genus)]) for i in range(n)
+    ]
+    return build_model(genus, rank, points)
+
+
+@st.composite
+def model_and_class(draw, min_points, max_points):
+    """A model and a line class: the class of a small divisor (a form
+    exists), a free class (mostly none), or the class of a divisor with
+    large coefficients (often a form only beyond the search bound)."""
+    m = draw(marked_model(min_points, max_points))
+    kind = draw(st.sampled_from(("small", "free", "large")))
+    if kind == "free":
+        jac = JacobianElement([draw(coord()) for _ in range(2 * m.genus)])
+        return m, LineBundleClass(draw(st.integers(-6, 6)), jac)
+    lim = 3 if kind == "small" else 60
+    return m, of_divisor(m, {x: draw(st.integers(-lim, lim)) for x in m.point_names})
+
+
+# the reference takes about 0.1 s on a 5-point class with no form
+@settings(max_examples=60, deadline=None)
+@given(model_and_class(1, 6))
+def test_divisor_form_matches_product_loop_oracle(case):
+    m, cls = case
+    got = divisor_form(m, cls)
+    assert got == oracle_divisor_form(m, cls)
+    if got is not None:
+        assert of_divisor(m, got) == cls
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_and_class(3, 6), st.sampled_from((1, -1)), st.data())
+def test_canonical_text_round_trips_on_many_points(case, s, data):
+    m, line = case
+    hecke = {x: data.draw(st.integers(0, m.rank - 1)) for x in m.point_names}
+    t = make_basic(m.identity_name, s, line, hecke, m)
+    assert eval_expression(format_canonical(t), m) == t
