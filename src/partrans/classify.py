@@ -321,7 +321,7 @@ def verify_decomposition(source, target, sigma, transform, rho, xi, claim, cap=D
                 target.weights.rank,
             )
             moved_w = act_weights(transform, source.weights)
-            chamber_ok = same_chamber(moved_w, relabeled)
+            chamber_ok = same_chamber(moved_w, relabeled, cap)
             detail_w = "transformed source weights against relabeled target weights"
         except UnknownPoint as exc:
             chamber_ok = False

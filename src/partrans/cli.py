@@ -232,7 +232,7 @@ def _cmd_weights(args):
     if args.weights_cmd == "same-chamber":
         wa = _weights_from_file(model, args.file_a)
         wb = _weights_from_file(model, args.file_b)
-        verdict = same_chamber(wa, wb)
+        verdict = same_chamber(wa, wb, args.enum_cap)
         if args.json:
             _emit({"same_chamber": verdict})
         else:

@@ -421,7 +421,7 @@ def act_invariant(t, v):
     )
 
 
-def subgroup_membership(t, d, xi=None, alpha=None):
+def subgroup_membership(t, d, xi=None, alpha=None, cap=DEFAULT_ENUM_CAP):
     """Membership flags for the sign, degree, determinant and chamber subgroups."""
     flags = {
         "in_T_plus": t.s == 1,
@@ -432,7 +432,7 @@ def subgroup_membership(t, d, xi=None, alpha=None):
     if xi is not None:
         flags["in_T_xi"] = act_det(t, xi) == xi
     if alpha is not None:
-        flags["in_T_alpha"] = same_chamber(act_weights(t, alpha), alpha)
+        flags["in_T_alpha"] = same_chamber(act_weights(t, alpha), alpha, cap)
     return flags
 
 
@@ -508,12 +508,16 @@ def t_d_quotient_reps(d, model, cap=DEFAULT_ENUM_CAP):
 
 
 def stabilizer_d_alpha_quotient(d, alpha, model, cap=DEFAULT_ENUM_CAP):
-    """Chamber-filtered representatives of the degree stabilizer."""
+    """Chamber-filtered representatives of the degree stabilizer.
+
+    alpha's integer wall tables are built once, by the genericity check,
+    and reused for every representative.
+    """
     ok, witness = is_generic(alpha, cap)
     if not ok:
         raise NotGeneric(witness)
     out = []
     for rep in t_d_quotient_reps(d, model, cap):
-        if same_chamber(act_weights(rep, alpha), alpha):
+        if same_chamber(act_weights(rep, alpha), alpha, cap):
             out.append(rep)
     return out

@@ -5,6 +5,13 @@ rationals in [0, 1) whose first entry is 0. Chambers are identified by the
 floor vector of all wall values, enumerated in a fixed lexicographic order:
 subrank r' from 1 to r-1, then per-point index subsets lexicographically,
 with the last point varying fastest.
+
+The walls are computed on integers. Each weight system is scaled once by
+q, the lcm of its denominators, into one small table per point and
+subrank (see _wall_tables); a wall's value times q is a sum of one table
+entry per point. Walls are streamed in wall order from the product of the
+tables, and a WallDatum is built only for a wall that is reported: a
+genericity witness or the wall a NotGeneric error carries.
 """
 
 import itertools
@@ -23,7 +30,7 @@ WALL_ORDER_HEADER = (
 class WeightSystem:
     """Canonical per-point weight vectors; immutable."""
 
-    __slots__ = ("rank", "entries")
+    __slots__ = ("rank", "entries", "_walls")
 
     def __init__(self, entries, rank=None):
         if hasattr(entries, "items"):
@@ -43,6 +50,7 @@ class WeightSystem:
                 raise ShapeMismatch(f"weights at {name!r} leave [0, 1)")
         self.entries = entries
         self.rank = rank
+        self._walls = None
 
     @property
     def point_names(self):
@@ -176,74 +184,111 @@ def _wall_count(w):
     return sum(math.comb(w.rank, rp) ** n for rp in range(1, w.rank))
 
 
-def _iter_walls(w):
-    """All wall data in the fixed lexicographic order."""
-    r = w.rank
-    names = w.point_names
-    total = w.total()
-    for rp in range(1, r):
-        subsets = list(itertools.combinations(range(1, r + 1), rp))
-        for combo in itertools.product(subsets, repeat=len(names)):
-            sel = Fraction(0)
-            for (name, vec), sub in zip(w.entries, combo):
-                sel += sum(vec[i - 1] for i in sub)
-            value = rp * total - r * sel
-            yield WallDatum(rp, zip(names, combo), value)
+def _wall_tables(w):
+    """The integer form of w's walls, built once per weight system.
+
+    Returns (q, tables): q is the lcm of all weight denominators, and
+    tables[r' - 1] holds, per point, the integers
+    q * (r' * sum(vec) - r * sum(vec[I])) for the size-r' index subsets I
+    in lexicographic order. A wall's value times q is the sum of one entry
+    per point, so it is integral when that sum is divisible by q, and its
+    floor is the sum // q.
+    """
+    if w._walls is None:
+        r = w.rank
+        q = math.lcm(*(v.denominator for _, vec in w.entries for v in vec))
+        scaled = [[v.numerator * (q // v.denominator) for v in vec] for _, vec in w.entries]
+        tables = []
+        for rp in range(1, r):
+            subsets = list(itertools.combinations(range(r), rp))
+            tables.append(tuple(
+                tuple(rp * sum(ints) - r * sum(ints[i] for i in sub) for sub in subsets)
+                for ints in scaled
+            ))
+        w._walls = (q, tuple(tables))
+    return w._walls
+
+
+def _scaled_walls(tables):
+    """q times every wall value of one subrank, streamed in wall order."""
+    return map(sum, itertools.product(*tables))
+
+
+def _wall(w, rp, digits):
+    """The WallDatum of subrank rp taking the digits[k]-th subset at point k."""
+    q, tables = _wall_tables(w)
+    subsets = list(itertools.combinations(range(1, w.rank + 1), rp))
+    value = sum(table[d] for table, d in zip(tables[rp - 1], digits))
+    return WallDatum(rp, zip(w.point_names, (subsets[d] for d in digits)), Fraction(value, q))
+
+
+def _wall_at(w, rp, index):
+    """The index-th wall of subrank rp: a mixed-radix decode, last point fastest."""
+    base = math.comb(w.rank, rp)
+    digits = []
+    for _ in w.entries:
+        index, d = divmod(index, base)
+        digits.append(d)
+    return _wall(w, rp, digits[::-1])
+
+
+def _first_integral_wall(w):
+    """The first wall in wall order with an integral value, or None."""
+    q, tables = _wall_tables(w)
+    for rp, per_point in enumerate(tables, 1):
+        for i, v in enumerate(_scaled_walls(per_point)):
+            if v % q == 0:
+                return _wall_at(w, rp, i)
+    return None
 
 
 def _dp_witness(w):
     """Residue dynamic program deciding whether some wall value is integral.
 
     Returns a witness WallDatum or None. Avoids enumerating the full
-    product of per-point subsets; only residues modulo the common weight
-    denominator are tracked, with one representative subset path each.
+    product of per-point subsets: point by point it tracks the residues
+    mod q reachable by the scaled wall tables, each with the
+    lexicographically least path of subset indices reaching it. A prefix
+    of a least path is least for its own residue, so the witness is the
+    first integral wall that enumeration finds.
     """
-    r = w.rank
-    names = w.point_names
-    q = 1
-    for _, vec in w.entries:
-        for v in vec:
-            q = q * v.denominator // math.gcd(q, v.denominator)
-    scaled = {name: [int(v * q) for v in vec] for name, vec in w.entries}
-    total_scaled = sum(sum(vals) for vals in scaled.values())
-    for rp in range(1, r):
-        target = (rp * total_scaled) % q
-        subsets = list(itertools.combinations(range(1, r + 1), rp))
-        reachable = {0: ()}
-        for name in names:
-            contrib = {}
-            for sub in subsets:
-                c = (r * sum(scaled[name][i - 1] for i in sub)) % q
-                contrib.setdefault(c, sub)
+    q, tables = _wall_tables(w)
+    for rp, per_point in enumerate(tables, 1):
+        # Both dicts keep insertion order: moves holds the least digit per
+        # residue in increasing digit order, and paths stays in increasing
+        # path order because the pairs (path, d) are visited in
+        # lexicographic order and the first one to reach a residue claims it.
+        paths = {0: ()}
+        for table in per_point:
+            moves = {}
+            for d, v in enumerate(table):
+                moves.setdefault(v % q, d)
             nxt = {}
-            for res in sorted(reachable):
-                path = reachable[res]
-                for c in sorted(contrib):
+            for res, path in paths.items():
+                for c, d in moves.items():
                     nr = (res + c) % q
                     if nr not in nxt:
-                        nxt[nr] = path + (contrib[c],)
-            reachable = nxt
-        if target in reachable:
-            combo = reachable[target]
-            sel = Fraction(0)
-            for (name, vec), sub in zip(w.entries, combo):
-                sel += sum(vec[i - 1] for i in sub)
-            value = rp * w.total() - r * sel
-            return WallDatum(rp, zip(names, combo), value)
+                        nxt[nr] = path + (d,)
+            paths = nxt
+        if 0 in paths:
+            return _wall(w, rp, paths[0])
     return None
 
 
 def is_generic(w, cap=DEFAULT_ENUM_CAP):
-    """(True, None) when no wall value is integral, else (False, witness)."""
+    """(True, None) when no wall value is integral, else (False, witness).
+
+    Walls are enumerated on the integer tables of _wall_tables; past cap
+    walls the residue DP decides instead. Both give the first integral
+    wall in wall order as the witness.
+    """
     if not w.entries:
         return True, None
     if _wall_count(w) > cap:
         witness = _dp_witness(w)
-        return (witness is None), witness
-    for wall in _iter_walls(w):
-        if wall.is_integral():
-            return False, wall
-    return True, None
+    else:
+        witness = _first_integral_wall(w)
+    return witness is None, witness
 
 
 def chamber_fingerprint(w, cap=DEFAULT_ENUM_CAP):
@@ -252,29 +297,41 @@ def chamber_fingerprint(w, cap=DEFAULT_ENUM_CAP):
     count = _wall_count(w)
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
-    floors = []
-    for wall in _iter_walls(w):
-        if wall.is_integral():
-            raise NotGeneric(wall)
-        floors.append(wall.value.__floor__())
-    return ChamberFingerprint(floors)
+    wall = _first_integral_wall(w)
+    if wall is not None:
+        raise NotGeneric(wall)
+    q, tables = _wall_tables(w)
+    return ChamberFingerprint(v // q for t in tables for v in _scaled_walls(t))
 
 
-def same_chamber(w1, w2):
-    """Lazy floor-by-floor comparison; aborts at the first differing wall."""
+def same_chamber(w1, w2, cap=DEFAULT_ENUM_CAP):
+    """Lazy floor-by-floor comparison; aborts at the first differing wall.
+
+    At each wall, an integral value of w1 and then of w2 raises NotGeneric
+    before the floors are compared. Both systems are compared on their own
+    integer wall tables.
+    """
     if w1.point_names != w2.point_names or w1.rank != w2.rank:
         if w1.point_names == w2.point_names == ():
             return True
         raise ShapeMismatch("weight systems live on different point sets or ranks")
     if not w1.entries:
         return True
-    for wall1, wall2 in zip(_iter_walls(w1), _iter_walls(w2)):
-        if wall1.is_integral():
-            raise NotGeneric(wall1)
-        if wall2.is_integral():
-            raise NotGeneric(wall2)
-        if wall1.value.__floor__() != wall2.value.__floor__():
-            return False
+    count = _wall_count(w1)
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap)
+    q1, tables1 = _wall_tables(w1)
+    q2, tables2 = _wall_tables(w2)
+    for rp, (t1, t2) in enumerate(zip(tables1, tables2), 1):
+        for i, (v1, v2) in enumerate(zip(_scaled_walls(t1), _scaled_walls(t2))):
+            f1, m1 = divmod(v1, q1)
+            if not m1:
+                raise NotGeneric(_wall_at(w1, rp, i))
+            f2, m2 = divmod(v2, q2)
+            if not m2:
+                raise NotGeneric(_wall_at(w2, rp, i))
+            if f1 != f2:
+                return False
     return True
 
 

@@ -286,6 +286,19 @@ def test_weights_cap_exceeded(files, capsys):
     )
     assert rc == 2
     assert "error:" in err
+    rc, out, err = run(
+        capsys,
+        "weights",
+        "same-chamber",
+        "--model",
+        files["g1"],
+        "--enum-cap",
+        "3",
+        files["wa"],
+        files["wb"],
+    )
+    assert rc == 2 and out == ""
+    assert "enumeration of 4 elements exceeds cap 3" in err
 
 
 # -- stabilizers and reports ---------------------------------------------

@@ -1,7 +1,10 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from partrans import (
     ChamberFingerprint,
@@ -20,13 +23,58 @@ from partrans.errors import (
     ShapeMismatch,
     UnknownPoint,
 )
-from partrans.weights import _dp_witness, _iter_walls, _wall_count
+from partrans.weights import WallDatum, _dp_witness, _wall_count
 
 from conftest import model_elliptic2, model_g2r3, rand_generic_weights
 
 
 def ws(rank, **vecs):
     return WeightSystem({k: tuple(Fraction(x) for x in v) for k, v in vecs.items()}, rank)
+
+
+# -- reference wall calculus ----------------------------------------------
+# One Fraction sum and one WallDatum per wall, in the fixed wall order: the
+# slow path the integer tables of partrans.weights must agree with.
+
+
+def oracle_walls(w):
+    r = w.rank
+    names = w.point_names
+    total = w.total()
+    for rp in range(1, r):
+        subsets = list(itertools.combinations(range(1, r + 1), rp))
+        for combo in itertools.product(subsets, repeat=len(names)):
+            sel = Fraction(0)
+            for (name, vec), sub in zip(w.entries, combo):
+                sel += sum(vec[i - 1] for i in sub)
+            yield WallDatum(rp, zip(names, combo), rp * total - r * sel)
+
+
+def oracle_first_integral(w):
+    return next((wall for wall in oracle_walls(w) if wall.is_integral()), None)
+
+
+def oracle_floors(w):
+    """Floors of every wall, or the first integral wall."""
+    floors = []
+    for wall in oracle_walls(w):
+        if wall.is_integral():
+            return wall
+        floors.append(wall.value.__floor__())
+    return tuple(floors)
+
+
+def oracle_same_chamber(w1, w2):
+    """The verdict, or the first integral wall of w1 or w2 at the first wall
+    that has one (w1 checked first)."""
+    for wall1, wall2 in zip(oracle_walls(w1), oracle_walls(w2)):
+        if wall1.is_integral():
+            return wall1
+        if wall2.is_integral():
+            return wall2
+        if wall1.value.__floor__() != wall2.value.__floor__():
+            return False
+    return True
 
 
 W13_14 = lambda: ws(2, p=(0, "1/3"), q=(0, "1/4"))
@@ -95,7 +143,7 @@ def test_fingerprint_json_and_str():
     assert set(js) == {"wall_order", "floors"}
     assert js["floors"] == [0, 0, -1, -1]
     assert "(0, 0, -1, -1)" in str(fp)
-    wall = next(_iter_walls(W13_14()))
+    wall = next(oracle_walls(W13_14()))
     assert "r'=1" in str(wall)
 
 
@@ -143,8 +191,8 @@ def test_cap_exceeded_on_fingerprint():
 def test_dp_witness_matches_enumeration_on_random_systems():
     rng = random.Random(37)
     for _ in range(120):
-        r = rng.choice((2, 3))
-        n = rng.randint(1, 2)
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(1, 4)
         entries = {}
         for i in range(n):
             den = rng.choice((4, 5, 6, 8))
@@ -152,11 +200,109 @@ def test_dp_witness_matches_enumeration_on_random_systems():
             base = nums[0]
             entries[f"x{i}"] = tuple(Fraction(k - base, den) for k in nums)
         w = WeightSystem(entries, r)
-        enum_integral = any(wall.is_integral() for wall in _iter_walls(w))
+        first = oracle_first_integral(w)
         dp = _dp_witness(w)
-        assert (dp is not None) == enum_integral
+        assert (dp is not None) == (first is not None)
         if dp is not None:
             assert dp.is_integral()
+            assert str(dp) == str(first)
+            assert str(is_generic(w, cap=1)[1]) == str(first)
+
+
+@st.composite
+def weight_pairs(draw):
+    """A weight system of rank 2-4 on 1-5 points with mixed denominators,
+    and a second one on the same points: independent or a small shift."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 5))
+
+    def system():
+        entries = {}
+        for i in range(n):
+            den = draw(st.sampled_from((4, 5, 6, 7, 8, 9, 12, 97)))
+            nums = draw(st.lists(st.integers(1, den - 1), min_size=r - 1, max_size=r - 1, unique=True))
+            entries[f"x{i}"] = (Fraction(0),) + tuple(Fraction(k, den) for k in sorted(nums))
+        return WeightSystem(entries, r)
+
+    w1 = system()
+    if draw(st.booleans()):
+        return w1, system()
+    shifted = {
+        x: (Fraction(0),) + tuple(v + Fraction(draw(st.integers(1, 3)), 10007) for v in vec[1:])
+        for x, vec in w1.entries
+    }
+    return w1, WeightSystem(shifted, r)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NotGeneric as exc:
+        return exc.witness
+
+
+def _same(got, want):
+    if isinstance(want, WallDatum):
+        return isinstance(got, WallDatum) and got.to_json() == want.to_json()
+    return got == want
+
+
+THIRDS = ws(2, p=(0, "1/3"), q=(0, "1/3"), s=(0, "1/3"))
+TWO_THIRDS = ws(2, p=(0, "2/3"), q=(0, "2/3"), s=(0, "2/3"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weight_pairs())
+# both systems sit on their first wall, with values 1 and 2: w1's is raised
+@example((THIRDS, TWO_THIRDS))
+@example((TWO_THIRDS, THIRDS))
+def test_integer_walls_match_fraction_oracle(pair):
+    w1, w2 = pair
+    ok, witness = is_generic(w1)
+    want = oracle_first_integral(w1)
+    assert ok == (want is None)
+    assert _same(witness, want)
+    got = _outcome(lambda: chamber_fingerprint(w1).floors)
+    assert _same(got, oracle_floors(w1))
+    got = _outcome(lambda: same_chamber(w1, w2))
+    assert _same(got, oracle_same_chamber(w1, w2))
+
+
+def _generic_rank3_eight_points():
+    rng = random.Random(53)
+    for _ in range(60):
+        entries = {}
+        for i in range(8):
+            den = rng.choice((101, 103, 107, 109))
+            nums = sorted(rng.sample(range(1, den), 2))
+            entries[f"x{i}"] = (Fraction(0),) + tuple(Fraction(k, den) for k in nums)
+        w = WeightSystem(entries, 3)
+        if is_generic(w)[0]:
+            return w
+    raise AssertionError("failed to sample a generic weight system")
+
+
+def _best_ms(fn, w, repeat=3):
+    best = float("inf")
+    for _ in range(repeat):
+        fresh = WeightSystem(w.entries, w.rank)
+        start = time.perf_counter()
+        fn(fresh)
+        best = min(best, time.perf_counter() - start)
+    return best * 1000
+
+
+def test_rank3_eight_point_walls_are_fast():
+    w = _generic_rank3_eight_points()
+    assert _wall_count(w) == 2 * 3**8
+    assert _best_ms(is_generic, w) < 50
+    assert _best_ms(lambda fresh: same_chamber(fresh, fresh), w) < 100
+
+
+def test_same_chamber_honours_the_cap():
+    assert same_chamber(W13_14(), W13_15(), cap=4)
+    with pytest.raises(EnumerationCapExceeded):
+        same_chamber(W13_14(), W13_15(), cap=3)
 
 
 def test_hecke_moves_and_identities():
