@@ -27,7 +27,7 @@ from .intmat import (
     mat_mul,
     mat_vec,
 )
-from .picard import DEFAULT_ENUM_CAP, JacobianElement, LineBundleClass, lincomb
+from .picard import DEFAULT_ENUM_CAP, JacobianElement, LineBundleClass, affine_image, lincomb
 from .transform import BasicTransformation, Divisor, act_degree, act_weights, describe
 from .weights import WeightSystem, canonicalize, is_generic, same_chamber
 
@@ -108,13 +108,11 @@ def _check_witness(model_a, model_b, points, matrix, translation):
         return f"class-map matrix determinant is {d}, not +-1"
     p_rows = [list(r) for r in matrix]
     for x in names_a:
-        jx = list(model_a.point(x).jac_class.coords)
-        image = [a + b for a, b in zip(mat_vec(p_rows, jx), translation.coords)]
-        expected = model_b.point(points[x]).jac_class
-        if JacobianElement(image) != expected:
+        image = affine_image(p_rows, model_a.point(x).jac_class, translation)
+        if image != model_b.point(points[x]).jac_class:
             return (
                 f"class map sends the class of {x} to "
-                f"{JacobianElement(image)!r}, not to the class of {points[x]}"
+                f"{image!r}, not to the class of {points[x]}"
             )
     if len(model_a.automorphisms) != len(model_b.automorphisms):
         return (
@@ -126,11 +124,8 @@ def _check_witness(model_a, model_b, points, matrix, translation):
         perm_b = {points[x]: points[a.point_perm.get(x, x)] for x in names_a}
         m_b = mat_mul(mat_mul(p_rows, [list(r) for r in a.matrix]), p_inv)
         # t_b = P t_a + (I - M_b) t, the conjugated affine translation
-        pta = mat_vec(p_rows, list(a.translation.coords))
-        mbt = mat_vec(m_b, list(translation.coords))
-        t_b = JacobianElement(
-            pa + t - mt for pa, t, mt in zip(pta, translation.coords, mbt)
-        )
+        mbt = JacobianElement.from_nums(mat_vec(m_b, translation.nums), translation.den)
+        t_b = affine_image(p_rows, a.translation, translation) - mbt
         entry = model_b.find_entry(perm_b, tuple(tuple(r) for r in m_b), t_b)
         if entry is None:
             return (

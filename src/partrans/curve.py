@@ -9,8 +9,8 @@ import json
 from fractions import Fraction
 
 from .errors import ConfigError, DimensionMismatch, ModelError, UnknownAutomorphism, UnknownPoint
-from .intmat import det_int, identity_matrix, mat_mul, mat_vec
-from .picard import JacobianElement, LineBundleClass, frac_to_str, pullback
+from .intmat import det_int, identity_matrix, mat_mul
+from .picard import JacobianElement, LineBundleClass, affine_image, pullback
 
 
 class MarkedPoint:
@@ -60,6 +60,18 @@ class ValidationReport:
 
 
 class CurveModel:
+    """An immutable marked-curve model with its automorphism table compiled.
+
+    `__init__` builds the Cayley table of the automorphism entries once.
+    Entries are keyed by their structure (point permutation over
+    `point_names`, matrix, translation); when two entries share a key, the
+    first in table order wins. `_compose[i][j]` is the entry realizing
+    entry i composed with entry j, or None where the table is not closed;
+    `_inverse[i]` is the first entry whose composite with entry i is
+    structurally the identity (whether or not the table holds an identity
+    entry), or None. Names resolve to the last entry carrying them.
+    """
+
     def __init__(self, genus, rank, degree_context, points, automorphisms, endo_ring="scalar"):
         self.genus = genus
         self.rank = rank
@@ -68,10 +80,28 @@ class CurveModel:
         self.automorphisms = tuple(automorphisms)
         self.endo_ring = endo_ring
         self._point_index = {p.name: p for p in self.points}
-        self._auto_index = {a.name: a for a in self.automorphisms}
-        self._identity_name = next(
-            (a.name for a in self.automorphisms if self._is_identity_entry(a)), None
+        self._auto_pos = {a.name: i for i, a in enumerate(self.automorphisms)}
+        self._by_key = {}
+        for a in self.automorphisms:
+            self._by_key.setdefault(self._key(a.point_perm, a.matrix, a.translation), a)
+        dim = 2 * genus
+        identity_key = self._key(
+            {}, tuple(map(tuple, identity_matrix(dim))), JacobianElement.zero(dim)
         )
+        identity = self._by_key.get(identity_key)
+        self._identity_name = identity.name if identity is not None else None
+        self._compose = []
+        self._inverse = []
+        for a in self.automorphisms:
+            row = []
+            inverse = None
+            for b in self.automorphisms:
+                key = self._key(*self.composed_data(a, b))
+                row.append(self._by_key.get(key))
+                if inverse is None and key == identity_key:
+                    inverse = b
+            self._compose.append(row)
+            self._inverse.append(inverse)
 
     # -- lookups ---------------------------------------------------------
 
@@ -88,23 +118,22 @@ class CurveModel:
     def point_class(self, name):
         return LineBundleClass(1, self.point(name).jac_class)
 
-    def automorphism(self, name):
+    def _position(self, name):
         try:
-            return self._auto_index[name]
+            return self._auto_pos[name]
         except KeyError:
             raise UnknownAutomorphism(name) from None
 
+    def automorphism(self, name):
+        return self.automorphisms[self._position(name)]
+
     def has_automorphism(self, name):
-        return name in self._auto_index
+        return name in self._auto_pos
 
     # -- structural identity and table arithmetic ------------------------
 
-    def _is_identity_entry(self, a):
-        return (
-            all(a.point_perm.get(x, x) == x for x in self.point_names)
-            and a.matrix == tuple(tuple(row) for row in identity_matrix(2 * self.genus))
-            and a.translation.is_zero()
-        )
+    def _key(self, perm, matrix, translation):
+        return (tuple(perm.get(x, x) for x in self._point_index), matrix, translation)
 
     @property
     def identity_name(self):
@@ -118,29 +147,22 @@ class CurveModel:
         The composed geometric automorphism applies outer's permutation
         first; its pullback is pullback_outer o pullback_inner.
         """
-        perm = {x: inner.point_perm.get(outer.point_perm.get(x, x), outer.point_perm.get(x, x)) for x in self.point_names}
-        matrix = mat_mul([list(r) for r in outer.matrix], [list(r) for r in inner.matrix])
-        mt = mat_vec([list(r) for r in outer.matrix], list(inner.translation.coords))
-        translation = JacobianElement(
-            a + b for a, b in zip(mt, outer.translation.coords)
-        )
-        return perm, tuple(tuple(row) for row in matrix), translation
+        perm = {}
+        for x in self._point_index:
+            y = outer.point_perm.get(x, x)
+            perm[x] = inner.point_perm.get(y, y)
+        matrix = mat_mul(outer.matrix, inner.matrix)
+        translation = affine_image(outer.matrix, inner.translation, outer.translation)
+        return perm, tuple(map(tuple, matrix)), translation
 
     def find_entry(self, perm, matrix, translation):
-        for a in self.automorphisms:
-            if (
-                all(a.point_perm.get(x, x) == perm.get(x, x) for x in self.point_names)
-                and a.matrix == matrix
-                and a.translation == translation
-            ):
-                return a
-        return None
+        return self._by_key.get(self._key(perm, matrix, translation))
 
     def compose_autos(self, outer_name, inner_name):
         """Name of the table entry realizing Sigma_outer o Sigma_inner."""
-        outer = self.automorphism(outer_name)
-        inner = self.automorphism(inner_name)
-        entry = self.find_entry(*self.composed_data(outer, inner))
+        i = self._position(outer_name)
+        j = self._position(inner_name)
+        entry = self._compose[i][j]
         if entry is None:
             raise ModelError(
                 f"automorphism table is not closed: {outer_name} composed with {inner_name}"
@@ -148,13 +170,10 @@ class CurveModel:
         return entry.name
 
     def inverse_auto(self, name):
-        a = self.automorphism(name)
-        for b in self.automorphisms:
-            perm, matrix, translation = self.composed_data(a, b)
-            cand = CurveAutomorphism("", perm, matrix, translation)
-            if self._is_identity_entry(cand):
-                return b.name
-        raise ModelError(f"automorphism {name!r} has no inverse in the table")
+        entry = self._inverse[self._position(name)]
+        if entry is None:
+            raise ModelError(f"automorphism {name!r} has no inverse in the table")
+        return entry.name
 
 
 def point_class(model, name):
@@ -307,25 +326,16 @@ def validate_model(m):
         report.warnings.append(
             f"genus {m.genus} < 6: small-genus model, fine for computation"
         )
-    has_identity = any(m._is_identity_entry(a) for a in m.automorphisms)
-    if not has_identity:
+    if m._identity_name is None:
         report.errors.append("automorphism table has no identity entry")
-    for a in m.automorphisms:
-        for b in m.automorphisms:
-            perm, matrix, translation = m.composed_data(a, b)
-            if m.find_entry(perm, matrix, translation) is None:
+    for a, row in zip(m.automorphisms, m._compose):
+        for b, entry in zip(m.automorphisms, row):
+            if entry is None:
                 report.errors.append(
                     f"table not closed: composition of {a.name} with {b.name} is missing"
                 )
-    for a in m.automorphisms:
-        found = False
-        for b in m.automorphisms:
-            perm, matrix, translation = m.composed_data(a, b)
-            cand = CurveAutomorphism("", perm, matrix, translation)
-            if m._is_identity_entry(cand):
-                found = True
-                break
-        if not found:
+    for a, inverse in zip(m.automorphisms, m._inverse):
+        if inverse is None:
             report.errors.append(f"automorphism {a.name} has no inverse in the table")
     for a in m.automorphisms:
         inv_perm = a.perm_inverse()

@@ -18,7 +18,6 @@ atom promotes the whole word to an extended element.
 """
 
 from fractions import Fraction
-import itertools
 import math
 
 from .errors import ParseError, ShapeMismatch
@@ -398,11 +397,14 @@ def _divisor_text(model, mult):
 def _residue_system(model, cls):
     """The marked points' Jacobian classes and the class's own, as integer
     residue vectors mod q, the lcm of every coordinate denominator."""
-    coords = [model.point(x).jac_class.coords for x in model.point_names]
-    target = cls.jac.coords
-    q = math.lcm(*(v.denominator for v in itertools.chain(*coords, target)))
-    points = [tuple(int(q * v) for v in c) for c in coords]
-    return q, points, tuple(int(q * v) for v in target)
+    jacs = [model.point(x).jac_class for x in model.point_names]
+    q = math.lcm(cls.jac.den, *(j.den for j in jacs))
+
+    def scaled(j):
+        k = q // j.den
+        return tuple(k * x for x in j.nums)
+
+    return q, [scaled(j) for j in jacs], scaled(cls.jac)
 
 
 def _bounded_divisor_search(model, cls):

@@ -130,7 +130,7 @@ def act_A(rho, xi, v):
         raise ShapeMismatch(f"Jacobian part modulus {rho.r} does not match rank {v.rank}")
     delta = lincomb([(v.det, 1), (xi, -1)])
     twist = LineBundleClass(
-        0, JacobianElement(mat_vec([list(r) for r in rho.tilde], list(delta.jac.coords)))
+        0, JacobianElement.from_nums(mat_vec(rho.tilde, delta.jac.nums), delta.jac.den)
     )
     det_new = lincomb([(v.det, 1), (twist, v.rank)])
     note = "A-twist(0, [" + ", ".join(frac_to_str(c) for c in twist.jac) + "])"
@@ -182,8 +182,7 @@ def compose_ext(e1, e2):
     rho_c = conjugate_tilde(model, t1.sigma, e2.rho)
     delta = lincomb([(xi, 1), (txi, -1)])
     correction = LineBundleClass(
-        0,
-        JacobianElement(mat_vec([list(r) for r in rho_c.tilde], list(delta.jac.coords))),
+        0, JacobianElement.from_nums(mat_vec(rho_c.tilde, delta.jac.nums), delta.jac.den)
     )
     pulled_in = apply_jac_aut_line(jac_aut_inverse(rho_c), correction)
     t_corr = BasicTransformation(model, model.identity_name, 1, pulled_in, Divisor())

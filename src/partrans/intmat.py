@@ -1,10 +1,10 @@
 """Small exact linear algebra kit for integer matrices.
 
-Everything works on plain lists of lists of ints (row major). Vectors are
-sequences of Fractions or ints. No floats anywhere.
+Matrices are lists (or tuples) of rows of ints, row major; vectors are
+sequences of ints. No floats and no Fractions anywhere.
 """
 
-from fractions import Fraction
+from operator import mul
 
 from .errors import NotInvertible, ShapeMismatch
 
@@ -17,10 +17,6 @@ def zero_matrix(n):
     return [[0] * n for _ in range(n)]
 
 
-def mat_eq(a, b):
-    return [list(r) for r in a] == [list(r) for r in b]
-
-
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -31,11 +27,11 @@ def mat_scale(c, a):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def det_int(a):
@@ -65,40 +61,34 @@ def det_int(a):
 
 
 def inverse_unimodular(a):
-    """Inverse of an integer matrix with determinant +-1, as an integer matrix."""
+    """Inverse of an integer matrix with determinant +-1, as an integer matrix.
+
+    Fraction-free: unimodular row operations on [a | I], Euclid down each
+    column to an upper triangle with unit diagonal, then back-substitution.
+    """
     n = len(a)
     d = det_int(a)
     if d not in (1, -1):
         raise NotInvertible(d)
-    m = [[Fraction(x) for x in row] for row in a]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    m = [list(map(int, row)) + unit for row, unit in zip(a, identity_matrix(n))]
     for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise NotInvertible(0)
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    out = []
-    for row in inv:
-        int_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise NotInvertible(d)
-            int_row.append(int(x))
-        out.append(int_row)
-    return out
+        piv = m[col]
+        for i in range(col + 1, n):
+            row = m[i]
+            while row[col]:
+                q = piv[col] // row[col]
+                piv, row = row, [x - q * y for x, y in zip(piv, row)]
+            m[i] = row
+        if piv[col] < 0:
+            piv = [-x for x in piv]
+        m[col] = piv
+    for col in reversed(range(n)):
+        piv = m[col]
+        for i in range(col):
+            f = m[i][col]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], piv)]
+    return [row[n:] for row in m]
 
 
 def solve_integer_system(a, c):

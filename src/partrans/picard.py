@@ -3,9 +3,14 @@
 A line bundle class is an integer degree plus a torsion coordinate vector.
 Only finite-order Jacobian data is representable; an infinite-order class
 appears as its degree plus a torsion part.
+
+A torsion vector is stored as integer numerators over one denominator, so
+every move of the group law (sums, pullbacks, Jacobian automorphisms,
+division by r) is an integer pass followed by a single reduction.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import EnumerationCapExceeded, NotInvertible, ShapeMismatch
@@ -27,50 +32,88 @@ def frac_to_str(f):
 
 
 class JacobianElement:
-    """Vector in (Q/Z)^{2g}; every coordinate reduced into [0, 1)."""
+    """Vector in (Q/Z)^{2g} as numerators `nums` over one denominator `den`.
 
-    __slots__ = ("coords",)
+    Invariant: every numerator lies in [0, den) and gcd(den, *nums) == 1,
+    so each class has exactly one representation (zero has den == 1) and
+    `==` and `hash` compare the pair. `coords` is the derived tuple of
+    Fractions in [0, 1).
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coords):
-        self.coords = tuple(Fraction(c) % 1 for c in coords)
+        fracs = [Fraction(c) for c in coords]
+        den = math.lcm(*(f.denominator for f in fracs))
+        self._set([f.numerator * (den // f.denominator) for f in fracs], den)
+
+    @classmethod
+    def from_nums(cls, nums, den):
+        """Element with numerators `nums` over `den` > 0, not yet reduced."""
+        self = object.__new__(cls)
+        self._set(nums, den)
+        return self
+
+    def _set(self, nums, den):
+        nums = [x % den for x in nums]
+        g = math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [x // g for x in nums]
+        self.nums = tuple(nums)
+        self.den = den
 
     @staticmethod
     def zero(dim):
-        return JacobianElement([0] * dim)
+        return JacobianElement.from_nums([0] * dim, 1)
+
+    @property
+    def coords(self):
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __len__(self):
-        return len(self.coords)
+        return len(self.nums)
 
     def __iter__(self):
         return iter(self.coords)
 
     def __eq__(self, other):
-        return isinstance(other, JacobianElement) and self.coords == other.coords
+        return (
+            isinstance(other, JacobianElement)
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.nums, self.den))
 
     def __add__(self, other):
-        self._check(other)
-        return JacobianElement(a + b for a, b in zip(self.coords, other.coords))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
         self._check(other)
-        return JacobianElement(a - b for a, b in zip(self.coords, other.coords))
+        den = math.lcm(self.den, other.den)
+        ka, kb = den // self.den, sign * (den // other.den)
+        return JacobianElement.from_nums(
+            [ka * a + kb * b for a, b in zip(self.nums, other.nums)], den
+        )
 
     def __neg__(self):
-        return JacobianElement(-a for a in self.coords)
+        return JacobianElement.from_nums([-a for a in self.nums], self.den)
 
     def scale(self, n):
-        return JacobianElement(n * a for a in self.coords)
+        return JacobianElement.from_nums([n * a for a in self.nums], self.den)
 
     def is_zero(self):
-        return all(a == 0 for a in self.coords)
+        return self.den == 1
 
     def _check(self, other):
-        if len(self.coords) != len(other.coords):
+        if len(self.nums) != len(other.nums):
             raise ShapeMismatch(
-                f"coordinate lengths differ: {len(self.coords)} vs {len(other.coords)}"
+                f"coordinate lengths differ: {len(self.nums)} vs {len(other.nums)}"
             )
 
     def to_json(self):
@@ -78,6 +121,16 @@ class JacobianElement:
 
     def __repr__(self):
         return "JacobianElement(%s)" % (", ".join(frac_to_str(c) for c in self.coords))
+
+
+def affine_image(matrix, j, t, k=1):
+    """M j + k t for an integer matrix M: one integer pass over the common
+    denominator of j and t, then one reduction."""
+    den = math.lcm(j.den, t.den)
+    kj, kt = den // j.den, k * (den // t.den)
+    return JacobianElement.from_nums(
+        [kj * x + kt * y for x, y in zip(mat_vec(matrix, j.nums), t.nums)], den
+    )
 
 
 class LineBundleClass:
@@ -125,14 +178,17 @@ def lincomb(terms, dim=None):
             raise ShapeMismatch("empty combination needs an explicit dimension")
         return LineBundleClass.trivial(dim)
     d = len(terms[0][0].jac)
+    if any(len(cls.jac) != d for cls, _ in terms):
+        raise ShapeMismatch("mixed coordinate lengths in combination")
+    den = math.lcm(*(cls.jac.den for cls, _ in terms))
     degree = 0
-    jac = JacobianElement.zero(d)
+    acc = [0] * d
     for cls, n in terms:
-        if len(cls.jac) != d:
-            raise ShapeMismatch("mixed coordinate lengths in combination")
         degree += n * cls.degree
-        jac = jac + cls.jac.scale(n)
-    return LineBundleClass(degree, jac)
+        k = n * (den // cls.jac.den)
+        if k:
+            acc = [a + k * x for a, x in zip(acc, cls.jac.nums)]
+    return LineBundleClass(degree, JacobianElement.from_nums(acc, den))
 
 
 def of_divisor(model, divisor):
@@ -152,8 +208,7 @@ def divide_by_r(j, r):
     """
     if r < 2:
         raise ValueError("r must be at least 2")
-    root = JacobianElement(c / r for c in j.coords)
-    return root, r ** len(j.coords)
+    return JacobianElement.from_nums(j.nums, j.den * r), r ** len(j)
 
 
 def r_torsion(g, r, cap=DEFAULT_ENUM_CAP):
@@ -166,7 +221,7 @@ def r_torsion(g, r, cap=DEFAULT_ENUM_CAP):
 
     def gen():
         for combo in itertools.product(range(r), repeat=2 * g):
-            yield JacobianElement(Fraction(c, r) for c in combo)
+            yield JacobianElement.from_nums(combo, r)
 
     return gen()
 
@@ -174,9 +229,9 @@ def r_torsion(g, r, cap=DEFAULT_ENUM_CAP):
 def pullback(sigma, c):
     """Affine pullback action of a curve automorphism on a class:
     (deg, j) -> (deg, M j + deg * t)."""
-    mj = mat_vec(sigma.matrix, list(c.jac.coords))
-    coords = (x + c.degree * y for x, y in zip(mj, sigma.translation.coords))
-    return LineBundleClass(c.degree, JacobianElement(coords))
+    return LineBundleClass(
+        c.degree, affine_image(sigma.matrix, c.jac, sigma.translation, c.degree)
+    )
 
 
 class JacobianAutomorphism:
@@ -226,8 +281,8 @@ def make_jac_aut(m, r):
 
 def apply_jac_aut(rho, j):
     """rho(j) = j + r * (M j) in (Q/Z)^{2g}."""
-    mj = mat_vec([list(row) for row in rho.tilde], list(j.coords))
-    return JacobianElement(a + rho.r * b for a, b in zip(j.coords, mj))
+    mj = mat_vec(rho.tilde, j.nums)
+    return JacobianElement.from_nums([a + rho.r * b for a, b in zip(j.nums, mj)], j.den)
 
 
 def apply_jac_aut_line(rho, c):

@@ -23,6 +23,7 @@ from partrans import (
     is_generic,
     load_config,
 )
+from partrans.intmat import mat_mul
 
 
 def build_model(genus, rank, point_jacs, degree=0, autos=None, endo=None):
@@ -114,6 +115,65 @@ def model_order4():
         {"name": "r3", "perm": {}, "matrix": [[0, 1], [-1, 0]], "translation": ["0", "0"]},
     ]
     return build_model(1, 2, [("p", _zeros(1))], autos=autos)
+
+
+def model_cyclic(genus, order, rank=2):
+    """Translation group of the given order along the first coordinate,
+    acting on one orbit of `order` points; `order` table entries."""
+    dim = 2 * genus
+    names = [f"c{k}" for k in range(order)]
+    offset = [Fraction(0)] + [Fraction(i, 2 * i + 1) for i in range(1, dim)]
+    points = []
+    for k in range(order):
+        jac = list(offset)
+        jac[0] = Fraction(-k, order) % 1
+        points.append((names[k], [str(v) for v in jac]))
+    autos = []
+    for j in range(order):
+        t = ["0"] * dim
+        t[0] = str(Fraction(j, order))
+        autos.append({
+            "name": "id" if j == 0 else f"tau{j}",
+            "perm": {names[k]: names[(k + j) % order] for k in range(order)},
+            "matrix": [[int(a == b) for b in range(dim)] for a in range(dim)],
+            "translation": t,
+        })
+    return build_model(genus, rank, points, autos=autos)
+
+
+_ROTATIONS = {3: [[0, -1], [1, -1]], 4: [[0, -1], [1, 0]], 6: [[1, -1], [1, 0]]}
+
+
+def model_rotation(genus, order):
+    """Block rotation of order 3, 4 or 6 on every genus block: a fixed point
+    at 0 and one orbit of `order` points."""
+    dim = 2 * genus
+    block = _ROTATIONS[order]
+    mat = [[0] * dim for _ in range(dim)]
+    for g in range(genus):
+        for a in range(2):
+            for b in range(2):
+                mat[2 * g + a][2 * g + b] = block[a][b]
+    powers = [[[int(a == b) for b in range(dim)] for a in range(dim)]]
+    for _ in range(order - 1):
+        powers.append(mat_mul(powers[-1], mat))
+    base = [Fraction(i + 1, 5 if i % 2 else 7) for i in range(dim)]
+    names = [f"o{k}" for k in range(order)]
+    points = [("z", ["0"] * dim)]
+    for k in range(order):
+        jac = [sum(x * v for x, v in zip(row, base)) % 1 for row in powers[k]]
+        points.append((names[k], [str(v) for v in jac]))
+    autos = [
+        {
+            "name": "id" if a == 0 else f"rot{a}",
+            # pullback by M^a sends the class of o_k to that of o_{k+a}
+            "perm": {names[(k + a) % order]: names[k] for k in range(order)},
+            "matrix": powers[a],
+            "translation": ["0"] * dim,
+        }
+        for a in range(order)
+    ]
+    return build_model(genus, 2, points, autos=autos)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partrans import (
     JacobianElement,
@@ -17,8 +18,9 @@ from partrans import (
     r_torsion,
     tilde_compose,
 )
+from partrans.curve import CurveAutomorphism
 from partrans.errors import NotInvertible, ShapeMismatch
-from partrans.picard import apply_jac_aut, apply_jac_aut_line
+from partrans.picard import JacobianAutomorphism, apply_jac_aut, apply_jac_aut_line
 
 from conftest import model_cyclic3, model_elliptic2, model_order4, rand_jac, rand_tilde
 
@@ -173,3 +175,135 @@ def test_fixed_r_torsion_pointwise():
         rho = make_jac_aut(rand_tilde(rng, 2 * g, r), r)
         for x in r_torsion(g, r):
             assert apply_jac_aut(rho, x) == x
+
+
+# -- the Fraction element as a differential oracle -----------------------
+
+
+class FractionElement:
+    """Reference torsion vector: a tuple of Fractions, each reduced with % 1.
+    The integer JacobianElement must agree with it on every operation."""
+
+    def __init__(self, coords):
+        self.coords = tuple(Fraction(c) % 1 for c in coords)
+
+    def __add__(self, other):
+        return FractionElement(a + b for a, b in zip(self.coords, other.coords))
+
+    def __sub__(self, other):
+        return FractionElement(a - b for a, b in zip(self.coords, other.coords))
+
+    def __neg__(self):
+        return FractionElement(-a for a in self.coords)
+
+    def scale(self, n):
+        return FractionElement(n * a for a in self.coords)
+
+    def is_zero(self):
+        return all(a == 0 for a in self.coords)
+
+    def to_json(self):
+        return [frac_to_str(c) for c in self.coords]
+
+    def __repr__(self):
+        return "JacobianElement(%s)" % (", ".join(frac_to_str(c) for c in self.coords))
+
+
+def ref_mat_vec(m, v):
+    return [sum(Fraction(x) * y for x, y in zip(row, v)) for row in m]
+
+
+def ref_lincomb(terms, dim):
+    degree, acc = 0, FractionElement([0] * dim)
+    for (deg, jac), n in terms:
+        degree += n * deg
+        acc = acc + jac.scale(n)
+    return degree, acc
+
+
+DENS = list(range(1, 13)) + [97]
+
+
+def write(den, num, kind, k):
+    """The rational num/den written as an int, a Fraction or an unreduced string."""
+    if kind == 0:
+        return num
+    if kind == 1:
+        return Fraction(num, den)
+    return f"{num * k}/{den * k}"
+
+
+written_coord = st.builds(
+    write, st.sampled_from(DENS), st.integers(-300, 300), st.integers(0, 2), st.integers(1, 3)
+)
+
+
+def vectors(dim, count):
+    return st.lists(st.lists(written_coord, min_size=dim, max_size=dim),
+                    min_size=count, max_size=count)
+
+
+def agree(elem, ref):
+    assert elem.coords == ref.coords
+    assert elem.to_json() == ref.to_json()
+    assert repr(elem) == repr(ref)
+    assert elem.is_zero() == ref.is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 12))
+def test_integer_element_matches_fraction_oracle(data, dim):
+    vecs = data.draw(vectors(dim, 4))
+    elems = [JacobianElement(v) for v in vecs]
+    refs = [FractionElement(v) for v in vecs]
+    for e, f in zip(elems, refs):
+        agree(e, f)
+    (a, b, c, d), (ra, rb, rc, rd) = elems, refs
+    n = data.draw(st.integers(-30, 30))
+    agree(a + b, ra + rb)
+    agree(a - b, ra - rb)
+    agree(-a, -ra)
+    agree(a.scale(n), ra.scale(n))
+
+    degs = data.draw(st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+    mults = data.draw(st.lists(st.integers(-7, 7), min_size=4, max_size=4))
+    k = data.draw(st.integers(0, 4))
+    classes = [LineBundleClass(g, e) for g, e in zip(degs, elems)]
+    got = lincomb(list(zip(classes, mults))[:k], dim=dim)
+    want = ref_lincomb(list(zip(zip(degs, refs), mults))[:k], dim)
+    assert got.degree == want[0]
+    agree(got.jac, want[1])
+
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    matrix = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+    sigma = CurveAutomorphism("s", {}, matrix, c)
+    got = pullback(sigma, classes[0])
+    want = FractionElement(
+        x + degs[0] * y for x, y in zip(ref_mat_vec(matrix, ra.coords), rc.coords)
+    )
+    assert got.degree == degs[0]
+    agree(got.jac, want)
+
+    r = data.draw(st.integers(2, 5))
+    rho = JacobianAutomorphism(matrix, r)
+    agree(apply_jac_aut(rho, d),
+          FractionElement(x + r * y for x, y in zip(rd.coords, ref_mat_vec(matrix, rd.coords))))
+    root, size = divide_by_r(d, r)
+    agree(root, FractionElement(x / r for x in rd.coords))
+    assert size == r ** dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(2, 12))
+def test_equal_classes_written_differently_hash_alike(data, dim):
+    vec = data.draw(vectors(dim, 1))[0]
+    shifts = data.draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+    factor = data.draw(st.integers(1, 5))
+    rewritten = []
+    for c, s in zip(vec, shifts):
+        f = Fraction(c) + s
+        rewritten.append(f"{f.numerator * factor}/{f.denominator * factor}")
+    a, b = JacobianElement(vec), JacobianElement(rewritten)
+    assert a == b and hash(a) == hash(b)
+    assert (a - b).is_zero() and a - b == JacobianElement.zero(dim)
+    assert hash(LineBundleClass(1, a)) == hash(LineBundleClass(1, b))

@@ -1,6 +1,7 @@
 """Group law, normal forms, actions and stabilizers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ from conftest import (
     rand_generic_weights,
     rand_invariant,
     rand_line,
+    model_worked6,
 )
 
 
@@ -452,3 +454,22 @@ def test_d_alpha_quotient_members_preserve_chamber(elliptic2, rng=random.Random(
     for t in stabilizer_d_alpha_quotient(0, alpha, m):
         assert act_degree(t, 0) == 0
         assert same_chamber(act_weights(t, alpha), alpha)
+
+
+def _best_per_call_ms(fn, make, calls=20, repeat=3):
+    """Best of `repeat` batches, each on `calls` freshly built argument tuples."""
+    best = float("inf")
+    for _ in range(repeat):
+        args = [make() for _ in range(calls)]
+        start = time.perf_counter()
+        for a in args:
+            fn(*a)
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best * 1000
+
+
+def test_genus6_group_law_is_fast():
+    m = model_worked6()
+    rng = random.Random(61)
+    assert _best_per_call_ms(act_det, lambda: (rand_basic(rng, m), rand_line(rng, 12))) < 0.3
+    assert _best_per_call_ms(compose, lambda: (rand_basic(rng, m), rand_basic(rng, m))) < 0.2
