@@ -148,7 +148,7 @@ def _witness_candidates(model_a, model_b, cap):
                 maps.append(cand)
     total = math.factorial(n) * len(maps)
     if total > cap:
-        raise EnumerationCapExceeded(total, cap)
+        raise EnumerationCapExceeded(total, cap, "isomorphism candidates")
     for perm in itertools.permutations(model_b.point_names, n):
         points = dict(zip(model_a.point_names, perm))
         for matrix, translation in maps:

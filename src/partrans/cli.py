@@ -20,7 +20,7 @@ from .classify import (
 )
 from .curve import load_config, validate_model
 from .dsl import eval_expression, format_canonical
-from .errors import ConfigError, PartransError
+from .errors import ConfigError, EnumerationCapExceeded, PartransError
 from .extended import (
     ExtendedTransformation,
     act_A,
@@ -461,6 +461,8 @@ def run_command(argv=None):
         return args.fn(args)
     except PartransError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, EnumerationCapExceeded):
+            print(f"hint: --enum-cap {exc.count} or more allows this enumeration", file=sys.stderr)
         return 2
 
 

@@ -63,10 +63,14 @@ class NotInvertible(PartransError):
 
 
 class EnumerationCapExceeded(PartransError):
-    def __init__(self, count, cap):
-        super().__init__(f"enumeration of {count} elements exceeds cap {cap}")
+    """An enumeration of `count` elements would pass `cap`; `what` names
+    the elements enumerated, such as "walls" or "hecke sectors"."""
+
+    def __init__(self, count, cap, what):
+        super().__init__(f"enumeration of {count} elements exceeds cap {cap} ({what})")
         self.count = count
         self.cap = cap
+        self.what = what
 
 
 class ShapeMismatch(PartransError):

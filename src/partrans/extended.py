@@ -25,11 +25,11 @@ from .transform import (
     ParabolicInvariant,
     act_det,
     act_invariant,
+    chamber_predicate,
     compose,
     describe,
     identity_transform,
     inverse,
-    stabilizer_d_alpha_quotient,
     t_d_quotient_reps,
 )
 from .weights import is_generic
@@ -219,7 +219,8 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
     if not ok:
         raise NotGeneric(witness)
     reps = t_d_quotient_reps(d, model, cap)
-    survivors = set(stabilizer_d_alpha_quotient(d, alpha, model, cap))
+    keeps = chamber_predicate(alpha, cap)
+    regular = [keeps(t) for t in reps]
 
     def entry(t):
         rec = {
@@ -253,5 +254,5 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
             "description": "Jacobian automorphisms id + r*M fixing the r-torsion; " + ring_desc,
         },
         "discrete_3bir": [entry(t) for t in reps],
-        "discrete_regular": [entry(t) for t in reps if t in survivors],
+        "discrete_regular": [entry(t) for t, ok in zip(reps, regular) if ok],
     }

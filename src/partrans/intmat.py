@@ -64,13 +64,15 @@ def inverse_unimodular(a):
     """Inverse of an integer matrix with determinant +-1, as an integer matrix.
 
     Fraction-free: unimodular row operations on [a | I], Euclid down each
-    column to an upper triangle with unit diagonal, then back-substitution.
+    column to an upper triangle, then back-substitution. Each Euclid swap
+    negates the determinant and the other operations keep it, so the
+    determinant is the signed product of the triangle's diagonal; anything
+    but +-1 raises NotInvertible with it. The diagonal is then made
+    positive, hence all ones.
     """
     n = len(a)
-    d = det_int(a)
-    if d not in (1, -1):
-        raise NotInvertible(d)
     m = [list(map(int, row)) + unit for row, unit in zip(a, identity_matrix(n))]
+    d = 1
     for col in range(n):
         piv = m[col]
         for i in range(col + 1, n):
@@ -78,10 +80,15 @@ def inverse_unimodular(a):
             while row[col]:
                 q = piv[col] // row[col]
                 piv, row = row, [x - q * y for x, y in zip(piv, row)]
+                d = -d
             m[i] = row
-        if piv[col] < 0:
-            piv = [-x for x in piv]
         m[col] = piv
+        d *= piv[col]
+    if d not in (1, -1):
+        raise NotInvertible(d)
+    for col in range(n):
+        if m[col][col] < 0:
+            m[col] = [-x for x in m[col]]
     for col in reversed(range(n)):
         piv = m[col]
         for i in range(col):

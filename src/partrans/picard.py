@@ -217,7 +217,7 @@ def r_torsion(g, r, cap=DEFAULT_ENUM_CAP):
         raise ValueError("r must be at least 1")
     count = r ** (2 * g)
     if count > cap:
-        raise EnumerationCapExceeded(count, cap)
+        raise EnumerationCapExceeded(count, cap, "r-torsion")
 
     def gen():
         for combo in itertools.product(range(r), repeat=2 * g):

@@ -25,7 +25,17 @@ from .picard import (
     of_divisor,
     pullback,
 )
-from .weights import WeightSystem, dual_weights, hecke_weights, is_generic, same_chamber
+from .weights import (
+    WeightSystem,
+    _act_vector,
+    _first_wall_difference,
+    _scaled_ints,
+    _wall_at,
+    _wall_count,
+    _wall_rows,
+    _wall_tables,
+    is_generic,
+)
 
 import itertools
 
@@ -313,23 +323,30 @@ def _rewrite_step(model, word, i):
 
 
 def normalize_word(model, atoms):
-    """Rewrite an arbitrary generator word into the canonical tuple."""
+    """Rewrite an arbitrary generator word into the canonical tuple.
+
+    Each rewrite applies the rule at the leftmost position that has one.
+    A rule at j reads only word[j] and word[j + 1], so after a rewrite at i
+    no position left of i - 1 gains a rule and the scan resumes there. The
+    step limit counts one step per rewrite and one for the final scan.
+    """
     word = list(atoms)
-    steps = 0
     limit = 10000 + 100 * (len(word) + 1) ** 2
-    progress = True
-    while progress:
-        progress = False
-        for i in range(len(word)):
-            hit = _rewrite_step(model, word, i)
-            if hit is not None:
-                consumed, rep = hit
-                word[i : i + consumed] = rep
-                progress = True
-                break
+    steps = 1
+    i = 0
+    while i < len(word):
+        hit = _rewrite_step(model, word, i)
+        if hit is None:
+            i += 1
+            continue
+        consumed, rep = hit
+        word[i : i + consumed] = rep
         steps += 1
-        if steps > limit:
-            raise ModelError("rewrite did not terminate; malformed model table")
+        if steps > limit + 1:  # a rewrite past the limit has failed
+            break
+        i = max(i - 1, 0)
+    if steps > limit:
+        raise ModelError("rewrite did not terminate; malformed model table")
     sigma = model.identity_name
     s = 1
     line = LineBundleClass.trivial(2 * model.genus)
@@ -391,25 +408,81 @@ def act_det(t, xi):
     return pullback(model.automorphism(t.sigma), inner)
 
 
+def _weight_sources(t, points):
+    """Per point y of `points` (in order), the pair (sigma(y), Hecke
+    multiplicity there): the output weights at y are the processed weights
+    at sigma(y). Raises UnknownPoint for the first Hecke point outside
+    `points`, else for the first sigma-image outside it."""
+    for x, mult in t.hecke.items():
+        if mult > 0 and x not in points:
+            raise UnknownPoint(x)
+    perm = t.model.automorphism(t.sigma).point_perm
+    sources = []
+    for y in points:
+        x = perm.get(y, y)
+        if x not in points:
+            raise UnknownPoint(x)
+        sources.append((x, max(t.hecke.get(x), 0)))
+    return sources
+
+
 def act_weights(t, w):
     """Hecke steps at every point, optional dualization, then relabeling.
 
     The output weights at y are the processed weights at sigma(y), matching
-    the fiber of the pullback bundle and the determinant convention.
+    the fiber of the pullback bundle and the determinant convention. Each
+    vector is built in one pass by weights._act_vector.
     """
-    model = t.model
-    out = w
-    for x, mult in t.hecke.items():
-        for _ in range(mult):
-            out = hecke_weights(out, x)
-    if t.s == -1:
-        out = dual_weights(out)
-    perm = model.automorphism(t.sigma).point_perm
-    if any(perm.get(x, x) != x for x in w.point_names):
-        out = WeightSystem(
-            tuple((y, out.vector(perm.get(y, y))) for y in w.point_names), w.rank
-        )
-    return out
+    vecs = dict(w.entries)
+    return WeightSystem(
+        tuple(
+            (y, tuple(_act_vector(vecs[x], k, t.s, 1)))
+            for y, (x, k) in zip(vecs, _weight_sources(t, vecs))
+        ),
+        w.rank,
+    )
+
+
+def chamber_predicate(alpha, cap=DEFAULT_ENUM_CAP):
+    """The test t -> same_chamber(act_weights(t, alpha), alpha, cap), for
+    many tuples t over one alpha, on integers.
+
+    The action keeps every weight denominator dividing alpha's q, so the
+    acted system is compared with alpha on that one q, wall by wall in the
+    same order and with the same checks as same_chamber. Its wall rows at
+    y are those of alpha's scaled vector at sigma(y) after the Hecke steps
+    and the dual, cached per (source point, Hecke steps, sign). A
+    WeightSystem of the acted system is built only to report its wall in a
+    NotGeneric error.
+    """
+    r = alpha.rank
+    count = _wall_count(alpha)
+    q, scaled = _scaled_ints(alpha)
+    ints = dict(zip(alpha.point_names, scaled))
+    rows = {}
+
+    def keeps(t):
+        sources = _weight_sources(t, ints)
+        if not ints:
+            return True
+        if count > cap:
+            raise EnumerationCapExceeded(count, cap, "walls")
+        acted = []
+        for x, k in sources:
+            key = (x, k, t.s)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = _wall_rows(_act_vector(ints[x], k, t.s, q), r)
+            acted.append(row)
+        hit = _first_wall_difference(q, tuple(zip(*acted)), *_wall_tables(alpha))
+        if hit is None:
+            return True
+        rp, i, side = hit
+        if side:
+            raise NotGeneric(_wall_at(act_weights(t, alpha) if side == 1 else alpha, rp, i))
+        return False
+
+    return keeps
 
 
 def act_invariant(t, v):
@@ -432,7 +505,7 @@ def subgroup_membership(t, d, xi=None, alpha=None, cap=DEFAULT_ENUM_CAP):
     if xi is not None:
         flags["in_T_xi"] = act_det(t, xi) == xi
     if alpha is not None:
-        flags["in_T_alpha"] = same_chamber(act_weights(t, alpha), alpha, cap)
+        flags["in_T_alpha"] = chamber_predicate(alpha, cap)(t)
     return flags
 
 
@@ -444,7 +517,7 @@ def _hecke_sectors(model, cap):
     n = len(model.points)
     count = model.rank**n
     if count > cap:
-        raise EnumerationCapExceeded(count, cap)
+        raise EnumerationCapExceeded(count, cap, "hecke sectors")
     names = model.point_names
     for mults in itertools.product(range(model.rank), repeat=n):
         yield Divisor(dict(zip(names, mults)))
@@ -508,16 +581,9 @@ def t_d_quotient_reps(d, model, cap=DEFAULT_ENUM_CAP):
 
 
 def stabilizer_d_alpha_quotient(d, alpha, model, cap=DEFAULT_ENUM_CAP):
-    """Chamber-filtered representatives of the degree stabilizer.
-
-    alpha's integer wall tables are built once, by the genericity check,
-    and reused for every representative.
-    """
+    """Chamber-filtered representatives of the degree stabilizer."""
     ok, witness = is_generic(alpha, cap)
     if not ok:
         raise NotGeneric(witness)
-    out = []
-    for rep in t_d_quotient_reps(d, model, cap):
-        if same_chamber(act_weights(rep, alpha), alpha, cap):
-            out.append(rep)
-    return out
+    keeps = chamber_predicate(alpha, cap)
+    return [rep for rep in t_d_quotient_reps(d, model, cap) if keeps(rep)]

@@ -184,28 +184,37 @@ def _wall_count(w):
     return sum(math.comb(w.rank, rp) ** n for rp in range(1, w.rank))
 
 
+def _scaled_ints(w):
+    """(q, ints): q is the lcm of all weight denominators of w, and ints
+    holds each point's vector times q, in point order."""
+    q = math.lcm(*(v.denominator for _, vec in w.entries for v in vec))
+    return q, [[v.numerator * (q // v.denominator) for v in vec] for _, vec in w.entries]
+
+
+def _wall_rows(ints, r):
+    """One point's wall-table rows, one per subrank r' = 1..r-1: the
+    integers r' * sum(ints) - r * sum(ints[I]) over the size-r' index
+    subsets I in lexicographic order."""
+    total = sum(ints)
+    return tuple(
+        tuple(rp * total - r * sum(ints[i] for i in sub)
+              for sub in itertools.combinations(range(r), rp))
+        for rp in range(1, r)
+    )
+
+
 def _wall_tables(w):
     """The integer form of w's walls, built once per weight system.
 
     Returns (q, tables): q is the lcm of all weight denominators, and
-    tables[r' - 1] holds, per point, the integers
-    q * (r' * sum(vec) - r * sum(vec[I])) for the size-r' index subsets I
-    in lexicographic order. A wall's value times q is the sum of one entry
-    per point, so it is integral when that sum is divisible by q, and its
-    floor is the sum // q.
+    tables[r' - 1] holds, per point, the _wall_rows entries of that
+    point's vector scaled by q. A wall's value times q is the sum of one
+    entry per point, so it is integral when that sum is divisible by q,
+    and its floor is the sum // q.
     """
     if w._walls is None:
-        r = w.rank
-        q = math.lcm(*(v.denominator for _, vec in w.entries for v in vec))
-        scaled = [[v.numerator * (q // v.denominator) for v in vec] for _, vec in w.entries]
-        tables = []
-        for rp in range(1, r):
-            subsets = list(itertools.combinations(range(r), rp))
-            tables.append(tuple(
-                tuple(rp * sum(ints) - r * sum(ints[i] for i in sub) for sub in subsets)
-                for ints in scaled
-            ))
-        w._walls = (q, tuple(tables))
+        q, scaled = _scaled_ints(w)
+        w._walls = (q, tuple(zip(*(_wall_rows(ints, w.rank) for ints in scaled))))
     return w._walls
 
 
@@ -296,7 +305,7 @@ def chamber_fingerprint(w, cap=DEFAULT_ENUM_CAP):
         return ChamberFingerprint(())
     count = _wall_count(w)
     if count > cap:
-        raise EnumerationCapExceeded(count, cap)
+        raise EnumerationCapExceeded(count, cap, "walls")
     wall = _first_integral_wall(w)
     if wall is not None:
         raise NotGeneric(wall)
@@ -319,36 +328,60 @@ def same_chamber(w1, w2, cap=DEFAULT_ENUM_CAP):
         return True
     count = _wall_count(w1)
     if count > cap:
-        raise EnumerationCapExceeded(count, cap)
-    q1, tables1 = _wall_tables(w1)
-    q2, tables2 = _wall_tables(w2)
+        raise EnumerationCapExceeded(count, cap, "walls")
+    hit = _first_wall_difference(*_wall_tables(w1), *_wall_tables(w2))
+    if hit is None:
+        return True
+    rp, i, side = hit
+    if side:
+        raise NotGeneric(_wall_at(w1 if side == 1 else w2, rp, i))
+    return False
+
+
+def _first_wall_difference(q1, tables1, q2, tables2):
+    """Where two same-shape systems, given by their scaled wall tables,
+    first part in wall order: (r', index, side) with side 1 or 2 when that
+    system's wall is integral there, checked in that order, and 0 when the
+    floors differ; None when every floor agrees."""
     for rp, (t1, t2) in enumerate(zip(tables1, tables2), 1):
         for i, (v1, v2) in enumerate(zip(_scaled_walls(t1), _scaled_walls(t2))):
             f1, m1 = divmod(v1, q1)
             if not m1:
-                raise NotGeneric(_wall_at(w1, rp, i))
+                return rp, i, 1
             f2, m2 = divmod(v2, q2)
             if not m2:
-                raise NotGeneric(_wall_at(w2, rp, i))
+                return rp, i, 2
             if f1 != f2:
-                return False
-    return True
+                return rp, i, 0
+    return None
+
+
+def _act_vector(vec, k, s, one):
+    """A canonical vector after k Hecke steps and then, when s == -1, the dual.
+
+    k steps rotate (a_1, ..., a_r) to (a_{k+1}, ..., a_r, one + a_1, ...,
+    one + a_k) and shift it by a_{k+1}; k counts modulo r, since r steps
+    give back the vector. The dual of a canonical b is b_r - reversed(b).
+    Works on Fractions with one = 1 and on a vector scaled by q with one = q.
+    """
+    k %= len(vec)
+    if k:
+        base = vec[k]
+        vec = [v - base for v in vec[k:]] + [one + v - base for v in vec[:k]]
+    if s == -1:
+        top = vec[-1]
+        vec = [top - v for v in reversed(vec)]
+    return vec
 
 
 def hecke_weights(w, x):
     """One elementary modification step at x:
     (0, a2, ..., ar) -> (0, a3 - a2, ..., ar - a2, 1 - a2)."""
-    vec = w.vector(x)
-    shifted = vec[1:] + (1 + vec[0],)
-    base = shifted[0]
-    return w.replace(x, tuple(v - base for v in shifted))
+    return w.replace(x, tuple(_act_vector(w.vector(x), 1, 1, 1)))
 
 
 def dual_weights(w):
     """Reverse and reflect every vector: canonical form of (1 - ar, ..., 1 - a1)."""
-    entries = []
-    for name, vec in w.entries:
-        rev = tuple(1 - v for v in reversed(vec))
-        base = rev[0]
-        entries.append((name, tuple(v - base for v in rev)))
-    return WeightSystem(entries, w.rank)
+    return WeightSystem(
+        [(name, tuple(_act_vector(vec, 0, -1, 1))) for name, vec in w.entries], w.rank
+    )

@@ -301,6 +301,16 @@ def test_weights_cap_exceeded(files, capsys):
     assert "enumeration of 4 elements exceeds cap 3" in err
 
 
+def test_cap_error_names_the_enumeration_and_hints(files, capsys):
+    rc, out, err = run(
+        capsys, "weights", "same-chamber", "--model", files["g1"], "--enum-cap", "3",
+        files["wa"], files["wb"],
+    )
+    assert rc == 2 and out == ""
+    assert "error: enumeration of 4 elements exceeds cap 3 (walls)\n" in err
+    assert err.endswith("hint: --enum-cap 4 or more allows this enumeration\n")
+
+
 # -- stabilizers and reports ---------------------------------------------
 
 def test_stabilizer_xi_json(files, capsys):

@@ -150,6 +150,20 @@ def test_inverse_unimodular_rejects_like_oracle():
             assert dets[0] == dets[1] and abs(dets[0]) == abs(d)
 
 
+def test_inverse_unimodular_reports_the_determinant():
+    rng = random.Random(44)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        d = frac_det(m)
+        if d in (1, -1):
+            assert mat_mul(m, inverse_unimodular(m)) == identity_matrix(n)
+        else:
+            with pytest.raises(NotInvertible) as err:
+                inverse_unimodular(m)
+            assert err.value.det == d
+
+
 def test_solve_integer_system_finds_solutions():
     rng = random.Random(13)
     for _ in range(150):

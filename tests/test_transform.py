@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partrans import (
     BasicTransformation,
@@ -17,27 +18,35 @@ from partrans import (
     ParabolicInvariant,
     ShapeMismatch,
     UnknownAutomorphism,
+    UnknownPoint,
     WeightSystem,
     act_degree,
     act_det,
     act_invariant,
     act_weights,
+    chamber_fingerprint,
     compose,
+    curves_isomorphic,
     identity_transform,
     inverse,
     lincomb,
     make_basic,
     normalize_word,
     pullback,
+    r_torsion,
     same_chamber,
     stabilizer_d_alpha_quotient,
     stabilizer_xi,
     subgroup_membership,
     t_d_quotient_reps,
 )
+from partrans.transform import _rewrite_step, chamber_predicate
+from partrans.weights import dual_weights, hecke_weights
 from conftest import (
     brute_stabilizer_count,
     build_model,
+    model_cyclic,
+    model_rotation,
     rand_basic,
     rand_generic_weights,
     rand_invariant,
@@ -189,6 +198,51 @@ def test_normal_form_kind_order(cyclic3, rng=random.Random(74)):
         assert len(t.line.jac) == 2 * m.genus
 
 
+def oracle_normalize_word(model, atoms):
+    """The rewrite loop that rescans from position 0 after every rewrite."""
+    word = list(atoms)
+    steps = 0
+    limit = 10000 + 100 * (len(word) + 1) ** 2
+    progress = True
+    while progress:
+        progress = False
+        for i in range(len(word)):
+            hit = _rewrite_step(model, word, i)
+            if hit is not None:
+                consumed, rep = hit
+                word[i : i + consumed] = rep
+                progress = True
+                break
+        steps += 1
+        if steps > limit:
+            raise AssertionError("oracle rewrite did not terminate")
+    parts = {"S": model.identity_name, "D": 1, "T": triv(model), "H": Divisor()}
+    for atom in word:
+        parts[atom[0]] = -1 if atom[0] == "D" else atom[1]
+    return tuple(parts.values())
+
+
+def _random_atom(rng, model):
+    kind = rng.choice("SDTH")
+    if kind == "S":
+        return ("S", rng.choice(model.automorphisms).name)
+    if kind == "D":
+        return ("D",)
+    if kind == "T":
+        return ("T", rand_line(rng, 2 * model.genus))
+    names = rng.sample(model.point_names, rng.randint(1, 4))
+    return ("H", Divisor({x: rng.randint(-3, 2 * model.rank) for x in names}))
+
+
+def test_normalize_word_matches_restart_oracle():
+    m = model_cyclic(2, 12)
+    rng = random.Random(75)
+    for _ in range(150):
+        word = [_random_atom(rng, m) for _ in range(rng.randint(0, 10))]
+        got = normalize_word(m, word)
+        assert (got.sigma, got.s, got.line, got.hecke) == oracle_normalize_word(m, word)
+
+
 def test_compose_associative(cyclic3, involution, order4):
     rng = random.Random(75)
     for m in (cyclic3, involution, order4):
@@ -281,6 +335,158 @@ def test_act_weights_relabel_reads_fiber_at_image(cyclic3):
     perm = m.automorphism("tau").point_perm
     for y in ("p", "q", "s"):
         assert out.vector(y) == w.vector(perm[y])
+
+
+# -- the integer weight action against the stepwise Fraction action ---------
+
+
+def oracle_hecke_step(w, x):
+    """One Hecke step at x, rebuilding the whole weight system."""
+    vec = w.vector(x)
+    shifted = vec[1:] + (1 + vec[0],)
+    base = shifted[0]
+    return WeightSystem(
+        tuple((n, tuple(v - base for v in shifted) if n == x else u) for n, u in w.entries),
+        w.rank,
+    )
+
+
+def oracle_dual(w):
+    entries = []
+    for name, vec in w.entries:
+        rev = tuple(1 - v for v in reversed(vec))
+        entries.append((name, tuple(v - rev[0] for v in rev)))
+    return WeightSystem(entries, w.rank)
+
+
+def oracle_act_weights(t, w):
+    """The stepwise action: one new WeightSystem per Hecke step, then the
+    dual, then the relabeling by sigma."""
+    out = w
+    for x, mult in t.hecke.items():
+        for _ in range(mult):
+            out = oracle_hecke_step(out, x)
+    if t.s == -1:
+        out = oracle_dual(out)
+    perm = t.model.automorphism(t.sigma).point_perm
+    if any(perm.get(x, x) != x for x in w.point_names):
+        out = WeightSystem(tuple((y, out.vector(perm.get(y, y))) for y in w.point_names), w.rank)
+    return out
+
+
+def oracle_chamber_filter(reps, alpha):
+    return [rep for rep in reps if same_chamber(oracle_act_weights(rep, alpha), alpha)]
+
+
+# point-relabelling tables at ranks 2-4, and a trivial one
+_ACTION_MODELS = {}
+
+
+def _action_model(key):
+    if key not in _ACTION_MODELS:
+        kind, a, b = key
+        if kind == "cyclic":
+            _ACTION_MODELS[key] = model_cyclic(1, a, rank=b)
+        elif kind == "rotation":
+            _ACTION_MODELS[key] = model_rotation(1, a)
+        else:
+            _ACTION_MODELS[key] = build_model(
+                1, b, [(f"x{k}", [f"{k}/{a + 1}", "0"]) for k in range(a)]
+            )
+    return _ACTION_MODELS[key]
+
+
+@st.composite
+def acted_pairs(draw):
+    """A tuple over a rank 2-4 model and a canonical weight system on its
+    points with mixed denominators, generic or not."""
+    key = draw(st.sampled_from([
+        ("cyclic", 3, 2), ("cyclic", 3, 3), ("cyclic", 2, 4), ("cyclic", 4, 3),
+        ("rotation", 3, 2), ("rotation", 4, 2), ("plain", 3, 3), ("plain", 2, 4),
+    ]))
+    m = _action_model(key)
+    r = m.rank
+    entries = {}
+    for x in m.point_names:
+        den = draw(st.sampled_from((5, 6, 7, 8, 12, 97)))
+        nums = draw(st.lists(st.integers(1, den - 1), min_size=r - 1, max_size=r - 1, unique=True))
+        entries[x] = (Fraction(0),) + tuple(Fraction(k, den) for k in sorted(nums))
+    hecke = {x: draw(st.integers(0, r - 1)) for x in m.point_names}
+    sigma = draw(st.sampled_from([a.name for a in m.automorphisms]))
+    t = BasicTransformation(m, sigma, draw(st.sampled_from((1, -1))), triv(m), Divisor(hecke))
+    return t, WeightSystem(entries, r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(acted_pairs())
+def test_act_weights_matches_stepwise_oracle(pair):
+    t, w = pair
+    got = act_weights(t, w)
+    assert got == oracle_act_weights(t, w)
+    assert repr(got) == repr(oracle_act_weights(t, w))
+    x = t.model.point_names[0]
+    assert hecke_weights(w, x) == oracle_hecke_step(w, x)
+    assert dual_weights(w) == oracle_dual(w)
+
+
+def _verdict(fn):
+    try:
+        return fn()
+    except NotGeneric as exc:
+        return exc.witness.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(acted_pairs())
+def test_chamber_predicate_matches_stepwise_oracle(pair):
+    t, w = pair
+    keeps = chamber_predicate(w)
+    for rep in [t] + t_d_quotient_reps(0, t.model):
+        want = _verdict(lambda: same_chamber(oracle_act_weights(rep, w), w))
+        assert _verdict(lambda: keeps(rep)) == want
+        assert _verdict(lambda: subgroup_membership(rep, 0, alpha=w)["in_T_alpha"]) == want
+
+
+def test_d_alpha_filter_matches_stepwise_oracle(rng=random.Random(86)):
+    keys = [("plain", 4, 3), ("plain", 3, 4), ("cyclic", 3, 3), ("cyclic", 4, 3),
+            ("rotation", 4, 2), ("cyclic", 2, 4)]
+    for key in keys:
+        m = _action_model(key)
+        for d in (-1, 0, 2):
+            alpha = rand_generic_weights(rng, m)
+            want = oracle_chamber_filter(t_d_quotient_reps(d, m), alpha)
+            got = stabilizer_d_alpha_quotient(d, alpha, m)
+            assert [t.to_json() for t in got] == [t.to_json() for t in want]
+    # a non-generic alpha: the filter raises the wall the stepwise action meets
+    m = _action_model(("cyclic", 3, 3))
+    on_wall = WeightSystem({x: (0, Fraction(1, 3), Fraction(2, 3)) for x in m.point_names}, 3)
+    with pytest.raises(NotGeneric):
+        stabilizer_d_alpha_quotient(0, on_wall, m)
+    keeps = chamber_predicate(on_wall)
+    for rep in t_d_quotient_reps(0, m):
+        want = _verdict(lambda: same_chamber(oracle_act_weights(rep, on_wall), on_wall))
+        assert _verdict(lambda: keeps(rep)) == want
+
+
+def test_act_weights_unknown_points_raise_like_oracle(cyclic3):
+    w = WeightSystem({"p": (0, Fraction(1, 3), Fraction(1, 2))}, 3)
+    for t in (basic(cyclic3, hecke={"q": 1}), basic(cyclic3, sigma="tau")):
+        with pytest.raises(UnknownPoint) as got:
+            act_weights(t, w)
+        with pytest.raises(UnknownPoint) as want:
+            oracle_act_weights(t, w)
+        assert got.value.name == want.value.name
+
+
+def test_d_alpha_quotient_rank3_six_points_is_fast():
+    m = build_model(1, 3, [(f"x{k}", [f"{k}/7", f"{k * k % 5}/5"]) for k in range(6)])
+    rng = random.Random(87)
+    best = _best_per_call_ms(
+        lambda alpha: stabilizer_d_alpha_quotient(0, alpha, m),
+        lambda: (rand_generic_weights(rng, m),),
+        calls=1,
+    )
+    assert best < 60
 
 
 def test_act_invariant_homomorphism(cyclic3, involution, order4):
@@ -411,6 +617,24 @@ def test_stabilizer_xi_odd_twist():
 def test_stabilizer_cap(cyclic3):
     with pytest.raises(EnumerationCapExceeded):
         stabilizer_xi(triv(cyclic3), cyclic3, cap=5)  # 3^3 = 27 Hecke vectors
+
+
+def test_cap_errors_name_what_hit_the_cap(cyclic3):
+    m = cyclic3  # rank 3, three points: 27 Hecke sectors, 2 * 3^3 = 54 walls
+    alpha = rand_generic_weights(random.Random(88), m)
+    cases = [
+        (lambda: stabilizer_xi(triv(m), m, cap=26), 27, 26, "hecke sectors"),
+        (lambda: stabilizer_d_alpha_quotient(0, alpha, m, cap=30), 54, 30, "walls"),
+        (lambda: same_chamber(alpha, alpha, cap=53), 54, 53, "walls"),
+        (lambda: chamber_fingerprint(alpha, cap=1), 54, 1, "walls"),
+        (lambda: list(r_torsion(2, 3, cap=80)), 81, 80, "r-torsion"),
+        (lambda: curves_isomorphic(m, m, cap=10), 18, 10, "isomorphism candidates"),
+    ]
+    for call, count, cap, what in cases:
+        with pytest.raises(EnumerationCapExceeded) as err:
+            call()
+        assert (err.value.count, err.value.cap, err.value.what) == (count, cap, what)
+        assert str(err.value) == f"enumeration of {count} elements exceeds cap {cap} ({what})"
 
 
 def test_t_d_quotient_reps(elliptic2):
