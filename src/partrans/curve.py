@@ -79,6 +79,7 @@ class CurveModel:
         self.points = tuple(points)
         self.automorphisms = tuple(automorphisms)
         self.endo_ring = endo_ring
+        self.point_names = tuple(p.name for p in self.points)
         self._point_index = {p.name: p for p in self.points}
         self._auto_pos = {a.name: i for i, a in enumerate(self.automorphisms)}
         self._by_key = {}
@@ -104,10 +105,6 @@ class CurveModel:
             self._inverse.append(inverse)
 
     # -- lookups ---------------------------------------------------------
-
-    @property
-    def point_names(self):
-        return tuple(p.name for p in self.points)
 
     def point(self, name):
         try:

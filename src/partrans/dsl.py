@@ -15,6 +15,10 @@ Grammar (left factor of * is the outer map):
 "D-" must be written without an intervening space. Evaluation resolves
 names against a model and folds the word through the group law; any A
 atom promotes the whole word to an extended element.
+
+Two limits keep every input bounded: "(" expr ")" nests at most
+MAX_NESTING deep, and an integer literal has at most MAX_INT_DIGITS
+digits. Past either, parsing raises ParseError.
 """
 
 from fractions import Fraction
@@ -48,6 +52,12 @@ from .extended import (
 
 _PUNCT = set("*^()[],+-/")
 
+# the deepest "(" expr ")" nesting the parser descends into
+MAX_NESTING = 100
+# the longest integer literal; Python itself refuses to convert a decimal
+# string of more than 4300 digits
+MAX_INT_DIGITS = 1000
+
 
 def tokenize(text):
     out = []
@@ -74,6 +84,10 @@ def tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_INT_DIGITS:
+                raise ParseError(
+                    f"integer literal of {j - i} digits exceeds the limit of {MAX_INT_DIGITS}", i
+                )
             out.append(("INT", int(text[i:j]), i))
             i = j
             continue
@@ -90,6 +104,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, k=0):
         return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
@@ -198,8 +213,14 @@ class _Parser:
     def parse_primary(self):
         tok = self.peek()
         if tok[0] == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than the limit of {MAX_NESTING}", tok[2]
+                )
             self.next()
+            self.depth += 1
             node = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             return node
         if tok[0] == "DMINUS":
@@ -496,10 +517,15 @@ def divisor_form(model, cls):
     return solved if found is None else found
 
 
-def format_canonical(x):
-    """Deterministic canonical text; evaluates back to x exactly."""
+def format_canonical(x, forms=None):
+    """Deterministic canonical text; evaluates back to x exactly.
+
+    `forms`, when given, is a dict from line class to the text of its T
+    atom, read and filled by every call that shares it; the calls must be
+    over one model.
+    """
     if isinstance(x, ExtendedTransformation):
-        base = format_canonical(x.basic)
+        base = format_canonical(x.basic, forms)
         if x.rho.is_identity():
             return base
         rows = ",".join(
@@ -513,12 +539,22 @@ def format_canonical(x):
     if x.s == -1:
         parts.append("D-")
     if not x.line.is_trivial():
-        dv = divisor_form(model, x.line)
-        if dv is not None:
-            parts.append(f"T(O({_divisor_text(model, dv)}))")
-        else:
-            coords = ", ".join(frac_to_str(c) for c in x.line.jac)
-            parts.append(f"T({x.line.degree}, [{coords}])")
+        text = None if forms is None else forms.get(x.line)
+        if text is None:
+            text = _line_text(model, x.line)
+            if forms is not None:
+                forms[x.line] = text
+        parts.append(text)
     if not x.hecke.is_zero():
         parts.append(f"H({_divisor_text(model, x.hecke.mult)})")
     return " * ".join(parts) if parts else "id"
+
+
+def _line_text(model, line):
+    """The T atom of a nontrivial line class: its divisor form when one
+    exists, else its coordinates."""
+    dv = divisor_form(model, line)
+    if dv is not None:
+        return f"T(O({_divisor_text(model, dv)}))"
+    coords = ", ".join(frac_to_str(c) for c in line.jac)
+    return f"T({line.degree}, [{coords}])"

@@ -6,17 +6,19 @@ part conjugates its matrix by the sigma-pullback's linear part and emits a
 degree-zero correction tensor; both steps are exact.
 """
 
+from itertools import compress
+
 from .errors import ExtendedCompositionError, NotGeneric, ShapeMismatch
 from .intmat import inverse_unimodular, mat_mul, mat_vec, zero_matrix
 from .picard import (
     DEFAULT_ENUM_CAP,
+    JacobianAutomorphism,
     JacobianElement,
     LineBundleClass,
     apply_jac_aut_line,
     frac_to_str,
     jac_aut_inverse,
     lincomb,
-    make_jac_aut,
     tilde_compose,
 )
 from .transform import (
@@ -30,7 +32,9 @@ from .transform import (
     describe,
     identity_transform,
     inverse,
-    t_d_quotient_reps,
+    _degree_sectors,
+    _hecke_tuples,
+    _sector_transforms,
 )
 from .weights import is_generic
 
@@ -107,7 +111,7 @@ def default_ref_det(model, d=None):
 def identity_ext(model, ref_det=None):
     if ref_det is None:
         ref_det = default_ref_det(model)
-    rho = make_jac_aut(zero_matrix(2 * model.genus), model.rank)
+    rho = JacobianAutomorphism(zero_matrix(2 * model.genus), model.rank)
     return ExtendedTransformation(rho, identity_transform(model), ref_det)
 
 
@@ -115,7 +119,7 @@ def lift_basic(t, ref_det=None):
     """Embed a basic transformation with trivial Jacobian part."""
     if ref_det is None:
         ref_det = default_ref_det(t.model)
-    rho = make_jac_aut(zero_matrix(2 * t.model.genus), t.model.rank)
+    rho = JacobianAutomorphism(zero_matrix(2 * t.model.genus), t.model.rank)
     return ExtendedTransformation(rho, t, ref_det)
 
 
@@ -154,7 +158,8 @@ def conjugate_tilde(model, sigma_name, rho):
     ms = [list(row) for row in a.matrix]
     ms_inv = inverse_unimodular(ms)
     m = mat_mul(mat_mul(ms, [list(row) for row in rho.tilde]), ms_inv)
-    return make_jac_aut(m, rho.r)
+    # id + r * m = M_sigma (id + r * tilde) M_sigma^{-1} is unimodular
+    return JacobianAutomorphism(m, rho.r)
 
 
 def compose_ext(e1, e2):
@@ -186,7 +191,7 @@ def compose_ext(e1, e2):
     )
     pulled_in = apply_jac_aut_line(jac_aut_inverse(rho_c), correction)
     t_corr = BasicTransformation(model, model.identity_name, 1, pulled_in, Divisor())
-    new_rho = make_jac_aut(
+    new_rho = JacobianAutomorphism(
         tilde_compose(e1.rho.tilde, rho_c.tilde, model.rank), model.rank
     )
     new_basic = compose(t_corr, compose(t1, e2.basic))
@@ -212,15 +217,24 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
     (regular). At rank 2 every s = -1 representative is marked redundant:
     composing with the inversion Jacobian part realizes it as a tensor
     operation.
+
+    Each entry is built once; the regular layer holds the same entry
+    dicts as the 3-birational one. The chamber verdicts are all taken
+    before any entry is formatted.
     """
     from .dsl import format_canonical
 
     ok, witness = is_generic(alpha, cap)
     if not ok:
         raise NotGeneric(witness)
-    reps = t_d_quotient_reps(d, model, cap)
+    tuples = _hecke_tuples(model, cap)
+    sectors = list(_degree_sectors(model, d, tuples))
     keeps = chamber_predicate(alpha, cap)
-    regular = [keeps(t) for t in reps]
+    regular = [
+        kept for auto, s, group in sectors for kept in keeps.sectors(model, auto, s, tuples, group)
+    ]
+    # every representative has zero torsion, so one T(...) text per degree
+    forms = {}
 
     def entry(t):
         rec = {
@@ -228,7 +242,7 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
             "s": t.s,
             "H": t.hecke.to_json(),
             "L_degree": t.line.degree,
-            "text": format_canonical(t),
+            "text": format_canonical(t, forms),
         }
         if model.rank == 2 and t.s == -1:
             rec["redundant_at_rank_2"] = True
@@ -238,6 +252,7 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
             )
         return rec
 
+    entries = [entry(t) for t in _sector_transforms(model, tuples, sectors)]
     if model.endo_ring == "matrix":
         ring_desc = "all integer matrices M with det(I + rM) = +-1"
     else:
@@ -253,6 +268,6 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
             "endo_ring": model.endo_ring,
             "description": "Jacobian automorphisms id + r*M fixing the r-torsion; " + ring_desc,
         },
-        "discrete_3bir": [entry(t) for t in reps],
-        "discrete_regular": [entry(t) for t, ok in zip(reps, regular) if ok],
+        "discrete_3bir": entries,
+        "discrete_regular": list(compress(entries, regular)),
     }

@@ -235,7 +235,16 @@ def pullback(sigma, c):
 
 
 class JacobianAutomorphism:
-    """rho = id + r * tilde, an automorphism of (Q/Z)^{2g} fixing J[r]."""
+    """rho = id + r * tilde, an automorphism of (Q/Z)^{2g} fixing J[r].
+
+    The constructor is the trusted path: it assumes id + r * tilde is
+    unimodular and takes no determinant. It is called directly only on
+    matrices derived from automorphisms already held, which are unimodular
+    by construction: the zero matrix, a composite (tilde_compose), a
+    conjugate by a unimodular matrix (extended.conjugate_tilde) and an
+    inverse (jac_aut_inverse). Every other matrix, user input in
+    particular, goes through make_jac_aut, which checks.
+    """
 
     __slots__ = ("tilde", "r")
 
@@ -265,7 +274,8 @@ class JacobianAutomorphism:
 
 
 def make_jac_aut(m, r):
-    """Build rho = id + r*M, rejecting matrices where id + r*M is not unimodular."""
+    """Build rho = id + r*M from an untrusted matrix, rejecting M where
+    id + r*M is not unimodular (NotInvertible with its determinant)."""
     if r < 2:
         raise ValueError("r must be at least 2")
     entries = [list(map(int, row)) for row in m]

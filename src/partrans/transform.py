@@ -38,6 +38,8 @@ from .weights import (
 )
 
 import itertools
+import math
+from operator import getitem
 
 
 class Divisor:
@@ -443,7 +445,7 @@ def act_weights(t, w):
     )
 
 
-def chamber_predicate(alpha, cap=DEFAULT_ENUM_CAP):
+class _ChamberTest:
     """The test t -> same_chamber(act_weights(t, alpha), alpha, cap), for
     many tuples t over one alpha, on integers.
 
@@ -451,38 +453,142 @@ def chamber_predicate(alpha, cap=DEFAULT_ENUM_CAP):
     acted system is compared with alpha on that one q, wall by wall in the
     same order and with the same checks as same_chamber. Its wall rows at
     y are those of alpha's scaled vector at sigma(y) after the Hecke steps
-    and the dual, cached per (source point, Hecke steps, sign). A
-    WeightSystem of the acted system is built only to report its wall in a
-    NotGeneric error.
-    """
-    r = alpha.rank
-    count = _wall_count(alpha)
-    q, scaled = _scaled_ints(alpha)
-    ints = dict(zip(alpha.point_names, scaled))
-    rows = {}
+    and the dual; they depend on the steps only modulo r. Per automorphism
+    and sign, the points' sources and their rows for every step count are
+    resolved once. A WeightSystem of the acted system is built only to
+    report its wall in a NotGeneric error.
 
-    def keeps(t):
-        sources = _weight_sources(t, ints)
-        if not ints:
+    Call it on a tuple, or through `sectors` on Hecke multiplicity tuples
+    over the model's points, which builds no tuple unless an error needs
+    one. Both raise as act_weights and same_chamber would, in that order.
+    """
+
+    def __init__(self, alpha, cap):
+        self.alpha = alpha
+        self.cap = cap
+        self.count = _wall_count(alpha)
+        self.q, scaled = _scaled_ints(alpha)
+        self.ints = dict(zip(alpha.point_names, scaled))
+        self.tables = _wall_tables(alpha)
+        # alpha's first wall (subset {1} at every point): its floor, or
+        # None when it is integral or there are no walls
+        first = sum(row[0] for row in self.tables[1][0]) if self.count else 0
+        self.first = first // self.q if first % self.q else None
+        self.plans = {}  # (automorphism, s) -> see _plan
+
+    def _plan(self, model, auto, s):
+        """(sources, missing, positions, lanes, firsts, outside). Per
+        point y of alpha: sigma(y), and its position among the model's
+        points (or None); missing is the first sigma(y) outside alpha, or
+        None. When there are walls, lanes holds per point the acted wall
+        rows for each Hecke step count below max(r, model rank), and firsts
+        the entry of each at the first wall. outside lists the model's
+        points outside alpha with their positions."""
+        plan = self.plans.get((auto, s))
+        if plan is None:
+            perm = auto.point_perm
+            src = tuple(perm.get(y, y) for y in self.ints)
+            missing = next((x for x in src if x not in self.ints), None)
+            names = model.point_names
+            pos = {x: i for i, x in enumerate(names)}
+            outside = [(i, x) for i, x in enumerate(names) if x not in self.ints]
+            r, q = self.alpha.rank, self.q
+            lanes = firsts = None
+            if missing is None and self.count:
+                lanes = [
+                    [_wall_rows(_act_vector(self.ints[x], k, s, q), r)
+                     for k in range(max(r, model.rank))]
+                    for x in src
+                ]
+                firsts = [[rows[0][0] for rows in lane] for lane in lanes]
+            plan = self.plans[auto, s] = (
+                src, missing, tuple(pos.get(x) for x in src), lanes, firsts, outside
+            )
+        return plan
+
+    def __call__(self, t):
+        """The verdict on one tuple."""
+        hecke = t.hecke.mult
+        for x, mult in hecke.items():
+            if mult > 0 and x not in self.ints:
+                raise UnknownPoint(x)
+        src, missing, _, lanes, _, _ = self._plan(t.model, t.model.automorphism(t.sigma), t.s)
+        if missing is not None:
+            raise UnknownPoint(missing)
+        r = self.alpha.rank
+        steps = [max(hecke.get(x, 0), 0) % r for x in src]
+        return self._keeps(lanes, steps, lambda: t)
+
+    def sectors(self, model, auto, s, tuples, group):
+        """The verdicts on the tuples (auto, s, H) for H = tuples[k] over
+        model.point_names, for each (k, _) of group in order; a line part
+        does not act on weights.
+
+        When the sources are alpha's points and take each of the model's
+        points once, and the walls are within the cap, the first wall's
+        value is computed for every tuple at once, by prefix sums over the
+        points as for the Hecke classes. A tuple whose value there is not
+        integral and lies outside alpha's floor leaves the chamber at that
+        wall, which is what _keeps would find. The others are tested one by
+        one.
+        """
+        _, missing, pos, lanes, firsts, outside = self._plan(model, auto, s)
+        n = len(model.points)
+        heads = None
+        if (
+            missing is None
+            and 0 < self.count <= self.cap
+            and self.first is not None
+            and sorted(i for i in pos if i is not None) == list(range(n))
+        ):
+            at = {i: f for i, f in zip(pos, firsts) if i is not None}
+            heads = [sum(f[0] for i, f in zip(pos, firsts) if i is None)]
+            for i in range(n):
+                entries = at[i][: model.rank]
+                heads = [h + x for h in heads for x in entries]
+            lo = self.first * self.q
+            hi = lo + self.q
+        verdicts = []
+        for k, _ in group:
+            mults = tuples[k]
+            if heads is not None and not lo <= heads[k] <= hi:
+                verdicts.append(False)
+                continue
+            for i, x in outside:
+                if mults[i] > 0:
+                    raise UnknownPoint(x)
+            if missing is not None:
+                raise UnknownPoint(missing)
+            steps = [0 if i is None else mults[i] for i in pos]
+            verdicts.append(self._keeps(lanes, steps, lambda: BasicTransformation(
+                model, auto.name, s, LineBundleClass.trivial(2 * model.genus),
+                Divisor(zip(model.point_names, mults)),
+            )))
+        return verdicts
+
+    def _keeps(self, lanes, steps, make):
+        """The verdict on the acted rows lanes[j][steps[j]] at alpha's
+        points; make() builds the tuple when a NotGeneric error needs it."""
+        if not self.ints:
             return True
-        if count > cap:
-            raise EnumerationCapExceeded(count, cap, "walls")
-        acted = []
-        for x, k in sources:
-            key = (x, k, t.s)
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = _wall_rows(_act_vector(ints[x], k, t.s, q), r)
-            acted.append(row)
-        hit = _first_wall_difference(q, tuple(zip(*acted)), *_wall_tables(alpha))
+        if self.count > self.cap:
+            raise EnumerationCapExceeded(self.count, self.cap, "walls")
+        if not self.count:
+            return True
+        acted = map(getitem, lanes, steps)
+        hit = _first_wall_difference(self.q, tuple(zip(*acted)), *self.tables)
         if hit is None:
             return True
         rp, i, side = hit
         if side:
-            raise NotGeneric(_wall_at(act_weights(t, alpha) if side == 1 else alpha, rp, i))
+            raise NotGeneric(_wall_at(act_weights(make(), self.alpha) if side == 1 else self.alpha, rp, i))
         return False
 
-    return keeps
+
+def chamber_predicate(alpha, cap=DEFAULT_ENUM_CAP):
+    """The test t -> same_chamber(act_weights(t, alpha), alpha, cap) as a
+    callable over many tuples t; see _ChamberTest."""
+    return _ChamberTest(alpha, cap)
 
 
 def act_invariant(t, v):
@@ -512,15 +618,74 @@ def subgroup_membership(t, d, xi=None, alpha=None, cap=DEFAULT_ENUM_CAP):
 # -- stabilizers ---------------------------------------------------------
 
 
-def _hecke_sectors(model, cap):
-    """All in-range Hecke divisors in lexicographic multiplicity order."""
+def _hecke_tuples(model, cap):
+    """Every in-range Hecke multiplicity tuple over model.point_names, in
+    lexicographic order."""
     n = len(model.points)
     count = model.rank**n
     if count > cap:
         raise EnumerationCapExceeded(count, cap, "hecke sectors")
+    return list(itertools.product(range(model.rank), repeat=n))
+
+
+def _degree_sectors(model, d, tuples):
+    """The admissible sectors (sigma, s, H) of the degree-d stabilizer, as
+    (automorphism, s, group) in table order, s = 1 before s = -1. The group
+    lists (index of H in `tuples`, forced L degree) in the order of
+    `tuples`, and is the same list for every automorphism.
+
+    A sector is admissible when r divides s * d - d + |H|, and the
+    quotient is the L degree; that depends only on s, d and |H|, so each
+    tuple's degree is summed once and the groups are built once.
+    """
+    r = model.rank
+    sizes = list(map(sum, tuples))
+    groups = {}
+    for s in (1, -1):
+        base = s * d - d
+        groups[s] = [(k, (base + size) // r) for k, size in enumerate(sizes)
+                     if (base + size) % r == 0]
+    for auto in model.automorphisms:
+        for s in (1, -1):
+            yield auto, s, groups[s]
+
+
+def _sector_transforms(model, tuples, sectors):
+    """The representative of each sector of each (automorphism, s, group)
+    in `sectors`: the forced L degree with zero torsion part. Each Divisor
+    is built once per tuple and each L once per degree, shared by the
+    representatives that carry them."""
     names = model.point_names
-    for mults in itertools.product(range(model.rank), repeat=n):
-        yield Divisor(dict(zip(names, mults)))
+    dim = 2 * model.genus
+    divisors = {}
+    lines = {}
+    for auto, s, group in sectors:
+        for k, ldeg in group:
+            hecke = divisors.get(k)
+            if hecke is None:
+                hecke = divisors[k] = Divisor(zip(names, tuples[k]))
+            line = lines.get(ldeg)
+            if line is None:
+                line = lines[ldeg] = LineBundleClass(ldeg, JacobianElement.zero(dim))
+            yield BasicTransformation(model, auto.name, s, line, hecke)
+
+
+def _hecke_class_sums(model):
+    """(q, sums): q is the lcm of the points' Jacobian denominators, and
+    sums[k] holds the numerators over q of the torsion part of
+    of_divisor(H) for the k-th tuple of _hecke_tuples. The sums are built
+    point by point from the prefix sums, in the same lexicographic order."""
+    jacs = [model.point(x).jac_class for x in model.point_names]
+    q = math.lcm(*(j.den for j in jacs))
+    sums = [(0,) * (2 * model.genus)]
+    for j in jacs:
+        step = [x * (q // j.den) for x in j.nums]
+        sums = [
+            tuple(a + m * b for a, b in zip(acc, step))
+            for acc in sums
+            for m in range(model.rank)
+        ]
+    return q, sums
 
 
 def stabilizer_xi(xi, model, cap=DEFAULT_ENUM_CAP):
@@ -529,36 +694,36 @@ def stabilizer_xi(xi, model, cap=DEFAULT_ENUM_CAP):
     A sector (sigma, s, H) is admissible when the forced degree of L is an
     integer; its L solutions then form a torsor under J[r] around the
     canonical r-th root of pullback_{sigma^{-1}}(xi)^s tensor xi^{-1}(H).
+    The class of H is read from integer prefix sums of the points'
+    numerators; the rest of the root depends only on (sigma, s).
     """
     r = model.rank
     dim = 2 * model.genus
+    tuples = _hecke_tuples(model, cap)
+    q, sums = _hecke_class_sums(model)
+    names = model.point_names
+    by_name = sorted(range(len(names)), key=names.__getitem__)  # Divisor.to_json order
     sectors = []
-    for auto in model.automorphisms:
+    for auto, s, group in _degree_sectors(model, xi.degree, tuples):
         inv = model.automorphism(model.inverse_auto(auto.name))
-        for s in (1, -1):
-            for hecke in _hecke_sectors(model, cap):
-                size = hecke.degree()
-                num = s * xi.degree - xi.degree + size
-                if num % r != 0:
-                    continue
-                rhs = lincomb(
-                    [
-                        (pullback(inv, xi), s),
-                        (xi, -1),
-                        (of_divisor(model, hecke), 1),
-                    ]
-                )
-                root, torsor = divide_by_r(rhs.jac, r)
-                sectors.append(
-                    {
-                        "sigma": auto.name,
-                        "s": s,
-                        "H": hecke.to_json(),
-                        "L_degree": num // r,
-                        "root": root.to_json(),
-                        "torsor_size": torsor,
-                    }
-                )
+        jac = lincomb([(pullback(inv, xi), s), (xi, -1)]).jac
+        den = math.lcm(jac.den, q)
+        base = [x * (den // jac.den) for x in jac.nums]
+        scale = den // q
+        for k, ldeg in group:
+            rhs = JacobianElement.from_nums([a + scale * b for a, b in zip(base, sums[k])], den)
+            root, torsor = divide_by_r(rhs, r)
+            mults = tuples[k]
+            sectors.append(
+                {
+                    "sigma": auto.name,
+                    "s": s,
+                    "H": {names[i]: mults[i] for i in by_name if mults[i]},
+                    "L_degree": ldeg,
+                    "root": root.to_json(),
+                    "torsor_size": torsor,
+                }
+            )
     return {"total": len(sectors) * r**dim, "sectors": sectors}
 
 
@@ -566,24 +731,20 @@ def t_d_quotient_reps(d, model, cap=DEFAULT_ENUM_CAP):
     """Representatives of the degree-d stabilizer modulo tensoring by
     degree-zero classes: one tuple per admissible (sigma, s, H) sector,
     with the forced L degree and zero torsion part."""
-    r = model.rank
-    dim = 2 * model.genus
-    reps = []
-    for auto in model.automorphisms:
-        for s in (1, -1):
-            for hecke in _hecke_sectors(model, cap):
-                num = s * d - d + hecke.degree()
-                if num % r != 0:
-                    continue
-                line = LineBundleClass(num // r, JacobianElement.zero(dim))
-                reps.append(BasicTransformation(model, auto.name, s, line, hecke))
-    return reps
+    tuples = _hecke_tuples(model, cap)
+    return list(_sector_transforms(model, tuples, _degree_sectors(model, d, tuples)))
 
 
 def stabilizer_d_alpha_quotient(d, alpha, model, cap=DEFAULT_ENUM_CAP):
-    """Chamber-filtered representatives of the degree stabilizer."""
+    """Chamber-filtered representatives of the degree stabilizer; a
+    representative is built only for a sector the filter keeps."""
     ok, witness = is_generic(alpha, cap)
     if not ok:
         raise NotGeneric(witness)
+    tuples = _hecke_tuples(model, cap)
     keeps = chamber_predicate(alpha, cap)
-    return [rep for rep in t_d_quotient_reps(d, model, cap) if keeps(rep)]
+    kept = (
+        (auto, s, list(itertools.compress(group, keeps.sectors(model, auto, s, tuples, group))))
+        for auto, s, group in _degree_sectors(model, d, tuples)
+    )
+    return list(_sector_transforms(model, tuples, kept))

@@ -197,8 +197,7 @@ def _wall_rows(ints, r):
     subsets I in lexicographic order."""
     total = sum(ints)
     return tuple(
-        tuple(rp * total - r * sum(ints[i] for i in sub)
-              for sub in itertools.combinations(range(r), rp))
+        tuple(rp * total - r * s for s in map(sum, itertools.combinations(ints, rp)))
         for rp in range(1, r)
     )
 

@@ -144,7 +144,7 @@ def model_cyclic(genus, order, rank=2):
 _ROTATIONS = {3: [[0, -1], [1, -1]], 4: [[0, -1], [1, 0]], 6: [[1, -1], [1, 0]]}
 
 
-def model_rotation(genus, order):
+def model_rotation(genus, order, rank=2):
     """Block rotation of order 3, 4 or 6 on every genus block: a fixed point
     at 0 and one orbit of `order` points."""
     dim = 2 * genus
@@ -173,7 +173,7 @@ def model_rotation(genus, order):
         }
         for a in range(order)
     ]
-    return build_model(genus, 2, points, autos=autos)
+    return build_model(genus, rank, points, autos=autos)
 
 
 @pytest.fixture(scope="session")

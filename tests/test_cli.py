@@ -145,6 +145,22 @@ def test_parse_error_exits_2(files, capsys):
     assert err.startswith("error:") or "error:" in err
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("(" * 3000 + "id" + ")" * 3000, "parentheses nested deeper than the limit of 100"),
+        ("id^" + "9" * 5000, "integer literal of 5000 digits exceeds the limit of 1000"),
+        ("H(" + "1" * 4400 + "*p)", "integer literal of 4400 digits exceeds the limit of 1000"),
+    ],
+)
+def test_parse_limits_exit_2_without_traceback(files, capsys, expr, message):
+    rc, out, err = run(capsys, "normalize", "--model", files["g1"], expr)
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert message in err
+
+
 def test_usage_error_raises_system_exit(files):
     with pytest.raises(SystemExit) as exc:
         run_command(["normalize"])  # missing --model and expr

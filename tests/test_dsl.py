@@ -30,7 +30,7 @@ from partrans import (
     of_divisor,
     parse_expression,
 )
-from partrans.dsl import _solved_divisor_form, tokenize
+from partrans.dsl import MAX_INT_DIGITS, MAX_NESTING, _solved_divisor_form, tokenize
 from conftest import build_model, rand_basic, rand_tilde
 
 from test_extended import rand_ext
@@ -75,6 +75,25 @@ def test_parse_error_positions(elliptic2):
         parse_expression("(id")
     with pytest.raises(ParseError):
         parse_expression("")
+
+
+def test_nesting_limit(elliptic2):
+    ok = "(" * MAX_NESTING + "H(p)^2" + ")" * MAX_NESTING
+    assert format_canonical(eval_expression(ok, elliptic2)) == "T(O(-1*p))"
+    too_deep = "(" + ok + ")"
+    with pytest.raises(ParseError) as exc:
+        parse_expression(too_deep)
+    assert exc.value.pos == MAX_NESTING
+    # sibling groups do not add up, only nesting counts
+    assert parse_expression(" * ".join([ok] * 3))
+
+
+def test_integer_literal_limit(elliptic2):
+    assert tokenize("9" * MAX_INT_DIGITS)[0] == ("INT", int("9" * MAX_INT_DIGITS), 0)
+    for text in ("id^" + "1" * (MAX_INT_DIGITS + 1), "T(0, [1/" + "7" * 5000 + ", 0])"):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert f"exceeds the limit of {MAX_INT_DIGITS}" in str(exc.value)
 
 
 def test_name_resolution_needs_model(cyclic3):
