@@ -29,16 +29,17 @@ from .weights import (
     WeightSystem,
     _act_vector,
     _first_wall_difference,
-    _scaled_ints,
+    _sums,
     _wall_at,
     _wall_count,
-    _wall_rows,
-    _wall_tables,
+    _wall_row,
+    _walls,
     is_generic,
 )
 
 import itertools
 import math
+from collections import namedtuple
 from operator import getitem
 
 
@@ -445,6 +446,9 @@ def act_weights(t, w):
     )
 
 
+_Plan = namedtuple("_Plan", "sources missing positions lanes firsts outside tails")
+
+
 class _ChamberTest:
     """The test t -> same_chamber(act_weights(t, alpha), alpha, cap), for
     many tuples t over one alpha, on integers.
@@ -455,8 +459,9 @@ class _ChamberTest:
     y are those of alpha's scaled vector at sigma(y) after the Hecke steps
     and the dual; they depend on the steps only modulo r. Per automorphism
     and sign, the points' sources and their rows for every step count are
-    resolved once. A WeightSystem of the acted system is built only to
-    report its wall in a NotGeneric error.
+    resolved once, and the acted tails (see weights._Walls.halves) once per
+    Hecke steps of their points. A WeightSystem of the acted system is
+    built only to report its wall in a NotGeneric error.
 
     Call it on a tuple, or through `sectors` on Hecke multiplicity tuples
     over the model's points, which builds no tuple unless an error needs
@@ -467,23 +472,25 @@ class _ChamberTest:
         self.alpha = alpha
         self.cap = cap
         self.count = _wall_count(alpha)
-        self.q, scaled = _scaled_ints(alpha)
-        self.ints = dict(zip(alpha.point_names, scaled))
-        self.tables = _wall_tables(alpha)
+        self.walls = _walls(alpha)
+        self.q = self.walls.q
+        self.ints = dict(zip(alpha.point_names, self.walls.ints))
         # alpha's first wall (subset {1} at every point): its floor, or
         # None when it is integral or there are no walls
-        first = sum(row[0] for row in self.tables[1][0]) if self.count else 0
+        first = sum(row[0] for row in self.walls.rows(1)) if self.count else 0
         self.first = first // self.q if first % self.q else None
         self.plans = {}  # (automorphism, s) -> see _plan
+        self.halves = None  # alpha's _Walls.halves, listed by the first _keeps
 
     def _plan(self, model, auto, s):
-        """(sources, missing, positions, lanes, firsts, outside). Per
-        point y of alpha: sigma(y), and its position among the model's
-        points (or None); missing is the first sigma(y) outside alpha, or
-        None. When there are walls, lanes holds per point the acted wall
-        rows for each Hecke step count below max(r, model rank), and firsts
-        the entry of each at the first wall. outside lists the model's
-        points outside alpha with their positions."""
+        """The _Plan of (auto, s). Per point y of alpha: sources holds
+        sigma(y), and positions its position among the model's points (or
+        None); missing is the first sigma(y) outside alpha, or None. When
+        there are walls, lanes[r' - 1][j][k] is the acted wall row of
+        subrank r' at alpha's j-th point after k Hecke steps, for k below
+        max(r, model rank), and firsts[j][k] its entry at the first wall.
+        outside lists the model's points outside alpha with their
+        positions, and tails caches the acted tails (see _acted)."""
         plan = self.plans.get((auto, s))
         if plan is None:
             perm = auto.point_perm
@@ -495,14 +502,13 @@ class _ChamberTest:
             r, q = self.alpha.rank, self.q
             lanes = firsts = None
             if missing is None and self.count:
-                lanes = [
-                    [_wall_rows(_act_vector(self.ints[x], k, s, q), r)
-                     for k in range(max(r, model.rank))]
-                    for x in src
-                ]
-                firsts = [[rows[0][0] for rows in lane] for lane in lanes]
-            plan = self.plans[auto, s] = (
-                src, missing, tuple(pos.get(x) for x in src), lanes, firsts, outside
+                acted = [[_act_vector(self.ints[x], k, s, q) for k in range(max(r, model.rank))]
+                         for x in src]
+                lanes = [[[_wall_row(v, r, rp) for v in vecs] for vecs in acted]
+                         for rp in range(1, r)]
+                firsts = [[row[0] for row in lane] for lane in lanes[0]]
+            plan = self.plans[auto, s] = _Plan(
+                src, missing, tuple(pos.get(x) for x in src), lanes, firsts, outside, {}
             )
         return plan
 
@@ -512,12 +518,12 @@ class _ChamberTest:
         for x, mult in hecke.items():
             if mult > 0 and x not in self.ints:
                 raise UnknownPoint(x)
-        src, missing, _, lanes, _, _ = self._plan(t.model, t.model.automorphism(t.sigma), t.s)
-        if missing is not None:
-            raise UnknownPoint(missing)
+        plan = self._plan(t.model, t.model.automorphism(t.sigma), t.s)
+        if plan.missing is not None:
+            raise UnknownPoint(plan.missing)
         r = self.alpha.rank
-        steps = [max(hecke.get(x, 0), 0) % r for x in src]
-        return self._keeps(lanes, steps, lambda: t)
+        steps = [max(hecke.get(x, 0), 0) % r for x in plan.sources]
+        return self._keeps(plan, steps, lambda: t)
 
     def sectors(self, model, auto, s, tuples, group):
         """The verdicts on the tuples (auto, s, H) for H = tuples[k] over
@@ -532,7 +538,8 @@ class _ChamberTest:
         wall, which is what _keeps would find. The others are tested one by
         one.
         """
-        _, missing, pos, lanes, firsts, outside = self._plan(model, auto, s)
+        plan = self._plan(model, auto, s)
+        _, missing, pos, _, firsts, outside, _ = plan
         n = len(model.points)
         heads = None
         if (
@@ -560,14 +567,28 @@ class _ChamberTest:
             if missing is not None:
                 raise UnknownPoint(missing)
             steps = [0 if i is None else mults[i] for i in pos]
-            verdicts.append(self._keeps(lanes, steps, lambda: BasicTransformation(
+            verdicts.append(self._keeps(plan, steps, lambda: BasicTransformation(
                 model, auto.name, s, LineBundleClass.trivial(2 * model.genus),
                 Divisor(zip(model.point_names, mults)),
             )))
         return verdicts
 
-    def _keeps(self, lanes, steps, make):
-        """The verdict on the acted rows lanes[j][steps[j]] at alpha's
+    def _acted(self, plan, steps):
+        """The acted system's halves per subrank, as weights._Walls.halves
+        gives them, from the rows lane[j][steps[j]] of plan's lanes; the
+        tails are built once per subrank and steps of their points."""
+        h = len(steps) // 2
+        tail = tuple(steps[h:])
+        built = plan.tails.get(tail)
+        if built is None:
+            built = plan.tails[tail] = []
+        for k, lane in enumerate(plan.lanes):
+            if k == len(built):
+                built.append(_sums(map(getitem, lane[h:], tail)))
+            yield list(map(getitem, lane[:h], steps)), built[k]
+
+    def _keeps(self, plan, steps, make):
+        """The verdict on the acted rows lane[j][steps[j]] at alpha's
         points; make() builds the tuple when a NotGeneric error needs it."""
         if not self.ints:
             return True
@@ -575,8 +596,9 @@ class _ChamberTest:
             raise EnumerationCapExceeded(self.count, self.cap, "walls")
         if not self.count:
             return True
-        acted = map(getitem, lanes, steps)
-        hit = _first_wall_difference(self.q, tuple(zip(*acted)), *self.tables)
+        if self.halves is None:
+            self.halves = list(self.walls.halves())
+        hit = _first_wall_difference(self.q, self._acted(plan, steps), self.q, self.halves)
         if hit is None:
             return True
         rp, i, side = hit

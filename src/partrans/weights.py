@@ -6,17 +6,16 @@ floor vector of all wall values, enumerated in a fixed lexicographic order:
 subrank r' from 1 to r-1, then per-point index subsets lexicographically,
 with the last point varying fastest.
 
-The walls are computed on integers. Each weight system is scaled once by
-q, the lcm of its denominators, into one small table per point and
-subrank (see _wall_tables); a wall's value times q is a sum of one table
-entry per point. Walls are streamed in wall order from the product of the
-tables, and a WallDatum is built only for a wall that is reported: a
-genericity witness or the wall a NotGeneric error carries.
+Walls are computed on integers (see _Walls). Per subrank, the wall with
+index j * len(tails) + i is heads[j] + tails[i]: sums over the first half
+of the points and over the rest. A block of walls sharing a head is compared
+in one step; genericity meets in the middle (Horowitz & Sahni, 1974).
 """
 
 import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import EnumerationCapExceeded, NotGeneric, ShapeMismatch, UnknownPoint
 from .picard import DEFAULT_ENUM_CAP, frac_to_str
@@ -30,7 +29,7 @@ WALL_ORDER_HEADER = (
 class WeightSystem:
     """Canonical per-point weight vectors; immutable."""
 
-    __slots__ = ("rank", "entries", "_walls")
+    __slots__ = ("rank", "entries", "point_names", "_walls")
 
     def __init__(self, entries, rank=None):
         if hasattr(entries, "items"):
@@ -49,12 +48,9 @@ class WeightSystem:
             if vec[-1] >= 1:
                 raise ShapeMismatch(f"weights at {name!r} leave [0, 1)")
         self.entries = entries
+        self.point_names = tuple(name for name, _ in entries)
         self.rank = rank
         self._walls = None
-
-    @property
-    def point_names(self):
-        return tuple(name for name, _ in self.entries)
 
     def vector(self, name):
         for n, vec in self.entries:
@@ -133,7 +129,7 @@ class ChamberFingerprint:
     __slots__ = ("floors",)
 
     def __init__(self, floors):
-        self.floors = tuple(int(f) for f in floors)
+        self.floors = tuple(map(int, floors))
 
     def __eq__(self, other):
         return isinstance(other, ChamberFingerprint) and self.floors == other.floors
@@ -184,119 +180,106 @@ def _wall_count(w):
     return sum(math.comb(w.rank, rp) ** n for rp in range(1, w.rank))
 
 
-def _scaled_ints(w):
-    """(q, ints): q is the lcm of all weight denominators of w, and ints
-    holds each point's vector times q, in point order."""
-    q = math.lcm(*(v.denominator for _, vec in w.entries for v in vec))
-    return q, [[v.numerator * (q // v.denominator) for v in vec] for _, vec in w.entries]
+def _wall_row(ints, r, rp):
+    """One point's wall-table row of subrank rp: rp * sum(ints) - r * sum(ints[I])
+    over the size-rp index subsets I in lexicographic order."""
+    total = rp * sum(ints)
+    return [total - r * s for s in map(sum, itertools.combinations(ints, rp))]
 
 
-def _wall_rows(ints, r):
-    """One point's wall-table rows, one per subrank r' = 1..r-1: the
-    integers r' * sum(ints) - r * sum(ints[I]) over the size-r' index
-    subsets I in lexicographic order."""
-    total = sum(ints)
-    return tuple(
-        tuple(rp * total - r * s for s in map(sum, itertools.combinations(ints, rp)))
-        for rp in range(1, r)
-    )
+def _sums(rows):
+    """Every sum of one entry per row, in lexicographic order, last row fastest."""
+    sums = [0]
+    for row in rows:
+        sums = [a + v for a in sums for v in row]
+    return sums
 
 
-def _wall_tables(w):
-    """The integer form of w's walls, built once per weight system.
+class _Walls:
+    """A weight system's walls times q, the lcm of its denominators: per
+    subrank, built on first use, each point's _wall_row and the tails."""
 
-    Returns (q, tables): q is the lcm of all weight denominators, and
-    tables[r' - 1] holds, per point, the _wall_rows entries of that
-    point's vector scaled by q. A wall's value times q is the sum of one
-    entry per point, so it is integral when that sum is divisible by q,
-    and its floor is the sum // q.
-    """
-    if w._walls is None:
-        q, scaled = _scaled_ints(w)
-        w._walls = (q, tuple(zip(*(_wall_rows(ints, w.rank) for ints in scaled))))
+    __slots__ = ("q", "ints", "rank", "_rows", "_tails")
+
+    def __init__(self, w):
+        self.q = q = math.lcm(*(v.denominator for _, vec in w.entries for v in vec))
+        self.ints = [[v.numerator * (q // v.denominator) for v in vec] for _, vec in w.entries]
+        self.rank, self._rows, self._tails = w.rank, {}, {}
+
+    def rows(self, rp):
+        if rp not in self._rows:
+            self._rows[rp] = [_wall_row(ints, self.rank, rp) for ints in self.ints]
+        return self._rows[rp]
+
+    def halves(self):
+        """Per subrank, (head rows, tails): the rows of the first n // 2
+        points, and the _sums of the others; heads are the head rows' _sums."""
+        h = len(self.ints) // 2
+        for rp in range(1, self.rank):
+            rows = self.rows(rp)
+            if rp not in self._tails:
+                self._tails[rp] = _sums(rows[h:])
+            yield rows[:h], self._tails[rp]
+
+
+def _walls(w):
+    w._walls = w._walls or _Walls(w)
     return w._walls
-
-
-def _scaled_walls(tables):
-    """q times every wall value of one subrank, streamed in wall order."""
-    return map(sum, itertools.product(*tables))
 
 
 def _wall(w, rp, digits):
     """The WallDatum of subrank rp taking the digits[k]-th subset at point k."""
-    q, tables = _wall_tables(w)
     subsets = list(itertools.combinations(range(1, w.rank + 1), rp))
-    value = sum(table[d] for table, d in zip(tables[rp - 1], digits))
-    return WallDatum(rp, zip(w.point_names, (subsets[d] for d in digits)), Fraction(value, q))
+    value = Fraction(sum(row[d] for row, d in zip(_walls(w).rows(rp), digits)), _walls(w).q)
+    return WallDatum(rp, zip(w.point_names, (subsets[d] for d in digits)), value)
 
 
 def _wall_at(w, rp, index):
     """The index-th wall of subrank rp: a mixed-radix decode, last point fastest."""
-    base = math.comb(w.rank, rp)
-    digits = []
-    for _ in w.entries:
-        index, d = divmod(index, base)
-        digits.append(d)
-    return _wall(w, rp, digits[::-1])
+    base, n = math.comb(w.rank, rp), len(w.entries)
+    return _wall(w, rp, [index // base ** (n - 1 - k) % base for k in range(n)])
 
 
-def _first_integral_wall(w):
-    """The first wall in wall order with an integral value, or None."""
-    q, tables = _wall_tables(w)
-    for rp, per_point in enumerate(tables, 1):
-        for i, v in enumerate(_scaled_walls(per_point)):
-            if v % q == 0:
-                return _wall_at(w, rp, i)
-    return None
-
-
-def _dp_witness(w):
-    """Residue dynamic program deciding whether some wall value is integral.
-
-    Returns a witness WallDatum or None. Avoids enumerating the full
-    product of per-point subsets: point by point it tracks the residues
-    mod q reachable by the scaled wall tables, each with the
-    lexicographically least path of subset indices reaching it. A prefix
-    of a least path is least for its own residue, so the witness is the
-    first integral wall that enumeration finds.
-    """
-    q, tables = _wall_tables(w)
-    for rp, per_point in enumerate(tables, 1):
-        # Both dicts keep insertion order: moves holds the least digit per
-        # residue in increasing digit order, and paths stays in increasing
-        # path order because the pairs (path, d) are visited in
-        # lexicographic order and the first one to reach a residue claims it.
-        paths = {0: ()}
-        for table in per_point:
-            moves = {}
-            for d, v in enumerate(table):
-                moves.setdefault(v % q, d)
-            nxt = {}
-            for res, path in paths.items():
-                for c, d in moves.items():
-                    nr = (res + c) % q
-                    if nr not in nxt:
-                        nxt[nr] = path + (d,)
-            paths = nxt
-        if 0 in paths:
-            return _wall(w, rp, paths[0])
-    return None
+def _least_paths(rows, q):
+    """Each residue mod q of a sum of one entry per row, mapped to the least
+    digit path reaching it, in path order: per row, the first (path, least
+    digit of a residue) in order to reach a residue claims it."""
+    paths = {0: ()}
+    for row in rows:
+        moves = {}
+        for d, v in enumerate(row):
+            moves.setdefault(v % q, d)
+        moves = list(moves.items())
+        nxt = {}
+        for res, path in paths.items():
+            for c, d in moves:
+                nr = (res + c) % q
+                if nr not in nxt:
+                    nxt[nr] = path + (d,)
+        paths = nxt
+    return paths
 
 
 def is_generic(w, cap=DEFAULT_ENUM_CAP):
     """(True, None) when no wall value is integral, else (False, witness).
 
-    Walls are enumerated on the integer tables of _wall_tables; past cap
-    walls the residue DP decides instead. Both give the first integral
-    wall in wall order as the witness.
+    One algorithm, which cap does not bound: per subrank, the first head
+    residue of _least_paths whose complement a tail reaches gives the first
+    integral wall in wall order, the witness. Work and memory are about the
+    square root of the wall count, and at most q residues per half.
     """
     if not w.entries:
         return True, None
-    if _wall_count(w) > cap:
-        witness = _dp_witness(w)
-    else:
-        witness = _first_integral_wall(w)
-    return witness is None, witness
+    walls = _walls(w)
+    q, h = walls.q, len(w.entries) // 2
+    for rp in range(1, w.rank):
+        rows = walls.rows(rp)
+        tails = _least_paths(rows[h:], q)
+        for res, path in _least_paths(rows[:h], q).items():
+            tail = tails.get(-res % q)
+            if tail is not None:
+                return False, _wall(w, rp, path + tail)
+    return True, None
 
 
 def chamber_fingerprint(w, cap=DEFAULT_ENUM_CAP):
@@ -305,19 +288,22 @@ def chamber_fingerprint(w, cap=DEFAULT_ENUM_CAP):
     count = _wall_count(w)
     if count > cap:
         raise EnumerationCapExceeded(count, cap, "walls")
-    wall = _first_integral_wall(w)
-    if wall is not None:
-        raise NotGeneric(wall)
-    q, tables = _wall_tables(w)
-    return ChamberFingerprint(v // q for t in tables for v in _scaled_walls(t))
+    q, floors = _walls(w).q, []
+    for rp, (rows, tails) in enumerate(_walls(w).halves(), 1):
+        residues = {t % q for t in tails}
+        for j, a in enumerate(_sums(rows)):
+            if -a % q in residues:
+                i = next(i for i, t in enumerate(tails) if not (a + t) % q)
+                raise NotGeneric(_wall_at(w, rp, j * len(tails) + i))
+            floors += [(a + t) // q for t in tails]
+    return ChamberFingerprint(floors)
 
 
 def same_chamber(w1, w2, cap=DEFAULT_ENUM_CAP):
     """Lazy floor-by-floor comparison; aborts at the first differing wall.
 
     At each wall, an integral value of w1 and then of w2 raises NotGeneric
-    before the floors are compared. Both systems are compared on their own
-    integer wall tables.
+    before the floors are compared.
     """
     if w1.point_names != w2.point_names or w1.rank != w2.rank:
         if w1.point_names == w2.point_names == ():
@@ -328,7 +314,8 @@ def same_chamber(w1, w2, cap=DEFAULT_ENUM_CAP):
     count = _wall_count(w1)
     if count > cap:
         raise EnumerationCapExceeded(count, cap, "walls")
-    hit = _first_wall_difference(*_wall_tables(w1), *_wall_tables(w2))
+    walls1, walls2 = _walls(w1), _walls(w2)
+    hit = _first_wall_difference(walls1.q, walls1.halves(), walls2.q, walls2.halves())
     if hit is None:
         return True
     rp, i, side = hit
@@ -337,21 +324,34 @@ def same_chamber(w1, w2, cap=DEFAULT_ENUM_CAP):
     return False
 
 
-def _first_wall_difference(q1, tables1, q2, tables2):
-    """Where two same-shape systems, given by their scaled wall tables,
-    first part in wall order: (r', index, side) with side 1 or 2 when that
+def _first_wall_difference(q1, halves1, q2, halves2):
+    """Where two same-shape systems, given by their _Walls.halves, first
+    part in wall order: (r', index, side) with side 1 or 2 when that
     system's wall is integral there, checked in that order, and 0 when the
-    floors differ; None when every floor agrees."""
-    for rp, (t1, t2) in enumerate(zip(tables1, tables2), 1):
-        for i, (v1, v2) in enumerate(zip(_scaled_walls(t1), _scaled_walls(t2))):
-            f1, m1 = divmod(v1, q1)
-            if not m1:
-                return rp, i, 1
-            f2, m2 = divmod(v2, q2)
-            if not m2:
-                return rp, i, 2
-            if f1 != f2:
-                return rp, i, 0
+    floors differ; None when every floor agrees. Block 0, where most
+    differing systems part, is scanned wall by wall; a later block passes
+    whole when no tail reaches its head's complement mod q and its floors
+    agree, and is scanned otherwise."""
+    for rp, ((rows1, tails1), (rows2, tails2)) in enumerate(zip(halves1, halves2), 1):
+        a1, a2 = sum(map(itemgetter(0), rows1)), sum(map(itemgetter(0), rows2))
+        hit = _block_difference(q1, a1, tails1, q2, a2, tails2)
+        if hit is not None:
+            return rp, *hit
+        res1, res2 = {t % q1 for t in tails1}, {t % q2 for t in tails2}
+        for j, (a1, a2) in enumerate(zip(_sums(rows1), _sums(rows2))):
+            if j and (-a1 % q1 in res1 or -a2 % q2 in res2
+                      or [(a1 + t) // q1 for t in tails1] != [(a2 + t) // q2 for t in tails2]):
+                i, side = _block_difference(q1, a1, tails1, q2, a2, tails2)
+                return rp, j * len(tails1) + i, side
+    return None
+
+
+def _block_difference(q1, a1, tails1, q2, a2, tails2):
+    """(i, side) at a block's first wall a + tails[i] where the systems part."""
+    for i, (t1, t2) in enumerate(zip(tails1, tails2)):
+        v1, v2 = a1 + t1, a2 + t2
+        if not v1 % q1 or not v2 % q2 or v1 // q1 != v2 // q2:
+            return i, 1 if not v1 % q1 else 2 if not v2 % q2 else 0
     return None
 
 

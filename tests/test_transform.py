@@ -779,6 +779,36 @@ def test_sector_loop_matches_old_loops(key, d, den, data):
     assert _rep_texts(kept) == _rep_texts([t for t in want if keeps(t)])
 
 
+_FILTER_MODELS = [
+    ("plain", 1, 2), ("plain", 6, 2), ("plain", 1, 3), ("plain", 4, 3), ("plain", 1, 4),
+    ("plain", 3, 4), ("cyclic", 3, 2), ("cyclic", 3, 3), ("cyclic", 2, 4), ("rotation", 3, 3),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_FILTER_MODELS), st.integers(-3, 3), st.integers(0, 2**16))
+def test_chamber_filter_matches_oracle_filter(key, d, seed):
+    """The filter on acted half-sums against same_chamber on the stepwise
+    action, at ranks 2-4 on 1-6 points: for a generic alpha the kept
+    representatives, and for weights over one small denominator, often on
+    a wall, each verdict or NotGeneric wall."""
+    m = _action_model(key)
+    rng = random.Random(seed)
+    alpha = rand_generic_weights(rng, m)
+    want = oracle_chamber_filter(t_d_quotient_reps(d, m), alpha)
+    assert _rep_texts(stabilizer_d_alpha_quotient(d, alpha, m)) == _rep_texts(want)
+    den = rng.choice((2, 3, 4)) * m.rank
+    w = WeightSystem(
+        {x: (0,) + tuple(Fraction(k, den) for k in sorted(rng.sample(range(1, den), m.rank - 1)))
+         for x in m.point_names},
+        m.rank,
+    )
+    keeps = chamber_predicate(w)
+    for rep in t_d_quotient_reps(d, m):
+        want = _verdict(lambda: same_chamber(oracle_act_weights(rep, w), w))
+        assert _verdict(lambda: keeps(rep)) == want
+
+
 def _outcome(fn):
     try:
         return _rep_texts(fn())

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -23,7 +24,8 @@ from partrans.errors import (
     ShapeMismatch,
     UnknownPoint,
 )
-from partrans.weights import WallDatum, _dp_witness, _wall_count
+from partrans import weights
+from partrans.weights import WallDatum, _wall, _wall_at, _wall_count, _walls
 
 from conftest import model_elliptic2, model_g2r3, rand_generic_weights
 
@@ -75,6 +77,73 @@ def oracle_same_chamber(w1, w2):
         if wall1.value.__floor__() != wall2.value.__floor__():
             return False
     return True
+
+
+# -- the earlier integer algorithms -----------------------------------------
+# Walls streamed one Python step each from the product of the per-point
+# tables, and the residue DP over all points: the paths the meet-in-the-
+# middle search and the half-sum blocks of partrans.weights replaced.
+
+
+def _wall_tables(w):
+    """(q, tables): tables[r' - 1] holds every point's wall-table row of subrank r'."""
+    walls = _walls(w)
+    return walls.q, [walls.rows(rp) for rp in range(1, w.rank)]
+
+
+def _scaled_walls(tables):
+    """q times every wall value of one subrank, streamed in wall order."""
+    return map(sum, itertools.product(*tables))
+
+
+def _first_integral_wall(w):
+    """The first wall in wall order with an integral value, or None."""
+    q, tables = _wall_tables(w)
+    for rp, per_point in enumerate(tables, 1):
+        for i, v in enumerate(_scaled_walls(per_point)):
+            if v % q == 0:
+                return _wall_at(w, rp, i)
+    return None
+
+
+def _dp_witness(w):
+    """Residue dynamic program over all points: per point the residues mod
+    q reachable by the wall tables, each with its least digit path; the
+    witness is the first integral wall that enumeration finds."""
+    q, tables = _wall_tables(w)
+    for rp, per_point in enumerate(tables, 1):
+        paths = {0: ()}
+        for table in per_point:
+            moves = {}
+            for d, v in enumerate(table):
+                moves.setdefault(v % q, d)
+            nxt = {}
+            for res, path in paths.items():
+                for c, d in moves.items():
+                    nr = (res + c) % q
+                    if nr not in nxt:
+                        nxt[nr] = path + (d,)
+            paths = nxt
+        if 0 in paths:
+            return _wall(w, rp, paths[0])
+    return None
+
+
+def _first_wall_difference(q1, tables1, q2, tables2):
+    """(r', index, side) where two same-shape systems first part, from
+    their per-point wall tables: side 1 or 2 for an integral wall of that
+    system, checked in that order, 0 for differing floors; or None."""
+    for rp, (t1, t2) in enumerate(zip(tables1, tables2), 1):
+        for i, (v1, v2) in enumerate(zip(_scaled_walls(t1), _scaled_walls(t2))):
+            f1, m1 = divmod(v1, q1)
+            if not m1:
+                return rp, i, 1
+            f2, m2 = divmod(v2, q2)
+            if not m2:
+                return rp, i, 2
+            if f1 != f2:
+                return rp, i, 0
+    return None
 
 
 W13_14 = lambda: ws(2, p=(0, "1/3"), q=(0, "1/4"))
@@ -268,11 +337,172 @@ def test_integer_walls_match_fraction_oracle(pair):
     assert _same(got, oracle_same_chamber(w1, w2))
 
 
-def _generic_rank3_eight_points():
+# -- the half-sum kernel against the earlier integer algorithms -------------
+
+
+@st.composite
+def wide_pairs(draw):
+    """A weight system of rank 2-4 on 1-8 points (at most 6 at rank 4) and a
+    second one on the same points: independent or a small shift."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 8 if r < 4 else 6))
+
+    def system():
+        entries = {}
+        for i in range(n):
+            den = draw(st.sampled_from((5, 6, 8, 9, 12, 97)))
+            nums = draw(st.lists(st.integers(1, den - 1), min_size=r - 1, max_size=r - 1, unique=True))
+            entries[f"x{i}"] = (Fraction(0),) + tuple(Fraction(k, den) for k in sorted(nums))
+        return WeightSystem(entries, r)
+
+    w1 = system()
+    if draw(st.booleans()):
+        return w1, system()
+    step = Fraction(draw(st.integers(1, 3)), 10007)
+    return w1, WeightSystem({x: (0,) + tuple(v + step for v in vec[1:]) for x, vec in w1.entries}, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_pairs())
+def test_walls_match_the_earlier_integer_algorithms(pair):
+    _check_against_earlier_algorithms(*pair)
+
+
+def test_walls_match_the_earlier_integer_algorithms_on_random_systems():
+    rng = random.Random(71)
+    for _ in range(300):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(1, 5)
+        pair = []
+        for _ in range(2):
+            entries = {}
+            for i in range(n):
+                den = rng.choice((4, 5, 6, 7, 8, 9, 12))
+                nums = sorted(rng.sample(range(1, den), r - 1))
+                entries[f"x{i}"] = (Fraction(0),) + tuple(Fraction(k, den) for k in nums)
+            pair.append(WeightSystem(entries, r))
+        _check_against_earlier_algorithms(*pair)
+
+
+def _check_against_earlier_algorithms(w1, w2):
+    """is_generic, chamber_fingerprint and same_chamber against the DP, the
+    product-stream enumeration and its comparison, for systems with at
+    most 20000 walls; beyond that is_generic against the DP alone."""
+    ok, witness = is_generic(w1)
+    dp = _dp_witness(WeightSystem(w1.entries, w1.rank))
+    assert ok == (dp is None)
+    assert _same(witness, dp)
+    if _wall_count(w1) > 20000:
+        return
+    assert _same(witness, _first_integral_wall(w1))
+    q, tables = _wall_tables(w1)
+    want = dp if dp is not None else tuple(v // q for t in tables for v in _scaled_walls(t))
+    assert _same(_outcome(lambda: chamber_fingerprint(w1).floors), want)
+    hit = _first_wall_difference(*_wall_tables(w1), *_wall_tables(w2))
+    if hit is None:
+        want = True
+    else:
+        rp, i, side = hit
+        want = _wall_at(w1 if side == 1 else w2, rp, i) if side else False
+    assert _same(_outcome(lambda: same_chamber(w1, w2)), want)
+
+
+def _flip_tables(r, n, flip=None):
+    """(q, tables) of a made-up integer system of rank r on n points, in
+    the form of _wall_tables. Wall W of every subrank has value 2W + 1 over
+    an even q above every value: every floor is 0 and no wall is integral.
+    With flip = (r', F, integral), every wall of subrank r' from F on has
+    floor 1 instead, and wall F is integral when `integral` is true."""
+    q = 2 * (max(math.comb(r, rp) for rp in range(1, r)) ** n + 1)
+    tables = []
+    for rp in range(1, r):
+        c = math.comb(r, rp)
+        rows = [[2 * d * c ** (n - 1 - k) for d in range(c)] for k in range(n)]
+        shift = 1
+        if flip is not None and flip[0] == rp:
+            shift += q - 2 * flip[1] - flip[2]
+        tables.append([[v + shift for v in rows[0]]] + rows[1:])
+    return q, tables
+
+
+def _kernel(q1, tables1, q2, tables2):
+    """weights._first_wall_difference on the halves of two _wall_tables."""
+    def halves(tables):
+        return [(rows[: len(rows) // 2], weights._sums(rows[len(rows) // 2 :])) for rows in tables]
+
+    return weights._first_wall_difference(q1, halves(tables1), q2, halves(tables2))
+
+
+def _scaled(q, tables, m):
+    return q * m, [[[v * m for v in row] for row in rows] for rows in tables]
+
+
+def test_flip_tables_part_where_built():
+    # rank 3 on 4 points: per subrank 81 walls in 9 blocks of 9
+    none = _flip_tables(3, 4)
+    cases = [
+        ((1, 18, 0), None, (1, 18, 0)),  # the first wall of block 2
+        ((1, 26, 0), None, (1, 26, 0)),  # the last wall of block 2
+        (None, (2, 26, 1), (2, 26, 2)),
+        ((1, 21, 1), (1, 20, 0), (1, 20, 0)),  # block 2: a floor, then an integral wall
+        ((1, 20, 1), (1, 21, 0), (1, 20, 1)),
+        ((1, 20, 1), (1, 20, 0), (1, 20, 1)),  # one wall: w1 integral before the floors
+        ((1, 22, 0), (1, 22, 1), (1, 22, 2)),  # one wall: w2 integral before the floors
+        ((1, 20, 1), (1, 20, 1), (1, 20, 1)),
+        ((1, 20, 0), (1, 20, 0), None),  # both floors step up together
+    ]
+    for flip1, flip2, want in cases:
+        t1 = _flip_tables(3, 4, flip1) if flip1 else none
+        t2 = _flip_tables(3, 4, flip2) if flip2 else none
+        assert _first_wall_difference(*t1, *t2) == want
+        assert _kernel(*t1, *t2) == want
+        assert _kernel(*_scaled(*t1, 3), *t2) == want
+
+
+@st.composite
+def flip_pairs(draw):
+    """Two made-up systems of one shape (see _flip_tables), rank 2-4 on 1-8
+    points, each with or without a floor step at the first wall, the last
+    wall or some wall of one block, integral or not; the second scaled."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 8 if r < 4 else 5))
+    rp = draw(st.integers(1, r - 1))
+    c = math.comb(r, rp)
+    width = c ** (n - n // 2)
+    block = draw(st.integers(0, c ** (n // 2) - 1))
+
+    def flip():
+        at = draw(st.sampled_from(("none", "first", "last", "inside", "elsewhere")))
+        if at == "none":
+            return None
+        if at == "elsewhere":
+            return draw(st.integers(1, r - 1)), draw(st.integers(0, c ** n - 1)), draw(st.integers(0, 1))
+        i = {"first": 0, "last": width - 1}.get(at)
+        if i is None:
+            i = draw(st.integers(0, width - 1))
+        return rp, block * width + i, draw(st.integers(0, 1))
+
+    flip1, flip2 = flip(), flip()
+    if flip1 and flip1[1] >= math.comb(r, flip1[0]) ** n:
+        flip1 = None
+    if flip2 and flip2[1] >= math.comb(r, flip2[0]) ** n:
+        flip2 = None
+    return _flip_tables(r, n, flip1), _scaled(*_flip_tables(r, n, flip2), draw(st.integers(1, 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flip_pairs())
+def test_block_kernel_parts_where_the_product_stream_does(pair):
+    t1, t2 = pair
+    assert _kernel(*t1, *t2) == _first_wall_difference(*t1, *t2)
+    assert _kernel(*t2, *t1) == _first_wall_difference(*t2, *t1)
+
+
+def _generic_rank3(points):
     rng = random.Random(53)
     for _ in range(60):
         entries = {}
-        for i in range(8):
+        for i in range(points):
             den = rng.choice((101, 103, 107, 109))
             nums = sorted(rng.sample(range(1, den), 2))
             entries[f"x{i}"] = (Fraction(0),) + tuple(Fraction(k, den) for k in nums)
@@ -293,10 +523,37 @@ def _best_ms(fn, w, repeat=3):
 
 
 def test_rank3_eight_point_walls_are_fast():
-    w = _generic_rank3_eight_points()
+    w = _generic_rank3(8)
     assert _wall_count(w) == 2 * 3**8
     assert _best_ms(is_generic, w) < 50
     assert _best_ms(lambda fresh: same_chamber(fresh, fresh), w) < 100
+
+
+def _primes_from(low, count):
+    primes = []
+    p = low
+    while len(primes) < count:
+        if all(p % k for k in range(2, math.isqrt(p) + 1)):
+            primes.append(p)
+        p += 1
+    return primes
+
+
+def test_is_generic_rank2_thirty_coprime_points_is_fast():
+    # 2^30 walls, each of value +-1/p summed over 30 primes p >= 1000: no
+    # wall is integral, and the search meets 2^15 residues per half. Best
+    # of 3 about 0.18 s on a shared 2-core host with Python 3.11
+    w = WeightSystem({f"x{i}": (0, Fraction(1, p)) for i, p in enumerate(_primes_from(1000, 30))}, 2)
+    assert _wall_count(w) == 2**30
+    assert is_generic(w) == (True, None)
+    assert _best_ms(is_generic, w) < 500
+
+
+def test_is_generic_rank3_ten_points_is_fast():
+    # 2 * 3^10 walls, generic; best of 3 about 0.8 ms on the same host
+    w = _generic_rank3(10)
+    assert _wall_count(w) == 2 * 3**10
+    assert _best_ms(is_generic, w) < 5
 
 
 def test_same_chamber_honours_the_cap():
