@@ -128,7 +128,7 @@ def _weights_text(w):
 
 
 def _class_text(c):
-    return "(%d, [%s])" % (c.degree, ", ".join(frac_to_str(v) for v in c.jac))
+    return "(%d, [%s])" % (c.degree, ", ".join(c.jac.texts()))
 
 
 # -- subcommands ---------------------------------------------------------

@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 
 from .errors import ConfigError, DimensionMismatch, ModelError, UnknownAutomorphism, UnknownPoint
-from .intmat import det_int, identity_matrix, mat_mul
+from .intmat import det_int, identity_matrix, inverse_unimodular, mat_mul
 from .picard import JacobianElement, LineBundleClass, affine_image, pullback
 
 
@@ -93,6 +93,7 @@ class CurveModel:
         self._identity_name = identity.name if identity is not None else None
         self._compose = []
         self._inverse = []
+        self._conjugators = {}
         for a in self.automorphisms:
             row = []
             inverse = None
@@ -126,6 +127,15 @@ class CurveModel:
 
     def has_automorphism(self, name):
         return name in self._auto_pos
+
+    def conjugator(self, name):
+        """(M, columns of M^{-1}) for the named automorphism's linear part,
+        None for the identity; built once per name."""
+        if name not in self._conjugators:
+            m = self.automorphism(name).matrix
+            identity = m == tuple(map(tuple, identity_matrix(len(m))))
+            self._conjugators[name] = None if identity else (m, list(zip(*inverse_unimodular(m))))
+        return self._conjugators[name]
 
     # -- structural identity and table arithmetic ------------------------
 

@@ -29,7 +29,6 @@ from .intmat import solve_integer_system
 from .picard import (
     JacobianElement,
     LineBundleClass,
-    frac_to_str,
     make_jac_aut,
     of_divisor,
 )
@@ -556,5 +555,4 @@ def _line_text(model, line):
     dv = divisor_form(model, line)
     if dv is not None:
         return f"T(O({_divisor_text(model, dv)}))"
-    coords = ", ".join(frac_to_str(c) for c in line.jac)
-    return f"T({line.degree}, [{coords}])"
+    return f"T({line.degree}, [{', '.join(line.jac.texts())}])"

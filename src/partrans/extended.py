@@ -7,16 +7,15 @@ degree-zero correction tensor; both steps are exact.
 """
 
 from itertools import compress
+from operator import mul
 
 from .errors import ExtendedCompositionError, NotGeneric, ShapeMismatch
-from .intmat import inverse_unimodular, mat_mul, mat_vec, zero_matrix
+from .intmat import mat_vec, zero_matrix
 from .picard import (
     DEFAULT_ENUM_CAP,
     JacobianAutomorphism,
     JacobianElement,
     LineBundleClass,
-    apply_jac_aut_line,
-    frac_to_str,
     jac_aut_inverse,
     lincomb,
     tilde_compose,
@@ -28,13 +27,16 @@ from .transform import (
     act_det,
     act_invariant,
     chamber_predicate,
+    _check_weights_rank,
     compose,
     describe,
     identity_transform,
     inverse,
+    normalize_word,
     _degree_sectors,
     _hecke_tuples,
     _sector_transforms,
+    _word_of,
 )
 from .weights import is_generic
 
@@ -94,10 +96,10 @@ class ExtendedTransformation:
 
 
 def describe_ext(e):
-    rows = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in e.rho.tilde)
     base = describe(e.basic)
     if e.rho.is_identity():
         return base
+    rows = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in e.rho.tilde)
     return f"A[{rows}] * {base}"
 
 
@@ -109,10 +111,7 @@ def default_ref_det(model, d=None):
 
 
 def identity_ext(model, ref_det=None):
-    if ref_det is None:
-        ref_det = default_ref_det(model)
-    rho = JacobianAutomorphism(zero_matrix(2 * model.genus), model.rank)
-    return ExtendedTransformation(rho, identity_transform(model), ref_det)
+    return lift_basic(identity_transform(model), ref_det)
 
 
 def lift_basic(t, ref_det=None):
@@ -137,7 +136,7 @@ def act_A(rho, xi, v):
         0, JacobianElement.from_nums(mat_vec(rho.tilde, delta.jac.nums), delta.jac.den)
     )
     det_new = lincomb([(v.det, 1), (twist, v.rank)])
-    note = "A-twist(0, [" + ", ".join(frac_to_str(c) for c in twist.jac) + "])"
+    note = "A-twist(0, [" + ", ".join(twist.jac.texts()) + "])"
     label = v.label + "|" + note if v.label else note
     return ParabolicInvariant(v.rank, det_new, v.weights, label)
 
@@ -153,13 +152,23 @@ def act_ext(e, v):
 
 def conjugate_tilde(model, sigma_name, rho):
     """Jacobian part of sigma-pullback conjugation: tilde becomes
-    M_sigma . tilde . M_sigma^{-1} (translations cancel on degree zero)."""
-    a = model.automorphism(sigma_name)
-    ms = [list(row) for row in a.matrix]
-    ms_inv = inverse_unimodular(ms)
-    m = mat_mul(mat_mul(ms, [list(row) for row in rho.tilde]), ms_inv)
-    # id + r * m = M_sigma (id + r * tilde) M_sigma^{-1} is unimodular
-    return JacobianAutomorphism(m, rho.r)
+    M_sigma . tilde . M_sigma^{-1} (translations cancel on degree zero);
+    a known inverse of rho is conjugated along."""
+    pair = model.conjugator(sigma_name)
+    if pair is None:
+        return rho
+    ms, inv_cols = pair
+
+    def conj(tilde):
+        left = [[sum(map(mul, row, col)) for col in zip(*tilde)] for row in ms]
+        rows = [[sum(map(mul, row, col)) for col in inv_cols] for row in left]
+        return JacobianAutomorphism(rows, rho.r)
+
+    out = conj(rho.tilde)
+    if rho._inv is not None:
+        inv = conj(rho._inv.tilde)
+        out._inv, inv._inv = inv, out
+    return out
 
 
 def compose_ext(e1, e2):
@@ -167,7 +176,9 @@ def compose_ext(e1, e2):
 
     The inner Jacobian part is conjugated through e1's basic part; the
     interchange emits the correction tensor tilde(rho_c)(xi - T1(xi)),
-    which is well defined only when T1 fixes the reference degree.
+    which is well defined only when T1 fixes the reference degree. Pulled
+    inside, rho_c^{-1}(M delta) with M = tilde(rho_c) commuting with
+    (id + rM)^{-1} is M (id + rM)^{-1} delta = tilde(rho_c^{-1}) (T1(xi) - xi).
     """
     if e1.basic.model is not e2.basic.model:
         raise ShapeMismatch("cannot compose extended transformations over different models")
@@ -185,16 +196,14 @@ def compose_ext(e1, e2):
             f"degree ({xi.degree} -> {txi.degree})"
         )
     rho_c = conjugate_tilde(model, t1.sigma, e2.rho)
-    delta = lincomb([(xi, 1), (txi, -1)])
-    correction = LineBundleClass(
-        0, JacobianElement.from_nums(mat_vec(rho_c.tilde, delta.jac.nums), delta.jac.den)
+    moved = txi.jac - xi.jac
+    pulled_in = LineBundleClass(
+        0, JacobianElement.from_nums(mat_vec(jac_aut_inverse(rho_c).tilde, moved.nums), moved.den)
     )
-    pulled_in = apply_jac_aut_line(jac_aut_inverse(rho_c), correction)
     t_corr = BasicTransformation(model, model.identity_name, 1, pulled_in, Divisor())
-    new_rho = JacobianAutomorphism(
-        tilde_compose(e1.rho.tilde, rho_c.tilde, model.rank), model.rank
-    )
-    new_basic = compose(t_corr, compose(t1, e2.basic))
+    new_rho = rho_c if e1.rho.is_identity() else JacobianAutomorphism(
+        tilde_compose(e1.rho.tilde, rho_c.tilde, model.rank), model.rank)
+    new_basic = normalize_word(model, _word_of(t_corr) + _word_of(t1) + _word_of(e2.basic))
     return ExtendedTransformation(new_rho, new_basic, xi)
 
 
@@ -224,6 +233,7 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
     """
     from .dsl import format_canonical
 
+    _check_weights_rank(alpha, model)
     ok, witness = is_generic(alpha, cap)
     if not ok:
         raise NotGeneric(witness)

@@ -12,6 +12,7 @@ division by r) is an integer pass followed by a single reduction.
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import EnumerationCapExceeded, NotInvertible, ShapeMismatch
 from .intmat import (
@@ -19,7 +20,6 @@ from .intmat import (
     identity_matrix,
     inverse_unimodular,
     mat_add,
-    mat_mul,
     mat_scale,
     mat_vec,
 )
@@ -116,11 +116,16 @@ class JacobianElement:
                 f"coordinate lengths differ: {len(self.nums)} vs {len(other.nums)}"
             )
 
-    def to_json(self):
-        return [frac_to_str(c) for c in self.coords]
+    def texts(self):
+        """Each coordinate as str(Fraction) writes it, from the integers."""
+        den = self.den
+        gcds = map(math.gcd, self.nums, itertools.repeat(den))
+        return [f"{n // g}/{den // g}" if n else "0" for n, g in zip(self.nums, gcds)]
+
+    to_json = texts
 
     def __repr__(self):
-        return "JacobianElement(%s)" % (", ".join(frac_to_str(c) for c in self.coords))
+        return "JacobianElement(%s)" % ", ".join(self.texts())
 
 
 def affine_image(matrix, j, t, k=1):
@@ -237,20 +242,18 @@ def pullback(sigma, c):
 class JacobianAutomorphism:
     """rho = id + r * tilde, an automorphism of (Q/Z)^{2g} fixing J[r].
 
-    The constructor is the trusted path: it assumes id + r * tilde is
-    unimodular and takes no determinant. It is called directly only on
-    matrices derived from automorphisms already held, which are unimodular
-    by construction: the zero matrix, a composite (tilde_compose), a
-    conjugate by a unimodular matrix (extended.conjugate_tilde) and an
-    inverse (jac_aut_inverse). Every other matrix, user input in
-    particular, goes through make_jac_aut, which checks.
+    The constructor is the trusted path: it takes rows of ints and r as
+    they are, with no determinant. Its callers build unimodular id + r * tilde
+    by construction (the zero matrix, tilde_compose, a conjugate in
+    extended.conjugate_tilde, jac_aut_inverse); user input goes through
+    make_jac_aut, which checks. `_inv` memoizes the inverse; it is not part
+    of ==, hash, repr or to_json.
     """
 
-    __slots__ = ("tilde", "r")
+    __slots__ = ("tilde", "r", "_inv")
 
     def __init__(self, tilde, r):
-        self.tilde = tuple(tuple(int(x) for x in row) for row in tilde)
-        self.r = int(r)
+        self.tilde, self.r, self._inv = tuple(map(tuple, tilde)), r, None
 
     @property
     def dim(self):
@@ -286,7 +289,7 @@ def make_jac_aut(m, r):
     d = det_int(full)
     if d not in (1, -1):
         raise NotInvertible(d)
-    return JacobianAutomorphism(entries, r)
+    return JacobianAutomorphism(entries, int(r))
 
 
 def apply_jac_aut(rho, j):
@@ -304,17 +307,22 @@ def apply_jac_aut_line(rho, c):
 
 def tilde_compose(m1, m2, r):
     """Tilde matrix of rho1 o rho2 where m1 belongs to the outer factor:
-    M1 + M2 + r * M1 M2."""
-    a = [list(map(int, row)) for row in m1]
-    b = [list(map(int, row)) for row in m2]
-    return mat_add(mat_add(a, b), mat_scale(r, mat_mul(a, b)))
+    M1 + M2 + r * M1 M2, as a tuple of integer rows."""
+    cols = list(zip(*m2))
+    return tuple(
+        tuple(x + y + r * sum(map(mul, ra, col)) for x, y, col in zip(ra, rb, cols))
+        for ra, rb in zip(m1, m2)
+    )
 
 
 def jac_aut_inverse(rho):
-    """Inverse automorphism; its tilde is -M (id + r M)^{-1}, still integral."""
-    m = [list(row) for row in rho.tilde]
-    n = len(m)
-    full = mat_add(identity_matrix(n), mat_scale(rho.r, m))
-    inv = inverse_unimodular(full)
-    tilde = mat_scale(-1, mat_mul(m, inv))
-    return JacobianAutomorphism(tilde, rho.r)
+    """Inverse automorphism, memoized both ways; its tilde is
+    -M (id + r M)^{-1}, still integral."""
+    if rho._inv is None:
+        m, r = rho.tilde, rho.r
+        cols = list(zip(*inverse_unimodular(
+            [[r * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+        )))
+        inv = JacobianAutomorphism([[-sum(map(mul, row, col)) for col in cols] for row in m], r)
+        rho._inv, inv._inv = inv, rho
+    return rho._inv

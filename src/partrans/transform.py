@@ -20,7 +20,6 @@ from .picard import (
     JacobianElement,
     LineBundleClass,
     divide_by_r,
-    frac_to_str,
     lincomb,
     of_divisor,
     pullback,
@@ -192,8 +191,7 @@ def describe(t):
     if t.s == -1:
         parts.append("D-")
     if not t.line.is_trivial():
-        coords = ", ".join(frac_to_str(c) for c in t.line.jac)
-        parts.append(f"T({t.line.degree}, [{coords}])")
+        parts.append(f"T({t.line.degree}, [{', '.join(t.line.jac.texts())}])")
     if not t.hecke.is_zero():
         terms = " + ".join(
             f"{t.hecke.get(name)}*{name}"
@@ -433,11 +431,11 @@ def act_weights(t, w):
     """Hecke steps at every point, optional dualization, then relabeling.
 
     The output weights at y are the processed weights at sigma(y), matching
-    the fiber of the pullback bundle and the determinant convention. Each
-    vector is built in one pass by weights._act_vector.
+    the fiber of the pullback bundle and the determinant convention. Vectors
+    come out canonical from weights._act_vector, so WeightSystem._trusted holds them.
     """
     vecs = dict(w.entries)
-    return WeightSystem(
+    return WeightSystem._trusted(
         tuple(
             (y, tuple(_act_vector(vecs[x], k, t.s, 1)))
             for y, (x, k) in zip(vecs, _weight_sources(t, vecs))
@@ -493,6 +491,7 @@ class _ChamberTest:
         positions, and tails caches the acted tails (see _acted)."""
         plan = self.plans.get((auto, s))
         if plan is None:
+            _check_weights_rank(self.alpha, model)
             perm = auto.point_perm
             src = tuple(perm.get(y, y) for y in self.ints)
             missing = next((x for x in src if x not in self.ints), None)
@@ -605,6 +604,11 @@ class _ChamberTest:
         if side:
             raise NotGeneric(_wall_at(act_weights(make(), self.alpha) if side == 1 else self.alpha, rp, i))
         return False
+
+
+def _check_weights_rank(alpha, model):
+    if alpha.rank is not None and alpha.rank != model.rank:
+        raise ShapeMismatch(f"weights rank {alpha.rank} does not match model rank {model.rank}")
 
 
 def chamber_predicate(alpha, cap=DEFAULT_ENUM_CAP):
@@ -760,6 +764,7 @@ def t_d_quotient_reps(d, model, cap=DEFAULT_ENUM_CAP):
 def stabilizer_d_alpha_quotient(d, alpha, model, cap=DEFAULT_ENUM_CAP):
     """Chamber-filtered representatives of the degree stabilizer; a
     representative is built only for a sector the filter keeps."""
+    _check_weights_rank(alpha, model)
     ok, witness = is_generic(alpha, cap)
     if not ok:
         raise NotGeneric(witness)

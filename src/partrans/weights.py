@@ -52,6 +52,14 @@ class WeightSystem:
         self.rank = rank
         self._walls = None
 
+    @classmethod
+    def _trusted(cls, entries, rank):
+        """From canonical entries, with nothing converted or checked."""
+        self = object.__new__(cls)
+        self.entries, self.rank, self._walls = entries, rank, None
+        self.point_names = tuple(name for name, _ in entries)
+        return self
+
     def vector(self, name):
         for n, vec in self.entries:
             if n == name:

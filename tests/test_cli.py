@@ -374,6 +374,21 @@ def test_aut_report_json(files, capsys):
     assert doc["jacobian_layer"]["genus"] == 6
 
 
+def test_weights_of_another_rank_exit_2(files, tmp_path, capsys):
+    model = _write(tmp_path, "r3.json", {
+        "genus": 1,
+        "rank": 3,
+        "degree": 0,
+        "points": [{"name": "p", "jac": ["0", "0"]}, {"name": "q", "jac": ["1/3", "0"]}],
+    })
+    for argv in (("stabilizer", "d-alpha"), ("aut-report",)):
+        rc, out, err = run(
+            capsys, *argv, "--model", model, "--degree", "0", "--weights", files["wb"]
+        )
+        assert (rc, out) == (2, "")
+        assert err.endswith("\nerror: weights rank 2 does not match model rank 3\n")
+
+
 # -- decisions -----------------------------------------------------------
 
 

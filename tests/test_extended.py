@@ -7,12 +7,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partrans import (
     BasicTransformation,
     Divisor,
     ExtendedCompositionError,
     ExtendedTransformation,
+    JacobianAutomorphism,
     JacobianElement,
     LineBundleClass,
     NotGeneric,
@@ -20,6 +22,7 @@ from partrans import (
     ShapeMismatch,
     WeightSystem,
     act_A,
+    act_det,
     act_ext,
     act_invariant,
     apply_jac_aut_line,
@@ -32,6 +35,7 @@ from partrans import (
     describe_ext,
     eval_expression,
     ext_inverse,
+    frac_to_str,
     identity_ext,
     identity_transform,
     inverse,
@@ -40,17 +44,28 @@ from partrans import (
     lincomb,
     make_basic,
     make_jac_aut,
+    stabilizer_d_alpha_quotient,
+    subgroup_membership,
     tilde_compose,
 )
-from partrans import picard
+from partrans import curve, picard
 from partrans.dsl import format_canonical
 from partrans.errors import NotInvertible
-from partrans.intmat import inverse_unimodular, mat_mul, zero_matrix
+from partrans.intmat import (
+    identity_matrix,
+    inverse_unimodular,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    mat_vec,
+    zero_matrix,
+)
 from partrans.transform import chamber_predicate
 from partrans.weights import is_generic
 from conftest import (
     build_model,
     model_cyclic,
+    model_order4,
     rand_generic_weights,
     rand_basic,
     rand_invariant,
@@ -470,3 +485,202 @@ def test_user_jacobian_parts_are_still_checked(elliptic2):
     assert err.value.det == 3  # det [[3, 0], [0, 1]]
     with pytest.raises(NotInvertible):
         eval_expression("A[[1,0],[0,0]] * D-", elliptic2)
+
+
+# -- the integer paths against the code they replaced ----------------------
+
+
+def oracle_conjugate_tilde(model, sigma_name, rho):
+    """M_sigma . tilde . M_sigma^{-1}, inverting M_sigma on every call."""
+    ms = [list(row) for row in model.automorphism(sigma_name).matrix]
+    m = mat_mul(mat_mul(ms, [list(row) for row in rho.tilde]), inverse_unimodular(ms))
+    return JacobianAutomorphism(m, rho.r)
+
+
+def oracle_jac_aut_inverse(rho):
+    """-M (id + r M)^{-1} through the full matrix id + r M."""
+    m = [list(row) for row in rho.tilde]
+    full = mat_add(identity_matrix(len(m)), mat_scale(rho.r, m))
+    return JacobianAutomorphism(mat_scale(-1, mat_mul(m, inverse_unimodular(full))), rho.r)
+
+
+def oracle_compose_ext(e1, e2):
+    """The interchange step by step: the correction tilde(rho_c)(xi - T1(xi)),
+    pulled inside by applying rho_c^{-1}, then two compose calls."""
+    model, xi, t1 = e1.model, e1.ref_det, e1.basic
+    if e2.rho.is_identity():
+        return ExtendedTransformation(e1.rho, compose(t1, e2.basic), xi)
+    txi = act_det(t1, xi)
+    rho_c = oracle_conjugate_tilde(model, t1.sigma, e2.rho)
+    delta = lincomb([(xi, 1), (txi, -1)])
+    correction = LineBundleClass(
+        0, JacobianElement.from_nums(mat_vec(rho_c.tilde, delta.jac.nums), delta.jac.den)
+    )
+    pulled_in = apply_jac_aut_line(oracle_jac_aut_inverse(rho_c), correction)
+    t_corr = BasicTransformation(model, model.identity_name, 1, pulled_in, Divisor())
+    new_rho = make_jac_aut(tilde_compose(e1.rho.tilde, rho_c.tilde, model.rank), model.rank)
+    return ExtendedTransformation(new_rho, compose(t_corr, compose(t1, e2.basic)), xi)
+
+
+def oracle_ext_inverse(e):
+    left = lift_basic(inverse(e.basic), e.ref_det)
+    right = ExtendedTransformation(
+        oracle_jac_aut_inverse(e.rho), identity_transform(e.model), e.ref_det
+    )
+    return oracle_compose_ext(left, right)
+
+
+def oracle_coords(cls):
+    return [frac_to_str(c) for c in cls.jac.coords]
+
+
+def oracle_describe_ext(e):
+    """describe_ext with every coordinate written by frac_to_str."""
+    t = e.basic
+    parts = []
+    if t.sigma != t.model.identity_name:
+        parts.append(f"S({t.sigma})")
+    if t.s == -1:
+        parts.append("D-")
+    if not t.line.is_trivial():
+        parts.append(f"T({t.line.degree}, [{', '.join(oracle_coords(t.line))}])")
+    if not t.hecke.is_zero():
+        terms = " + ".join(
+            f"{t.hecke.get(x)}*{x}" for x in t.model.point_names if t.hecke.get(x)
+        )
+        parts.append(f"H({terms})")
+    base = " * ".join(parts) if parts else "id"
+    rows = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in e.rho.tilde)
+    return base if e.rho.is_identity() else f"A[{rows}] * {base}"
+
+
+def oracle_json(e):
+    def line(c):
+        return {"degree": c.degree, "jac": oracle_coords(c)}
+
+    t = e.basic
+    return {
+        "rho_tilde": [list(row) for row in e.rho.tilde],
+        "basic": {"sigma": t.sigma, "s": t.s, "line": line(t.line), "hecke": t.hecke.to_json()},
+        "ref_det": line(e.ref_det),
+    }
+
+
+def oracle_act_ext(e, v):
+    moved = act_invariant(e.basic, v)
+    if e.rho.is_identity():
+        return moved
+    delta = lincomb([(moved.det, 1), (e.ref_det, -1)])
+    twist = LineBundleClass(
+        0, JacobianElement.from_nums(mat_vec(e.rho.tilde, delta.jac.nums), delta.jac.den)
+    )
+    note = "A-twist(0, [" + ", ".join(oracle_coords(twist)) + "])"
+    label = moved.label + "|" + note if moved.label else note
+    return ParabolicInvariant(
+        v.rank, lincomb([(moved.det, 1), (twist, v.rank)]), moved.weights, label
+    )
+
+
+def assert_same_ext(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.to_json() == oracle_json(want)
+    assert describe_ext(got) == oracle_describe_ext(want)
+    assert repr(got) == f"ExtendedTransformation({oracle_describe_ext(want)!r})"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(3)), st.integers(0, 2**32 - 1), st.booleans())
+def test_extended_group_matches_the_oracles(g2r3, order4, elliptic2, which, seed, memo):
+    """compose_ext, ext_inverse, act_ext and their texts agree with the
+    replaced code, on fresh Jacobian parts and on parts whose inverse is
+    already memoized."""
+    m = (g2r3, order4, elliptic2)[which]
+    rng = random.Random(seed)
+    ref = default_ref_det(m)
+    e1, e2 = rand_ext(rng, m, ref), rand_ext(rng, m, ref)
+    if memo:
+        jac_aut_inverse(e1.rho)
+        jac_aut_inverse(e2.rho)
+    for a in m.automorphisms:
+        conj = conjugate_tilde(m, a.name, e2.rho)
+        assert conj == oracle_conjugate_tilde(m, a.name, e2.rho)
+        assert jac_aut_inverse(conj) == oracle_jac_aut_inverse(conj)
+    assert_same_ext(compose_ext(e1, e2), oracle_compose_ext(e1, e2))
+    assert_same_ext(ext_inverse(e1), oracle_ext_inverse(e1))
+    assert_same_ext(ext_inverse(e1), oracle_ext_inverse(e1))  # now through the memo
+    v = rand_invariant(rng, m, degree=ref.degree)
+    got, want = act_ext(e1, v), oracle_act_ext(e1, v)
+    assert got == want and got.to_json() == want.to_json() and got.label == want.label
+
+
+def _count_inversions(monkeypatch):
+    calls = []
+    for module in (picard, curve):
+        real = module.inverse_unimodular
+        monkeypatch.setattr(
+            module, "inverse_unimodular", lambda a, real=real: calls.append(a) or real(a)
+        )
+    return calls
+
+
+def test_extended_group_inverts_each_matrix_once(g2r3, order4, monkeypatch, rng=random.Random(106)):
+    """Counted work, not timed: once a model's conjugators are built,
+    ext_inverse on a fresh element inverts at most one matrix and none on
+    an element whose inverse is known, and compose_ext at most one."""
+    calls = _count_inversions(monkeypatch)
+    for m in (g2r3, order4):
+        for a in m.automorphisms:
+            m.conjugator(a.name)
+        ref = default_ref_det(m)
+        for _ in range(10):
+            e1, e2 = rand_ext(rng, m, ref), rand_ext(rng, m, ref)
+            calls.clear()
+            ext_inverse(e1)
+            assert len(calls) <= 1
+            calls.clear()
+            ext_inverse(e1)
+            assert calls == []
+            calls.clear()
+            compose_ext(e1, e2)
+            assert len(calls) <= 1
+
+
+def test_conjugators_are_built_once_per_automorphism(monkeypatch, rng=random.Random(107)):
+    m = model_order4()
+    calls = _count_inversions(monkeypatch)
+    rho = rand_rho(rng, m)
+    for _ in range(3):
+        for a in m.automorphisms:
+            conjugate_tilde(m, a.name, rho)
+    assert len(calls) == len(m.automorphisms) - 1  # the identity needs none
+    assert conjugate_tilde(m, m.identity_name, rho) is rho
+
+
+def test_inverse_memo_is_invisible(g2r3, order4, rng=random.Random(108)):
+    for m in (g2r3, order4):
+        ref = default_ref_det(m)
+        for _ in range(10):
+            rho = rand_rho(rng, m)
+            twin = make_jac_aut(rho.tilde, m.rank)
+            inv = jac_aut_inverse(rho)
+            assert jac_aut_inverse(inv) is rho and jac_aut_inverse(rho) is inv
+            assert rho == twin and hash(rho) == hash(twin) and repr(rho) == repr(twin)
+            t = rand_deg_preserving_basic(rng, m, ref.degree)
+            e, e_twin = (ExtendedTransformation(x, t, ref) for x in (rho, twin))
+            assert e == e_twin and e.to_json() == e_twin.to_json() and repr(e) == repr(e_twin)
+
+
+def test_weights_of_another_rank_are_refused(g2r3):
+    """A rank-2 system on the rank-3 model: every chamber filter raises
+    before it looks at a sector."""
+    alpha = WeightSystem({"p": (0, Fraction(1, 3))})
+    t = identity_transform(g2r3)
+    calls = [
+        lambda: stabilizer_d_alpha_quotient(0, alpha, g2r3),
+        lambda: automorphism_group_report(0, alpha, g2r3),
+        lambda: subgroup_membership(t, 0, alpha=alpha),
+        lambda: chamber_predicate(alpha)(t),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeMismatch, match="weights rank 2 does not match model rank 3"):
+            call()

@@ -46,6 +46,20 @@ def test_frac_to_str_exact():
     assert frac_to_str(Fraction(-5, 4)) == "-5/4"
 
 
+def test_texts_write_reduced_coordinates():
+    j = JacobianElement.from_nums([0, 2, 3, 1, 6], 6)
+    assert j.texts() == ["0", "1/3", "1/2", "1/6", "0"]
+    assert JacobianElement.zero(3).texts() == ["0", "0", "0"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8), st.integers(1, 10**5))
+def test_texts_match_frac_to_str(nums, den):
+    j = JacobianElement.from_nums(nums, den)
+    assert j.texts() == [frac_to_str(c) for c in j.coords]
+    assert repr(j) == "JacobianElement(%s)" % ", ".join(frac_to_str(c) for c in j.coords)
+
+
 def test_lincomb_degrees_and_torsion():
     a = LineBundleClass(2, JacobianElement((Fraction(1, 3), Fraction(0))))
     b = LineBundleClass(-1, JacobianElement((Fraction(1, 3), Fraction(1, 2))))

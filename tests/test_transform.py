@@ -433,6 +433,21 @@ def test_act_weights_matches_stepwise_oracle(pair):
     assert dual_weights(w) == oracle_dual(w)
 
 
+@settings(max_examples=80, deadline=None)
+@given(acted_pairs())
+def test_act_weights_trusted_system_matches_the_validating_one(pair):
+    """act_weights skips WeightSystem's conversion and checks; the system
+    it builds equals the validating constructor's on the same entries."""
+    t, w = pair
+    got = act_weights(t, w)
+    want = WeightSystem(got.entries, w.rank)
+    assert got.entries == want.entries and got.point_names == want.point_names
+    assert got.rank == want.rank and got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want) and got.to_json() == want.to_json()
+    assert all(type(x) is Fraction for _, vec in got.entries for x in vec)
+    assert all(type(vec) is tuple for _, vec in got.entries)
+
+
 def _verdict(fn):
     try:
         return fn()
@@ -830,14 +845,14 @@ def test_sector_filter_raises_like_the_old_loop(rng=random.Random(89)):
             for d in (0, 1):
                 want = _outcome(lambda: oracle_chamber_filter(oracle_t_d_quotient_reps(d, m), alpha))
                 assert _outcome(lambda: stabilizer_d_alpha_quotient(d, alpha, m)) == want
-    # weights of another rank: Hecke steps count modulo the weights' rank
+    # weights of another rank are refused before any sector is tested
     m = _action_model(("cyclic", 3, 3))
     for rank in (2, 4):
         other = _action_model(("cyclic", 3, rank))
         alpha = rand_generic_weights(rng, other)
         for d in (0, 2):
-            want = _outcome(lambda: oracle_chamber_filter(oracle_t_d_quotient_reps(d, m), alpha))
-            assert _outcome(lambda: stabilizer_d_alpha_quotient(d, alpha, m)) == want
+            with pytest.raises(ShapeMismatch, match=f"weights rank {rank} does not match model rank 3"):
+                stabilizer_d_alpha_quotient(d, alpha, m)
     alpha = rand_generic_weights(rng, m)
     with pytest.raises(EnumerationCapExceeded) as err:
         stabilizer_d_alpha_quotient(0, alpha, m, cap=26)
