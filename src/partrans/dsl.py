@@ -18,13 +18,15 @@ atom promotes the whole word to an extended element.
 
 Two limits keep every input bounded: "(" expr ")" nests at most
 MAX_NESTING deep, and an integer literal has at most MAX_INT_DIGITS
-digits. Past either, parsing raises ParseError.
+digits. Past either, parsing raises ParseError. A third bounds what
+evaluation builds: no value or partial product may carry an integer of
+more than MAX_RESULT_DIGITS digits, else evaluation raises ResultTooLarge.
 """
 
 from fractions import Fraction
 import math
 
-from .errors import ParseError, ShapeMismatch
+from .errors import ParseError, ResultTooLarge, ShapeMismatch
 from .intmat import solve_integer_system
 from .picard import (
     JacobianElement,
@@ -56,6 +58,12 @@ MAX_NESTING = 100
 # the longest integer literal; Python itself refuses to convert a decimal
 # string of more than 4300 digits
 MAX_INT_DIGITS = 1000
+# the most digits of an integer an evaluated element carries: its line
+# degree, its coordinate denominator, an entry of its Jacobian part. The
+# canonical text writes each of them, and Python writes no int of more
+# than 4300 digits; powers would otherwise grow them without bound.
+MAX_RESULT_DIGITS = 4000
+_RESULT_BOUND = 10**MAX_RESULT_DIGITS
 
 
 def tokenize(text):
@@ -311,7 +319,25 @@ def evaluate(node, model, ref_det=None):
 
     Returns a basic tuple, or an extended element when any A atom occurs
     (reference determinant defaulting to the model's degree context).
+    Raises ResultTooLarge when a value or partial product passes
+    MAX_RESULT_DIGITS.
     """
+    return _bounded(_value(node, model, ref_det))
+
+
+def _bounded(x):
+    """x, unless it carries an integer of more than MAX_RESULT_DIGITS digits."""
+    basic = x.basic if isinstance(x, ExtendedTransformation) else x
+    ints = [basic.line.degree, basic.line.jac.den]
+    if basic is not x:
+        ints += map(max, x.rho.tilde)
+        ints += map(min, x.rho.tilde)
+    if not -_RESULT_BOUND < min(ints) <= max(ints) < _RESULT_BOUND:
+        raise ResultTooLarge(MAX_RESULT_DIGITS)
+    return x
+
+
+def _value(node, model, ref_det):
     kind = node[0]
     if kind == "word":
         acc = None
@@ -363,13 +389,13 @@ def evaluate(node, model, ref_det=None):
 
 def _mul(x, y, model, ref_det):
     if isinstance(x, BasicTransformation) and isinstance(y, BasicTransformation):
-        return compose(x, y)
+        return _bounded(compose(x, y))
     ref = ref_det or default_ref_det(model)
     if isinstance(x, BasicTransformation):
         x = lift_basic(x, ref)
     if isinstance(y, BasicTransformation):
         y = lift_basic(y, ref)
-    return compose_ext(x, y)
+    return _bounded(compose_ext(x, y))
 
 
 def _power(base, n, model, ref_det):

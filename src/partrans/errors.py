@@ -82,6 +82,15 @@ class ExtendedCompositionError(PartransError):
     degree-moving basic transformation has no defined normal form."""
 
 
+class ResultTooLarge(PartransError):
+    """Evaluating an expression built an integer of more than `digits`
+    digits."""
+
+    def __init__(self, digits):
+        super().__init__(f"evaluation built an integer of more than {digits} digits")
+        self.digits = digits
+
+
 class ParseError(PartransError):
     def __init__(self, message, pos):
         super().__init__(f"at position {pos}: {message}")

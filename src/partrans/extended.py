@@ -21,8 +21,6 @@ from .picard import (
     tilde_compose,
 )
 from .transform import (
-    BasicTransformation,
-    Divisor,
     ParabolicInvariant,
     act_det,
     act_invariant,
@@ -32,8 +30,8 @@ from .transform import (
     describe,
     identity_transform,
     inverse,
-    normalize_word,
     _degree_sectors,
+    _fold,
     _hecke_tuples,
     _sector_transforms,
     _word_of,
@@ -197,13 +195,11 @@ def compose_ext(e1, e2):
         )
     rho_c = conjugate_tilde(model, t1.sigma, e2.rho)
     moved = txi.jac - xi.jac
-    pulled_in = LineBundleClass(
-        0, JacobianElement.from_nums(mat_vec(jac_aut_inverse(rho_c).tilde, moved.nums), moved.den)
-    )
-    t_corr = BasicTransformation(model, model.identity_name, 1, pulled_in, Divisor())
+    # no correction when T1 fixes xi, and then no inverse to compute
+    pulled_in = mat_vec(jac_aut_inverse(rho_c).tilde, moved.nums) if moved.den > 1 else moved.nums
     new_rho = rho_c if e1.rho.is_identity() else JacobianAutomorphism(
         tilde_compose(e1.rho.tilde, rho_c.tilde, model.rank), model.rank)
-    new_basic = normalize_word(model, _word_of(t_corr) + _word_of(t1) + _word_of(e2.basic))
+    new_basic = _fold(model, (None, 1, 0, pulled_in, moved.den, {}), _word_of(t1) + _word_of(e2.basic))
     return ExtendedTransformation(new_rho, new_basic, xi)
 
 

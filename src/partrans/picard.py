@@ -95,11 +95,7 @@ class JacobianElement:
 
     def _combine(self, other, sign):
         self._check(other)
-        den = math.lcm(self.den, other.den)
-        ka, kb = den // self.den, sign * (den // other.den)
-        return JacobianElement.from_nums(
-            [ka * a + kb * b for a, b in zip(self.nums, other.nums)], den
-        )
+        return JacobianElement.from_nums(*add_nums(self.nums, self.den, sign, other))
 
     def __neg__(self):
         return JacobianElement.from_nums([-a for a in self.nums], self.den)
@@ -128,14 +124,30 @@ class JacobianElement:
         return "JacobianElement(%s)" % ", ".join(self.texts())
 
 
+def add_nums(nums, den, k, j):
+    """nums / den + k j, as numerators over the lcm of the two
+    denominators, not reduced."""
+    if den % j.den:
+        lcm = math.lcm(den, j.den)
+        f = lcm // den
+        nums = [f * a for a in nums]
+        den = lcm
+    k *= den // j.den
+    return [a + k * b for a, b in zip(nums, j.nums)], den
+
+
+def affine_nums(matrix, nums, den, t, k=1):
+    """M (nums / den) + k t for an integer matrix M, as numerators over
+    the lcm of the two denominators, not reduced."""
+    lcm = math.lcm(den, t.den)
+    kj, kt = lcm // den, k * (lcm // t.den)
+    return [kj * x + kt * y for x, y in zip(mat_vec(matrix, nums), t.nums)], lcm
+
+
 def affine_image(matrix, j, t, k=1):
     """M j + k t for an integer matrix M: one integer pass over the common
     denominator of j and t, then one reduction."""
-    den = math.lcm(j.den, t.den)
-    kj, kt = den // j.den, k * (den // t.den)
-    return JacobianElement.from_nums(
-        [kj * x + kt * y for x, y in zip(mat_vec(matrix, j.nums), t.nums)], den
-    )
+    return JacobianElement.from_nums(*affine_nums(matrix, j.nums, j.den, t, k))
 
 
 class LineBundleClass:
@@ -307,10 +319,12 @@ def apply_jac_aut_line(rho, c):
 
 def tilde_compose(m1, m2, r):
     """Tilde matrix of rho1 o rho2 where m1 belongs to the outer factor:
-    M1 + M2 + r * M1 M2, as a tuple of integer rows."""
+    M1 + M2 + r * M1 M2, as a tuple of integer rows; a zero row of M1
+    leaves M2's row."""
     cols = list(zip(*m2))
     return tuple(
         tuple(x + y + r * sum(map(mul, ra, col)) for x, y, col in zip(ra, rb, cols))
+        if any(ra) else rb
         for ra, rb in zip(m1, m2)
     )
 

@@ -1,16 +1,16 @@
 """The group of basic transformations and its actions.
 
 An element is the canonical tuple (sigma, s, L, H) realizing the operator
-Sigma_sigma o D^s o T_L o H_H, applied innermost first. Composition builds
-the concatenated generator word and rewrites it back into this order; each
-rewrite step either merges neighbours of the same kind or moves an atom of
-smaller kind leftward, so the process terminates.
+Sigma_sigma o D^s o T_L o H_H, applied innermost first. The group law is a
+fold: a product is the canonical tuple right-multiplied by one generator
+at a time, each in closed form (the merge of neighbours of one kind, or
+the move of a generator left past the factors of larger kind), so a word
+of n generators takes exactly n steps.
 """
 
 from .errors import (
     EnumerationCapExceeded,
     HeckeOutOfRange,
-    ModelError,
     NotGeneric,
     ShapeMismatch,
     UnknownPoint,
@@ -19,9 +19,10 @@ from .picard import (
     DEFAULT_ENUM_CAP,
     JacobianElement,
     LineBundleClass,
+    add_nums,
+    affine_nums,
     divide_by_r,
     lincomb,
-    of_divisor,
     pullback,
 )
 from .weights import (
@@ -233,9 +234,7 @@ def identity_transform(model):
     )
 
 
-# -- the rewrite engine --------------------------------------------------
-
-_KIND = {"S": 0, "D": 1, "T": 2, "H": 3}
+# -- the group law: a fold over generators ------------------------------
 
 
 def _word_of(t):
@@ -251,143 +250,105 @@ def _word_of(t):
     return atoms
 
 
-def _split_hecke(model, dv):
-    """Replace an out-of-range Hecke divisor by a tensor atom plus an
-    in-range one, through the r-fold identity H_x^r = T_O(-x)."""
+def _fold(model, state, atoms):
+    """The canonical tuple of the product of `state` and the generator
+    word `atoms`, right-multiplied one atom at a time.
+
+    The state is (sigma, s, deg, nums, den, hecke): sigma is None when
+    there is no S factor, the line L is the degree deg with numerators
+    nums over den, and hecke maps points to multiplicities in [0, r). Each
+    atom has a closed form, the rewrite rules of moving it left to its
+    place in S D T H order:
+    - T(M): L + M;
+    - H(H'): H + H', each floor((H + H')(x) / r) moving into L as -[x]
+      through H_x^r = T_O(-x);
+    - D: s -> -s, L -> [supp H] - L, and H -> r - H on its support;
+    - S(tau): sigma -> sigma tau, L -> the pullback of L by tau^-1, and
+      H moved by tau's point permutation.
+    So the fold takes exactly len(atoms) steps. L stays unreduced
+    integers until the one reduction at the end.
+    """
+    sigma, s, deg, nums, den, hecke = state
     r = model.rank
-    floor_part = {x: v // r for x, v in dv.items() if v // r}
-    rem = Divisor({x: v - r * (v // r) for x, v in dv.items()})
-    atoms = []
-    if floor_part:
-        cls = lincomb(
-            [(model.point_class(x), -n) for x, n in floor_part.items()],
-            dim=2 * model.genus,
-        )
-        if not cls.is_trivial():
-            atoms.append(("T", cls))
-    if not rem.is_zero():
-        atoms.append(("H", rem))
-    return atoms
-
-
-def _hecke_in_range(model, dv):
-    return all(0 <= v <= model.rank - 1 for v in dv.mult.values())
-
-
-def _rewrite_step(model, word, i):
-    """Apply one rule at position i; return (consumed, replacement) or None."""
-    a = word[i]
-    if a[0] == "H" and not _hecke_in_range(model, a[1]):
-        return 1, _split_hecke(model, a[1])
-    if i + 1 >= len(word):
-        return None
-    b = word[i + 1]
-    ka, kb = a[0], b[0]
-    if ka == "S" and kb == "S":
-        merged = model.compose_autos(a[1], b[1])
-        return 2, ([] if merged == model.identity_name else [("S", merged)])
-    if ka == "D" and kb == "D":
-        return 2, []
-    if ka == "T" and kb == "T":
-        cls = lincomb([(a[1], 1), (b[1], 1)])
-        return 2, ([] if cls.is_trivial() else [("T", cls)])
-    if ka == "H" and kb == "H":
-        return 2, _split_hecke(model, a[1] + b[1])
-    if ka == "D" and kb == "S":
-        return 2, [b, a]
-    if ka == "T" and kb == "S":
-        inv = model.automorphism(model.inverse_auto(b[1]))
-        return 2, [b, ("T", pullback(inv, a[1]))]
-    if ka == "H" and kb == "S":
-        perm = model.automorphism(b[1]).point_perm
-        moved = Divisor({perm.get(x, x): v for x, v in a[1].items()})
-        return 2, [b, ("H", moved)]
-    if ka == "T" and kb == "D":
-        return 2, [b, ("T", lincomb([(a[1], -1)]))]
-    if ka == "H" and kb == "D":
-        # pointwise dual interchange, only points actually touched by H
-        support = a[1].support()
-        comp = Divisor({x: model.rank - a[1].get(x) for x in support})
-        cls = lincomb(
-            [(model.point_class(x), -1) for x in support], dim=2 * model.genus
-        )
-        out = []
-        if not cls.is_trivial():
-            out.append(("T", cls))
-        out.append(b)
-        if not comp.is_zero():
-            out.append(("H", comp))
-        return 2, out
-    if ka == "H" and kb == "T":
-        return 2, [b, a]
-    return None
+    for atom in atoms:
+        kind = atom[0]
+        if kind == "T":
+            c = atom[1]
+            deg += c.degree
+            nums, den = add_nums(nums, den, 1, c.jac)
+        elif kind == "H":
+            merged = dict(hecke)
+            for x, v in atom[1].items():
+                merged[x] = merged.get(x, 0) + v
+            hecke = {}
+            for x, v in merged.items():
+                k, rem = divmod(v, r)
+                if k:
+                    deg -= k
+                    nums, den = add_nums(nums, den, -k, model.point(x).jac_class)
+                if rem:
+                    hecke[x] = rem
+        elif kind == "D":
+            s = -s
+            deg = len(hecke) - deg
+            nums = [-a for a in nums]
+            for x in hecke:
+                nums, den = add_nums(nums, den, 1, model.point(x).jac_class)
+            hecke = {x: r - v for x, v in hecke.items()}
+        else:
+            tau = atom[1]
+            if sigma is None:
+                sigma = tau
+            else:
+                sigma = model.compose_autos(sigma, tau)
+                if sigma == model.identity_name:
+                    sigma = None
+            if hecke:
+                perm = model.automorphism(tau).point_perm
+                hecke = {perm.get(x, x): v for x, v in hecke.items()}
+            if deg or any(a % den for a in nums):
+                inv = model.automorphism(model.inverse_auto(tau))
+                nums, den = affine_nums(inv.matrix, nums, den, inv.translation, deg)
+    return BasicTransformation(
+        model,
+        model.identity_name if sigma is None else sigma,
+        s,
+        LineBundleClass(deg, JacobianElement.from_nums(nums, den)),
+        Divisor(hecke),
+    )
 
 
 def normalize_word(model, atoms):
-    """Rewrite an arbitrary generator word into the canonical tuple.
-
-    Each rewrite applies the rule at the leftmost position that has one.
-    A rule at j reads only word[j] and word[j + 1], so after a rewrite at i
-    no position left of i - 1 gains a rule and the scan resumes there. The
-    step limit counts one step per rewrite and one for the final scan.
-    """
-    word = list(atoms)
-    limit = 10000 + 100 * (len(word) + 1) ** 2
-    steps = 1
-    i = 0
-    while i < len(word):
-        hit = _rewrite_step(model, word, i)
-        if hit is None:
-            i += 1
-            continue
-        consumed, rep = hit
-        word[i : i + consumed] = rep
-        steps += 1
-        if steps > limit + 1:  # a rewrite past the limit has failed
-            break
-        i = max(i - 1, 0)
-    if steps > limit:
-        raise ModelError("rewrite did not terminate; malformed model table")
-    sigma = model.identity_name
-    s = 1
-    line = LineBundleClass.trivial(2 * model.genus)
-    hecke = Divisor()
-    for atom in word:
-        if atom[0] == "S":
-            sigma = atom[1]
-        elif atom[0] == "D":
-            s = -1
-        elif atom[0] == "T":
-            line = atom[1]
-        else:
-            hecke = atom[1]
-    return BasicTransformation(model, sigma, s, line, hecke)
+    """The canonical tuple of an arbitrary generator word, folded from the
+    identity one atom at a time (see _fold); atoms may carry out-of-range
+    Hecke multiplicities."""
+    return _fold(model, (None, 1, 0, (0,) * (2 * model.genus), 1, {}), atoms)
 
 
 def compose(t1, t2):
-    """Tuple acting as t1 after t2."""
-    if t1.model is not t2.model:
+    """Tuple acting as t1 after t2: t2's word folded onto t1."""
+    model = t1.model
+    if t2.model is not model:
         raise ShapeMismatch("cannot compose transformations over different models")
-    return normalize_word(t1.model, _word_of(t1) + _word_of(t2))
+    sigma = None if t1.sigma == model.identity_name else t1.sigma
+    jac = t1.line.jac
+    return _fold(model, (sigma, t1.s, t1.line.degree, jac.nums, jac.den, t1.hecke.mult), _word_of(t2))
 
 
 def inverse(t):
     """Group inverse; the inverse of a Hecke part H at its support P is
-    T_O(D_P) o H_{(r - h)|_P}."""
+    T_O(D_P) o H_{(r - h)|_P}, followed by T_{-L}, D^s and S_{sigma^-1}."""
     model = t.model
-    support = t.hecke.support()
-    atoms = []
-    if support:
-        cls = lincomb([(model.point_class(x), 1) for x in support], dim=2 * model.genus)
-        atoms.append(("T", cls))
-        atoms.append(("H", Divisor({x: model.rank - t.hecke.get(x) for x in support})))
-    if not t.line.is_trivial():
-        atoms.append(("T", lincomb([(t.line, -1)])))
+    jac = t.line.jac
+    deg, nums, den = len(t.hecke.mult) - t.line.degree, [-a for a in jac.nums], jac.den
+    for x in t.hecke.mult:
+        nums, den = add_nums(nums, den, 1, model.point(x).jac_class)
+    atoms = [("H", {x: model.rank - v for x, v in t.hecke.items()})]
     if t.s == -1:
         atoms.append(("D",))
     if t.sigma != model.identity_name:
         atoms.append(("S", model.inverse_auto(t.sigma)))
-    return normalize_word(model, atoms)
+    return _fold(model, (None, 1, deg, nums, den, {}), atoms)
 
 
 # -- actions -------------------------------------------------------------
@@ -399,14 +360,22 @@ def act_degree(t, d):
 
 
 def act_det(t, xi):
-    """sigma-pullback of (L^r tensor xi(-H))^s."""
+    """sigma-pullback of (L^r tensor xi(-H))^s, as one integer pass and
+    one reduction."""
     model = t.model
-    inner = lincomb(
-        [(t.line, model.rank), (xi, 1), (of_divisor(model, t.hecke), -1)]
-    )
+    deg = model.rank * t.line.degree + xi.degree
+    nums, den = add_nums(xi.jac.nums, xi.jac.den, model.rank, t.line.jac)
+    for x, v in t.hecke.items():
+        deg -= v
+        nums, den = add_nums(nums, den, -v, model.point(x).jac_class)
+    if len(xi.jac) != len(t.line.jac):
+        raise ShapeMismatch("mixed coordinate lengths in combination")
     if t.s == -1:
-        inner = lincomb([(inner, -1)])
-    return pullback(model.automorphism(t.sigma), inner)
+        deg = -deg
+        nums = [-a for a in nums]
+    auto = model.automorphism(t.sigma)
+    nums, den = affine_nums(auto.matrix, nums, den, auto.translation, deg)
+    return LineBundleClass(deg, JacobianElement.from_nums(nums, den))
 
 
 def _weight_sources(t, points):

@@ -1,10 +1,16 @@
 """End-to-end command line behavior through run_command."""
 
+import io
 import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from partrans.cli import run_command
+from partrans.dsl import MAX_INT_DIGITS, MAX_NESTING
 
 
 def _write(dirpath, name, payload):
@@ -43,6 +49,27 @@ def files(tmp_path_factory):
             "points": [
                 {"name": "p", "jac": ["0"] * 12},
                 {"name": "q", "jac": ["1/2"] + ["0"] * 11},
+            ],
+        },
+    )
+    out["cyc"] = _write(
+        d,
+        "cyc.json",
+        {
+            "genus": 1,
+            "rank": 3,
+            "degree": 1,
+            "points": [
+                {"name": f"c{k}", "jac": [str(Fraction(-k, 3) % 1), "1/3"]} for k in range(3)
+            ],
+            "automorphisms": [
+                {
+                    "name": "id" if j == 0 else f"tau{j}",
+                    "perm": {f"c{k}": f"c{(k + j) % 3}" for k in range(3)},
+                    "matrix": [[1, 0], [0, 1]],
+                    "translation": [str(Fraction(j, 3)), "0"],
+                }
+                for j in range(3)
             ],
         },
     )
@@ -159,6 +186,108 @@ def test_parse_limits_exit_2_without_traceback(files, capsys, expr, message):
     assert out == ""
     assert "Traceback" not in err
     assert message in err
+
+
+def test_result_limit_exits_2_without_traceback(files, capsys):
+    # before the limit, squaring this Jacobian part ran for seconds and then
+    # failed to print an entry of more than 4300 digits
+    rc, out, err = run(capsys, "normalize", "--model", files["g1"], "A[[0,1],[1,2]]^" + "9" * 20)
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "evaluation built an integer of more than 4000 digits" in err
+
+
+# expressions from the grammar in partrans.dsl over one of the g1, g6 and
+# cyc models: mostly its own names, vector lengths and Jacobian parts, some
+# unknown or misshapen; integer literals are small or within one digit of
+# MAX_INT_DIGITS
+_MODELS = {
+    # points, automorphisms, 2g, matrices M with id + rM unimodular
+    "g1": (("p", "q"), ("id",), 2, ("[[0,1],[1,2]]", "[[-1,0],[0,-1]]", "[[0,1],[0,0]]")),
+    "g6": (("p", "q"), ("id",), 12, (
+        "[" + ",".join("[" + ",".join("1" if (i, j) == (0, 1) else "0" for j in range(12)) + "]"
+                       for i in range(12)) + "]",
+    )),
+    "cyc": (("c0", "c1", "c2"), ("id", "tau1", "tau2"), 2, ("[[0,1],[1,3]]", "[[0,1],[0,0]]")),
+}
+_int = st.integers(0, 40).flatmap(
+    # one literal in 41 of each length MAX_INT_DIGITS - 1, MAX_INT_DIGITS and
+    # MAX_INT_DIGITS + 1, the others below 13
+    lambda k: st.integers(0, 12).map(str) if k < 38 else st.integers(1, 9).map(
+        lambda lead: str(lead) + "7" * (MAX_INT_DIGITS + k - 40))
+)
+_signed = st.builds(str.__add__, st.sampled_from(("", "-")), _int)
+_rational = st.one_of(_signed, st.builds(lambda a, b: f"{a}/{b}", _signed, _int))
+
+
+def _expressions(points, autos, dim, matrices):
+    name = st.sampled_from(points * 7 + ("zz",))
+    term = st.builds(lambda c, x: x if c is None else f"{c}*{x}", st.none() | _int, name)
+    divisor = st.builds(
+        lambda first, rest: first + "".join(f" {sign} {t}" for sign, t in rest),
+        term,
+        st.lists(st.tuples(st.sampled_from("+-"), term), max_size=3),
+    )
+    vector = st.sampled_from((dim,) * 7 + tuple(range(1, 14))).flatmap(
+        lambda n: st.lists(_rational, min_size=n, max_size=n).map(
+            lambda v: "[" + ", ".join(v) + "]")
+    )
+    matrix = st.one_of(
+        st.sampled_from(matrices),
+        st.lists(st.lists(_signed, min_size=2, max_size=2), min_size=2, max_size=2).map(
+            lambda rows: "[" + ",".join("[" + ",".join(r) + "]" for r in rows) + "]"
+        ),
+    )
+    primary = st.one_of(
+        st.just("id"),
+        st.just("D-"),
+        st.sampled_from(autos + ("nope",)).map(lambda a: f"S({a})"),
+        divisor.map(lambda dv: f"T(O({dv}))"),
+        st.builds(lambda d, v: f"T({d}, {v})", _signed, vector),
+        divisor.map(lambda dv: f"H({dv})"),
+        matrix.map(lambda m: f"A{m}"),
+    )
+    expr = st.recursive(
+        primary,
+        lambda inner: st.one_of(
+            inner.map(lambda e: f"({e})"),
+            st.builds(lambda e, n: f"({e})^{n}", inner, _signed),
+            st.lists(inner, min_size=2, max_size=4).map(" * ".join),
+        ),
+        max_leaves=8,
+    )
+    nested = st.builds(
+        lambda depth, e: "(" * depth + e + ")" * depth,
+        st.sampled_from((MAX_NESTING - 4, MAX_NESTING - 2, MAX_NESTING - 1, MAX_NESTING + 1)),
+        expr,
+    )
+    one = st.integers(0, 5).flatmap(lambda k: nested if k == 5 else expr)
+    return st.lists(one, min_size=1, max_size=3)
+
+
+_cases = st.sampled_from(sorted(_MODELS)).flatmap(
+    lambda m: st.tuples(st.just(m), _expressions(*_MODELS[m]))
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_cases, as_json=st.booleans())
+def test_expression_commands_fuzz(files, case, as_json):
+    """normalize and compose on grammar-drawn expressions: exit 0 or 2,
+    output only on 0, no traceback, and each call within 2 s."""
+    model, exprs = case
+    cmd = ["normalize", "--model", files[model], exprs[0]] if len(exprs) == 1 else [
+        "compose", "--model", files[model], *exprs]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = run_command(cmd + ["--json"] * as_json)
+    elapsed = time.perf_counter() - start
+    assert rc in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (rc == 0) == (out.getvalue() != "")
+    assert elapsed < 2.0, cmd
 
 
 def test_usage_error_raises_system_exit(files):

@@ -14,6 +14,7 @@ from partrans import (
     JacobianElement,
     LineBundleClass,
     ParseError,
+    ResultTooLarge,
     ShapeMismatch,
     UnknownAutomorphism,
     UnknownPoint,
@@ -30,7 +31,9 @@ from partrans import (
     of_divisor,
     parse_expression,
 )
-from partrans.dsl import MAX_INT_DIGITS, MAX_NESTING, _solved_divisor_form, tokenize
+from partrans.dsl import (
+    MAX_INT_DIGITS, MAX_NESTING, MAX_RESULT_DIGITS, _solved_divisor_form, tokenize,
+)
 from conftest import build_model, rand_basic, rand_tilde
 
 from test_extended import rand_ext
@@ -94,6 +97,30 @@ def test_integer_literal_limit(elliptic2):
         with pytest.raises(ParseError) as exc:
             parse_expression(text)
         assert f"exceeds the limit of {MAX_INT_DIGITS}" in str(exc.value)
+
+
+def test_result_limit(elliptic2):
+    """Evaluation stops at the first value or partial product carrying an
+    integer of more than MAX_RESULT_DIGITS digits."""
+    big = "1" + "0" * (MAX_INT_DIGITS - 1)  # 10^(MAX_INT_DIGITS - 1)
+    levels = MAX_RESULT_DIGITS // (MAX_INT_DIGITS - 1)
+
+    def nested(k):
+        return "(" * k + "T(1, [0, 0])" + "".join(f")^{big}" for _ in range(k))
+
+    t = eval_expression(nested(levels), elliptic2)
+    assert t.line.degree == 10 ** ((MAX_INT_DIGITS - 1) * levels)
+    for text in (
+        nested(levels + 1),
+        "A[[0,1],[1,2]]^" + big,  # entries grow exponentially in the exponent
+        "A[[0,1],[1,2]]^-" + big,
+        " * ".join(f"T(0, [1/{int(big) + k}, 0])" for k in (1, 3, 7, 9, 13)),
+    ):
+        with pytest.raises(ResultTooLarge, match=f"more than {MAX_RESULT_DIGITS} digits"):
+            eval_expression(text, elliptic2)
+    # a Jacobian part of finite order stays small under any power
+    e = eval_expression("A[[-1,0],[0,-1]]^" + big[:-1] + "1", elliptic2)
+    assert e.rho.tilde == ((-1, 0), (0, -1))
 
 
 def test_name_resolution_needs_model(cyclic3):

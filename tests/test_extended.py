@@ -60,8 +60,9 @@ from partrans.intmat import (
     mat_vec,
     zero_matrix,
 )
-from partrans.transform import chamber_predicate
+from partrans.transform import _word_of, chamber_predicate
 from partrans.weights import is_generic
+from test_transform import oracle_normalize_word
 from conftest import (
     build_model,
     model_cyclic,
@@ -504,12 +505,29 @@ def oracle_jac_aut_inverse(rho):
     return JacobianAutomorphism(mat_scale(-1, mat_mul(m, inverse_unimodular(full))), rho.r)
 
 
-def oracle_compose_ext(e1, e2):
+def composed(ts):
+    """The product of the tuples ts, by compose calls from the right."""
+    out = ts[-1]
+    for t in reversed(ts[:-1]):
+        out = compose(t, out)
+    return out
+
+
+def rewritten(ts):
+    """The product of the tuples ts, by the rewrite engine on their
+    concatenated words."""
+    model = ts[0].model
+    word = [atom for t in ts for atom in _word_of(t)]
+    return BasicTransformation(model, *oracle_normalize_word(model, word))
+
+
+def oracle_compose_ext(e1, e2, product=composed):
     """The interchange step by step: the correction tilde(rho_c)(xi - T1(xi)),
-    pulled inside by applying rho_c^{-1}, then two compose calls."""
+    pulled inside by applying rho_c^{-1}, then the product of the correction
+    tensor, e1's basic part and e2's."""
     model, xi, t1 = e1.model, e1.ref_det, e1.basic
     if e2.rho.is_identity():
-        return ExtendedTransformation(e1.rho, compose(t1, e2.basic), xi)
+        return ExtendedTransformation(e1.rho, product([t1, e2.basic]), xi)
     txi = act_det(t1, xi)
     rho_c = oracle_conjugate_tilde(model, t1.sigma, e2.rho)
     delta = lincomb([(xi, 1), (txi, -1)])
@@ -519,7 +537,7 @@ def oracle_compose_ext(e1, e2):
     pulled_in = apply_jac_aut_line(oracle_jac_aut_inverse(rho_c), correction)
     t_corr = BasicTransformation(model, model.identity_name, 1, pulled_in, Divisor())
     new_rho = make_jac_aut(tilde_compose(e1.rho.tilde, rho_c.tilde, model.rank), model.rank)
-    return ExtendedTransformation(new_rho, compose(t_corr, compose(t1, e2.basic)), xi)
+    return ExtendedTransformation(new_rho, product([t_corr, t1, e2.basic]), xi)
 
 
 def oracle_ext_inverse(e):
@@ -606,6 +624,9 @@ def test_extended_group_matches_the_oracles(g2r3, order4, elliptic2, which, seed
         assert conj == oracle_conjugate_tilde(m, a.name, e2.rho)
         assert jac_aut_inverse(conj) == oracle_jac_aut_inverse(conj)
     assert_same_ext(compose_ext(e1, e2), oracle_compose_ext(e1, e2))
+    assert_same_ext(compose_ext(e1, e2), oracle_compose_ext(e1, e2, rewritten))
+    assert_same_ext(compose_ext(e1, lift_basic(e2.basic, ref)),
+                    oracle_compose_ext(e1, lift_basic(e2.basic, ref), rewritten))
     assert_same_ext(ext_inverse(e1), oracle_ext_inverse(e1))
     assert_same_ext(ext_inverse(e1), oracle_ext_inverse(e1))  # now through the memo
     v = rand_invariant(rng, m, degree=ref.degree)

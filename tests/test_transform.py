@@ -44,12 +44,18 @@ from partrans import (
     subgroup_membership,
     t_d_quotient_reps,
 )
-from partrans.transform import _rewrite_step, chamber_predicate
+from partrans.transform import _word_of, chamber_predicate
 from partrans.weights import dual_weights, hecke_weights
 from conftest import (
     brute_stabilizer_count,
     build_model,
     model_cyclic,
+    model_cyclic3,
+    model_elliptic2,
+    model_g1r3n0,
+    model_g2r3,
+    model_involution,
+    model_order4,
     model_rotation,
     rand_basic,
     rand_generic_weights,
@@ -202,6 +208,79 @@ def test_normal_form_kind_order(cyclic3, rng=random.Random(74)):
         assert len(t.line.jac) == 2 * m.genus
 
 
+# -- the rewrite engine, the oracle of the fold ----------------------------
+
+
+def _split_hecke(model, dv):
+    """Replace an out-of-range Hecke divisor by a tensor atom plus an
+    in-range one, through the r-fold identity H_x^r = T_O(-x)."""
+    r = model.rank
+    floor_part = {x: v // r for x, v in dv.items() if v // r}
+    rem = Divisor({x: v - r * (v // r) for x, v in dv.items()})
+    atoms = []
+    if floor_part:
+        cls = lincomb(
+            [(model.point_class(x), -n) for x, n in floor_part.items()],
+            dim=2 * model.genus,
+        )
+        if not cls.is_trivial():
+            atoms.append(("T", cls))
+    if not rem.is_zero():
+        atoms.append(("H", rem))
+    return atoms
+
+
+def _rewrite_step(model, word, i):
+    """Apply one rule at position i; return (consumed, replacement) or None.
+    Each rule merges neighbours of one kind or moves an atom of smaller kind
+    (S < D < T < H) leftward."""
+    a = word[i]
+    if a[0] == "H" and not all(0 <= v < model.rank for v in a[1].mult.values()):
+        return 1, _split_hecke(model, a[1])
+    if i + 1 >= len(word):
+        return None
+    b = word[i + 1]
+    ka, kb = a[0], b[0]
+    if ka == "S" and kb == "S":
+        merged = model.compose_autos(a[1], b[1])
+        return 2, ([] if merged == model.identity_name else [("S", merged)])
+    if ka == "D" and kb == "D":
+        return 2, []
+    if ka == "T" and kb == "T":
+        cls = lincomb([(a[1], 1), (b[1], 1)])
+        return 2, ([] if cls.is_trivial() else [("T", cls)])
+    if ka == "H" and kb == "H":
+        return 2, _split_hecke(model, a[1] + b[1])
+    if ka == "D" and kb == "S":
+        return 2, [b, a]
+    if ka == "T" and kb == "S":
+        inv = model.automorphism(model.inverse_auto(b[1]))
+        return 2, [b, ("T", pullback(inv, a[1]))]
+    if ka == "H" and kb == "S":
+        perm = model.automorphism(b[1]).point_perm
+        moved = Divisor({perm.get(x, x): v for x, v in a[1].items()})
+        return 2, [b, ("H", moved)]
+    if ka == "T" and kb == "D":
+        return 2, [b, ("T", lincomb([(a[1], -1)]))]
+    if ka == "H" and kb == "D":
+        # pointwise dual interchange, only points actually touched by H
+        support = a[1].support()
+        comp = Divisor({x: model.rank - a[1].get(x) for x in support})
+        cls = lincomb(
+            [(model.point_class(x), -1) for x in support], dim=2 * model.genus
+        )
+        out = []
+        if not cls.is_trivial():
+            out.append(("T", cls))
+        out.append(b)
+        if not comp.is_zero():
+            out.append(("H", comp))
+        return 2, out
+    if ka == "H" and kb == "T":
+        return 2, [b, a]
+    return None
+
+
 def oracle_normalize_word(model, atoms):
     """The rewrite loop that rescans from position 0 after every rewrite."""
     word = list(atoms)
@@ -226,6 +305,24 @@ def oracle_normalize_word(model, atoms):
     return tuple(parts.values())
 
 
+def oracle_inverse_word(t):
+    """The word the rewrite engine normalized for inverse(t)."""
+    model = t.model
+    support = t.hecke.support()
+    atoms = []
+    if support:
+        cls = lincomb([(model.point_class(x), 1) for x in support], dim=2 * model.genus)
+        atoms.append(("T", cls))
+        atoms.append(("H", Divisor({x: model.rank - t.hecke.get(x) for x in support})))
+    if not t.line.is_trivial():
+        atoms.append(("T", lincomb([(t.line, -1)])))
+    if t.s == -1:
+        atoms.append(("D",))
+    if t.sigma != model.identity_name:
+        atoms.append(("S", model.inverse_auto(t.sigma)))
+    return atoms
+
+
 def _random_atom(rng, model):
     kind = rng.choice("SDTH")
     if kind == "S":
@@ -234,8 +331,18 @@ def _random_atom(rng, model):
         return ("D",)
     if kind == "T":
         return ("T", rand_line(rng, 2 * model.genus))
-    names = rng.sample(model.point_names, rng.randint(1, 4))
+    names = rng.sample(model.point_names, min(rng.randint(1, 4), len(model.points)))
     return ("H", Divisor({x: rng.randint(-3, 2 * model.rank) for x in names}))
+
+
+def _parts(t):
+    """The tuple's fields, with the Hecke entries in their dict order."""
+    return t.sigma, t.s, t.line, t.hecke, list(t.hecke.items())
+
+
+def _oracle_parts(model, atoms):
+    sigma, s, line, hecke = oracle_normalize_word(model, atoms)
+    return sigma, s, line, hecke, list(hecke.items())
 
 
 def test_normalize_word_matches_restart_oracle():
@@ -245,6 +352,48 @@ def test_normalize_word_matches_restart_oracle():
         word = [_random_atom(rng, m) for _ in range(rng.randint(0, 10))]
         got = normalize_word(m, word)
         assert (got.sigma, got.s, got.line, got.hecke) == oracle_normalize_word(m, word)
+
+
+_FOLD_MODELS = (
+    model_elliptic2, model_cyclic3, model_involution, model_order4, model_g2r3,
+    model_g1r3n0, lambda: model_cyclic(2, 12), lambda: model_cyclic(1, 5, rank=3),
+    lambda: model_rotation(1, 3), lambda: model_rotation(1, 4), lambda: model_rotation(2, 6),
+)
+
+
+@pytest.mark.parametrize("build", _FOLD_MODELS)
+def test_fold_matches_rewrite_oracle(build):
+    """normalize_word, compose and inverse agree with the rewrite engine on
+    random words of 0-12 atoms, Hecke entries from -3 to 2r included, down
+    to the order of the Hecke entries."""
+    m = build()
+    rng = random.Random(931 + m.genus * 10 + m.rank + len(m.points))
+    for _ in range(60):
+        word = [_random_atom(rng, m) for _ in range(rng.randint(0, 12))]
+        assert _parts(normalize_word(m, word)) == _oracle_parts(m, word)
+        t1, t2 = rand_basic(rng, m), rand_basic(rng, m)
+        assert _parts(compose(t1, t2)) == _oracle_parts(m, _word_of(t1) + _word_of(t2))
+        assert _parts(inverse(t1)) == _oracle_parts(m, oracle_inverse_word(t1))
+
+
+def oracle_act_det(t, xi):
+    """act_det through lincomb, of_divisor and pullback, as it was written."""
+    model = t.model
+    inner = lincomb([(t.line, model.rank), (xi, 1), (of_divisor(model, t.hecke), -1)])
+    if t.s == -1:
+        inner = lincomb([(inner, -1)])
+    return pullback(model.automorphism(t.sigma), inner)
+
+
+@pytest.mark.parametrize("build", _FOLD_MODELS)
+def test_act_det_matches_lincomb_oracle(build):
+    m = build()
+    rng = random.Random(941 + m.genus * 10 + m.rank + len(m.points))
+    for _ in range(60):
+        t, xi = rand_basic(rng, m), rand_line(rng, 2 * m.genus)
+        assert act_det(t, xi) == oracle_act_det(t, xi)
+    with pytest.raises(ShapeMismatch, match="mixed coordinate lengths"):
+        act_det(t, rand_line(rng, 2 * m.genus + 2))
 
 
 def test_compose_associative(cyclic3, involution, order4):
