@@ -9,7 +9,6 @@ the automorphism table across. Two models encoding the same curve in
 incompatible coordinates can therefore be reported non-isomorphic.
 """
 
-from fractions import Fraction
 import itertools
 import math
 
@@ -20,6 +19,8 @@ from .errors import (
     ShapeMismatch,
     UnknownPoint,
 )
+from .curve import _affine, _names, _object, _rationals
+from .extended import default_ref_det
 from .intmat import (
     det_int,
     identity_matrix,
@@ -27,30 +28,30 @@ from .intmat import (
     mat_mul,
     mat_vec,
 )
-from .picard import DEFAULT_ENUM_CAP, JacobianElement, LineBundleClass, affine_image, lincomb
+from .picard import DEFAULT_ENUM_CAP, JacobianElement, affine_image, lincomb
 from .transform import BasicTransformation, Divisor, act_degree, act_weights, describe
 from .weights import WeightSystem, canonicalize, is_generic, same_chamber
 
 
-def weight_system_for(model, raw):
+def weight_system_for(model, raw, loc=(None,)):
     """Canonical weight system over exactly the model's points, in model order.
 
-    raw maps point name to a list of rationals (strings, ints or Fractions).
+    raw is a WeightSystem, or maps point name to a list of rationals
+    (strings, ints or Fractions); loc is where raw sits, for errors (see
+    curve._where).
     """
     if hasattr(raw, "point_names"):
         entries = {name: raw.vector(name) for name in raw.point_names}
     else:
-        entries = dict(raw)
+        entries = {
+            name: _rationals(vec, None, loc + (name,)) for name, vec in _object(raw, (), loc).items()
+        }
     for name in entries:
         model.point(name)
     missing = [n for n in model.point_names if n not in entries]
     if missing:
         raise UnknownPoint(missing[0])
-    ordered = []
-    for name in model.point_names:
-        vec = [Fraction(v) for v in entries[name]]
-        ordered.append((name, vec))
-    return canonicalize(ordered)
+    return canonicalize([(name, entries[name]) for name in model.point_names])
 
 
 class ModuliDescriptor:
@@ -86,29 +87,20 @@ class ModuliDescriptor:
         )
 
 
-def _as_matrix(m, dim):
-    rows = tuple(tuple(int(x) for x in row) for row in m)
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ShapeMismatch(f"class-map matrix must be {dim}x{dim}")
-    return rows
-
-
 def _check_witness(model_a, model_b, points, matrix, translation):
     """Validate an isomorphism witness; return None if valid, else the
     first failed equation as text."""
-    dim = 2 * model_a.genus
     names_a = model_a.point_names
     names_b = model_b.point_names
     if sorted(points) != sorted(names_a):
         return "point map is not defined on exactly the source points"
     if sorted(points[x] for x in points) != sorted(names_b):
         return "point map is not a bijection onto the target points"
-    d = det_int([list(r) for r in matrix])
+    d = det_int(matrix)
     if d not in (1, -1):
         return f"class-map matrix determinant is {d}, not +-1"
-    p_rows = [list(r) for r in matrix]
     for x in names_a:
-        image = affine_image(p_rows, model_a.point(x).jac_class, translation)
+        image = affine_image(matrix, model_a.point(x).jac_class, translation)
         if image != model_b.point(points[x]).jac_class:
             return (
                 f"class map sends the class of {x} to "
@@ -119,13 +111,13 @@ def _check_witness(model_a, model_b, points, matrix, translation):
             f"automorphism tables have sizes {len(model_a.automorphisms)} "
             f"and {len(model_b.automorphisms)}"
         )
-    p_inv = inverse_unimodular(p_rows)
+    p_inv = inverse_unimodular(matrix)
     for a in model_a.automorphisms:
         perm_b = {points[x]: points[a.point_perm.get(x, x)] for x in names_a}
-        m_b = mat_mul(mat_mul(p_rows, [list(r) for r in a.matrix]), p_inv)
+        m_b = mat_mul(mat_mul(matrix, a.matrix), p_inv)
         # t_b = P t_a + (I - M_b) t, the conjugated affine translation
         mbt = JacobianElement.from_nums(mat_vec(m_b, translation.nums), translation.den)
-        t_b = affine_image(p_rows, a.translation, translation) - mbt
+        t_b = affine_image(matrix, a.translation, translation) - mbt
         entry = model_b.find_entry(perm_b, tuple(tuple(r) for r in m_b), t_b)
         if entry is None:
             return (
@@ -155,13 +147,19 @@ def _witness_candidates(model_a, model_b, cap):
             yield points, matrix, translation
 
 
-def curves_isomorphic(model_a, model_b, witness=None, cap=DEFAULT_ENUM_CAP):
+def curves_isomorphic(model_a, model_b, witness=None, cap=DEFAULT_ENUM_CAP, loc=(None,)):
     """Structural marked-curve isomorphism decision.
 
-    With a witness: validate it, raising ModelError on the first failed
-    equation. Without: search relabelings crossed with the known affine
-    maps; a miss means no witness in the search space, not a proof.
+    With a witness, a document {"points": {...}, "matrix": [...],
+    "translation": [...]} at loc (see curve._where): read it, then validate
+    it, raising ModelError on the first failed equation. Without: search
+    relabelings crossed with the known affine maps; a miss means no witness
+    in the search space, not a proof.
     """
+    if witness is not None:
+        witness = _object(witness, ("points",), loc)
+        points = _names(witness["points"], loc + ("points",))
+        matrix, translation = _affine(witness, 2 * model_a.genus, loc)
     result = {
         "genus_equal": model_a.genus == model_b.genus,
         "n_equal": len(model_a.points) == len(model_b.points),
@@ -172,13 +170,7 @@ def curves_isomorphic(model_a, model_b, witness=None, cap=DEFAULT_ENUM_CAP):
     }
     if not (result["genus_equal"] and result["n_equal"]):
         return result
-    dim = 2 * model_a.genus
     if witness is not None:
-        points = dict(witness["points"])
-        matrix = _as_matrix(witness.get("matrix", identity_matrix(dim)), dim)
-        translation = JacobianElement(
-            Fraction(v) for v in witness.get("translation", [0] * dim)
-        )
         failure = _check_witness(model_a, model_b, points, matrix, translation)
         if failure is not None:
             raise ModelError(f"invalid isomorphism witness: {failure}")
@@ -204,9 +196,10 @@ def _witness_json(points, matrix, translation):
     }
 
 
-def torelli_3birational(a, b, iso=None, cap=DEFAULT_ENUM_CAP):
+def torelli_3birational(a, b, iso=None, cap=DEFAULT_ENUM_CAP, loc=(None,)):
     """3-birational equivalence of two moduli descriptors: equal rank and
-    isomorphic marked curves; degree and weights play no role."""
+    isomorphic marked curves; degree and weights play no role. iso is a
+    witness at loc, as curves_isomorphic takes it."""
     warnings = []
     for side, desc in (("first", a), ("second", b)):
         if desc.model.genus < 4:
@@ -215,7 +208,7 @@ def torelli_3birational(a, b, iso=None, cap=DEFAULT_ENUM_CAP):
                 "underlying theorem assumes genus at least 4"
             )
     rank_equal = a.rank == b.rank
-    curve = curves_isomorphic(a.model, b.model, witness=iso, cap=cap)
+    curve = curves_isomorphic(a.model, b.model, witness=iso, cap=cap, loc=loc)
     return {
         "is_3birational": rank_equal and curve["isomorphic"],
         "rank_equal": rank_equal,
@@ -242,12 +235,14 @@ def bridge_transformation(model, d, d_prime, x):
     )
 
 
-def verify_decomposition(source, target, sigma, transform, rho, xi, claim, cap=DEFAULT_ENUM_CAP):
+def verify_decomposition(source, target, sigma, transform, rho, xi, claim, cap=DEFAULT_ENUM_CAP,
+                         loc=(None,)):
     """Check a proposed decomposition of a map between two moduli families.
 
-    sigma is an isomorphism witness between the models (None means the
-    identity witness on a shared model); transform and rho are the basic
-    and Jacobian parts; xi the reference determinant. claim selects how
+    sigma is an isomorphism witness between the models, at loc (None means
+    the identity witness on a shared model); transform and rho are the basic
+    and Jacobian parts; xi the reference determinant (None means
+    default_ref_det of the source degree). claim selects how
     much is required: degree transport and the witness for 3birational,
     plus the chamber condition for isomorphism.
     """
@@ -261,9 +256,7 @@ def verify_decomposition(source, target, sigma, transform, rho, xi, claim, cap=D
     warnings = []
 
     if xi is None:
-        xi = LineBundleClass(
-            source.degree, JacobianElement.zero(2 * source.model.genus)
-        )
+        xi = default_ref_det(source.model, source.degree)
     ref_ok = xi.degree == source.degree
     checks.append(
         {
@@ -292,7 +285,7 @@ def verify_decomposition(source, target, sigma, transform, rho, xi, claim, cap=D
             detail = "no witness supplied and the models are distinct"
     else:
         try:
-            curve = curves_isomorphic(source.model, target.model, witness=sigma, cap=cap)
+            curve = curves_isomorphic(source.model, target.model, sigma, cap, loc)
             witness_ok = curve["isomorphic"]
             detail = "witness validated"
             points_map = dict(sigma["points"])

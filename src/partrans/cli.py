@@ -9,7 +9,6 @@ to their JSON schemas as well.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .classify import (
     ModuliDescriptor,
@@ -18,16 +17,24 @@ from .classify import (
     verify_decomposition,
     weight_system_for,
 )
-from .curve import load_config, validate_model
+from .curve import (
+    _int,
+    _int_matrix,
+    _object,
+    _rationals,
+    _read_json,
+    _string,
+    load_config,
+    validate_model,
+)
 from .dsl import eval_expression, format_canonical
 from .errors import ConfigError, EnumerationCapExceeded, PartransError
 from .extended import (
     ExtendedTransformation,
-    act_A,
     act_ext,
     automorphism_group_report,
-    default_ref_det,
 )
+from .intmat import zero_matrix
 from .picard import (
     DEFAULT_ENUM_CAP,
     JacobianElement,
@@ -62,16 +69,14 @@ def _read_file(path):
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _read_json(path):
-    text = _read_file(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+def _document(path):
+    """The JSON document in the file at path, and its location (see
+    curve._where)."""
+    return _read_json(_read_file(path), path), (path,)
 
 
 def _load_model(path):
-    model = load_config(_read_file(path))
+    model = load_config(_read_file(path), path)
     report = validate_model(model)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -82,42 +87,60 @@ def _load_model(path):
     return model
 
 
-def _class_from_json(obj, dim, where):
-    if not isinstance(obj, dict) or "degree" not in obj or "jac" not in obj:
-        raise ConfigError(f"{where}: expected an object with 'degree' and 'jac'")
-    try:
-        coords = [Fraction(v) for v in obj["jac"]]
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{where}: bad jac entry ({exc})") from None
-    if len(coords) != dim:
-        raise ConfigError(f"{where}: jac length {len(coords)}, expected {dim}")
-    return LineBundleClass(int(obj["degree"]), JacobianElement(coords))
+def _class(doc, dim, loc):
+    """A class {"degree": int, "jac": [dim rationals]}."""
+    _object(doc, ("degree", "jac"), loc)
+    return LineBundleClass(
+        _int(doc["degree"], loc + ("degree",)),
+        JacobianElement(_rationals(doc["jac"], dim, loc + ("jac",))),
+    )
 
 
-def _weights_from_file(model, path):
-    return weight_system_for(model, _read_json(path))
+def _class_file(model, path):
+    doc, loc = _document(path)
+    return _class(doc, 2 * model.genus, loc)
 
 
-def _invariant_from_json(model, obj, where):
-    for key in ("rank", "det", "weights"):
-        if key not in obj:
-            raise ConfigError(f"{where}: missing key {key!r}")
-    det = _class_from_json(obj["det"], 2 * model.genus, where + ".det")
-    weights = weight_system_for(model, obj["weights"])
-    return ParabolicInvariant(int(obj["rank"]), det, weights, obj.get("label", ""))
+def _weights_file(model, path):
+    return weight_system_for(model, *_document(path))
 
 
-def _descriptor_from_file(model, path, cap):
-    obj = _read_json(path)
-    for key in ("rank", "degree", "weights"):
-        if key not in obj:
-            raise ConfigError(f"{path}: missing key {key!r}")
-    weights = weight_system_for(model, obj["weights"])
-    return ModuliDescriptor(model, int(obj["rank"]), int(obj["degree"]), weights, cap)
+def _invariant_file(model, path):
+    doc, loc = _document(path)
+    _object(doc, ("rank", "det", "weights"), loc)
+    return ParabolicInvariant(
+        _int(doc["rank"], loc + ("rank",)),
+        _class(doc["det"], 2 * model.genus, loc + ("det",)),
+        weight_system_for(model, doc["weights"], loc + ("weights",)),
+        _string(doc.get("label", ""), loc + ("label",)),
+    )
+
+
+def _descriptor_file(model, path, cap):
+    doc, loc = _document(path)
+    _object(doc, ("rank", "degree", "weights"), loc)
+    return ModuliDescriptor(
+        model,
+        _int(doc["rank"], loc + ("rank",)),
+        _int(doc["degree"], loc + ("degree",)),
+        weight_system_for(model, doc["weights"], loc + ("weights",)),
+        cap,
+    )
 
 
 def _emit(payload):
     print(json.dumps(payload, indent=2))
+
+
+def _print(args, payload, text):
+    """payload as JSON under --json, else text."""
+    _emit(payload) if args.json else print(text)
+
+
+def _print_element(args, x):
+    text = format_canonical(x)
+    _print(args, {"text": text, "element": x.to_json()}, text)
+    return 0
 
 
 def _weights_text(w):
@@ -135,41 +158,18 @@ def _class_text(c):
 
 
 def _cmd_normalize(args):
-    model = _load_model(args.model)
-    x = eval_expression(args.expr, model)
-    text = format_canonical(x)
-    if args.json:
-        _emit({"text": text, "element": x.to_json()})
-    else:
-        print(text)
-    return 0
+    return _print_element(args, eval_expression(args.expr, _load_model(args.model)))
 
 
 def _cmd_compose(args):
-    model = _load_model(args.model)
     joined = " * ".join(f"({e})" for e in args.exprs)
-    x = eval_expression(joined, model)
-    text = format_canonical(x)
-    if args.json:
-        _emit({"text": text, "element": x.to_json()})
-    else:
-        print(text)
-    return 0
+    return _print_element(args, eval_expression(joined, _load_model(args.model)))
 
 
 def _cmd_act(args):
     model = _load_model(args.model)
     x = eval_expression(args.expr, model)
-    targets = [
-        t
-        for t, v in (
-            ("degree", args.degree),
-            ("det", args.det),
-            ("weights", args.weights),
-            ("invariant", args.invariant),
-        )
-        if v is not None
-    ]
+    targets = [t for t in ("degree", "det", "weights", "invariant") if getattr(args, t) is not None]
     if not targets:
         raise ConfigError("act needs at least one of --degree/--det/--weights/--invariant")
     basic_needed = [t for t in targets if t != "invariant"]
@@ -185,94 +185,84 @@ def _cmd_act(args):
         out["degree"] = d
         texts.append(f"degree: {d}" if len(targets) > 1 else str(d))
     if args.det is not None:
-        xi = _class_from_json(_read_json(args.det), 2 * model.genus, args.det)
-        c = act_det(x, xi)
+        c = act_det(x, _class_file(model, args.det))
         out["det"] = c.to_json()
         t = _class_text(c)
         texts.append(f"det: {t}" if len(targets) > 1 else t)
     if args.weights is not None:
-        w = act_weights(x, _weights_from_file(model, args.weights))
+        w = act_weights(x, _weights_file(model, args.weights))
         out["weights"] = w.to_json()
         texts.append(_weights_text(w))
     if args.invariant is not None:
-        v = _invariant_from_json(model, _read_json(args.invariant), args.invariant)
+        v = _invariant_file(model, args.invariant)
         if isinstance(x, ExtendedTransformation):
             moved = act_ext(x, v)
         else:
             moved = act_invariant(x, v)
         out["invariant"] = moved.to_json()
         texts.append(json.dumps(moved.to_json(), indent=2))
-    if args.json:
-        _emit(out)
-    else:
-        print("\n".join(texts))
+    _print(args, out, "\n".join(texts))
     return 0
 
 
-def _cmd_weights(args):
-    model = _load_model(args.model)
-    if args.weights_cmd == "check-generic":
-        w = _weights_from_file(model, args.file)
-        ok, witness = is_generic(w, args.enum_cap)
-        if args.json:
-            _emit({"generic": ok, "witness": witness.to_json() if witness else None})
-        else:
-            print("true" if ok else "false")
-            if witness is not None:
-                print(f"integral wall: {witness}", file=sys.stderr)
-        return 0 if ok else 1
-    if args.weights_cmd == "fingerprint":
-        w = _weights_from_file(model, args.file)
-        fp = chamber_fingerprint(w, args.enum_cap)
-        if args.json:
-            _emit(fp.to_json())
-        else:
-            print(fp)
-        return 0
-    if args.weights_cmd == "same-chamber":
-        wa = _weights_from_file(model, args.file_a)
-        wb = _weights_from_file(model, args.file_b)
-        verdict = same_chamber(wa, wb, args.enum_cap)
-        if args.json:
-            _emit({"same_chamber": verdict})
-        else:
-            print("true" if verdict else "false")
-        return 0 if verdict else 1
-    if args.weights_cmd == "hecke":
-        w = hecke_weights(_weights_from_file(model, args.file), args.point)
-        _emit(w.to_json()) if args.json else print(_weights_text(w))
-        return 0
-    if args.weights_cmd == "dual":
-        w = dual_weights(_weights_from_file(model, args.file))
-        _emit(w.to_json()) if args.json else print(_weights_text(w))
-        return 0
-    raise ConfigError(f"unknown weights subcommand {args.weights_cmd!r}")
+def _cmd_check_generic(args):
+    w = _weights_file(_load_model(args.model), args.file)
+    ok, witness = is_generic(w, args.enum_cap)
+    _print(args, {"generic": ok, "witness": witness.to_json() if witness else None}, str(ok).lower())
+    if witness is not None and not args.json:
+        print(f"integral wall: {witness}", file=sys.stderr)
+    return 0 if ok else 1
 
 
-def _cmd_stabilizer(args):
+def _cmd_fingerprint(args):
+    fp = chamber_fingerprint(_weights_file(_load_model(args.model), args.file), args.enum_cap)
+    _print(args, fp.to_json(), fp)
+    return 0
+
+
+def _cmd_same_chamber(args):
     model = _load_model(args.model)
-    if args.stab_cmd == "xi":
-        xi = _class_from_json(_read_json(args.xi), 2 * model.genus, args.xi)
-        _emit(stabilizer_xi(xi, model, args.enum_cap))
-        return 0
-    if args.stab_cmd == "d-alpha":
-        alpha = _weights_from_file(model, args.weights)
-        reps = stabilizer_d_alpha_quotient(args.degree, alpha, model, args.enum_cap)
-        _emit(
-            {
-                "degree": args.degree,
-                "representatives": [
-                    dict(r.to_json(), text=format_canonical(r)) for r in reps
-                ],
-            }
-        )
-        return 0
-    raise ConfigError(f"unknown stabilizer subcommand {args.stab_cmd!r}")
+    wa = _weights_file(model, args.file_a)
+    wb = _weights_file(model, args.file_b)
+    verdict = same_chamber(wa, wb, args.enum_cap)
+    _print(args, {"same_chamber": verdict}, str(verdict).lower())
+    return 0 if verdict else 1
+
+
+def _cmd_hecke(args):
+    w = hecke_weights(_weights_file(_load_model(args.model), args.file), args.point)
+    _print(args, w.to_json(), _weights_text(w))
+    return 0
+
+
+def _cmd_dual(args):
+    w = dual_weights(_weights_file(_load_model(args.model), args.file))
+    _print(args, w.to_json(), _weights_text(w))
+    return 0
+
+
+def _cmd_stabilizer_xi(args):
+    model = _load_model(args.model)
+    _emit(stabilizer_xi(_class_file(model, args.xi), model, args.enum_cap))
+    return 0
+
+
+def _cmd_stabilizer_d_alpha(args):
+    model = _load_model(args.model)
+    alpha = _weights_file(model, args.weights)
+    reps = stabilizer_d_alpha_quotient(args.degree, alpha, model, args.enum_cap)
+    _emit(
+        {
+            "degree": args.degree,
+            "representatives": [dict(r.to_json(), text=format_canonical(r)) for r in reps],
+        }
+    )
+    return 0
 
 
 def _cmd_aut_report(args):
     model = _load_model(args.model)
-    alpha = _weights_from_file(model, args.weights)
+    alpha = _weights_file(model, args.weights)
     _emit(automorphism_group_report(args.degree, alpha, model, args.enum_cap))
     return 0
 
@@ -283,55 +273,39 @@ def _cmd_torelli(args):
         raise ConfigError("torelli needs --model or --model-a")
     model_a = _load_model(path_a)
     model_b = _load_model(args.model_b) if args.model_b else model_a
-    desc_a = _descriptor_from_file(model_a, args.desc_a, args.enum_cap)
-    desc_b = _descriptor_from_file(model_b, args.desc_b, args.enum_cap)
-    witness = _read_json(args.witness) if args.witness else None
-    decision = torelli_3birational(desc_a, desc_b, iso=witness, cap=args.enum_cap)
+    desc_a = _descriptor_file(model_a, args.desc_a, args.enum_cap)
+    desc_b = _descriptor_file(model_b, args.desc_b, args.enum_cap)
+    witness, loc = _document(args.witness) if args.witness else (None, (None,))
+    decision = torelli_3birational(desc_a, desc_b, witness, args.enum_cap, loc)
     for w in decision["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
-    if args.json:
-        _emit(decision)
-    else:
-        print("true" if decision["is_3birational"] else "false")
+    _print(args, decision, str(decision["is_3birational"]).lower())
     return 0 if decision["is_3birational"] else 1
 
 
 def _cmd_bridge(args):
     model = _load_model(args.model)
-    t = bridge_transformation(model, args.d_from, args.d_to, args.point)
-    if args.json:
-        _emit({"text": format_canonical(t), "element": t.to_json()})
-    else:
-        print(format_canonical(t))
-    return 0
+    return _print_element(args, bridge_transformation(model, args.d_from, args.d_to, args.point))
 
 
 def _cmd_verify(args):
     model = _load_model(args.model)
     model_b = _load_model(args.model_b) if args.model_b else model
-    source = _descriptor_from_file(model, args.source, args.enum_cap)
-    target = _descriptor_from_file(model_b, args.target, args.enum_cap)
+    source = _descriptor_file(model, args.source, args.enum_cap)
+    target = _descriptor_file(model_b, args.target, args.enum_cap)
     transform = eval_expression(args.transform, model)
     if isinstance(transform, ExtendedTransformation):
         rho = transform.rho
         transform = transform.basic
-    elif args.rho is not None:
-        try:
-            rows = json.loads(args.rho)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--rho is not a JSON matrix: {exc}") from None
+    else:
+        dim = 2 * model.genus
+        rows = zero_matrix(dim) if args.rho is None else _int_matrix(
+            _read_json(args.rho, "--rho"), dim, ("--rho",))
         rho = make_jac_aut(rows, model.rank)
-    else:
-        rho = make_jac_aut(
-            [[0] * (2 * model.genus) for _ in range(2 * model.genus)], model.rank
-        )
-    if args.xi:
-        xi = _class_from_json(_read_json(args.xi), 2 * model.genus, args.xi)
-    else:
-        xi = default_ref_det(model, source.degree)
-    witness = _read_json(args.witness) if args.witness else None
+    xi = _class_file(model, args.xi) if args.xi else None
+    witness, loc = _document(args.witness) if args.witness else (None, (None,))
     report = verify_decomposition(
-        source, target, witness, transform, rho, xi, args.claim, args.enum_cap
+        source, target, witness, transform, rho, xi, args.claim, args.enum_cap, loc
     )
     for w in report["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
@@ -383,37 +357,37 @@ def _build_parser():
     q = wsub.add_parser("check-generic")
     common(q)
     q.add_argument("file")
-    q.set_defaults(fn=_cmd_weights)
+    q.set_defaults(fn=_cmd_check_generic)
     q = wsub.add_parser("fingerprint")
     common(q)
     q.add_argument("file")
-    q.set_defaults(fn=_cmd_weights)
+    q.set_defaults(fn=_cmd_fingerprint)
     q = wsub.add_parser("same-chamber")
     common(q)
     q.add_argument("file_a")
     q.add_argument("file_b")
-    q.set_defaults(fn=_cmd_weights)
+    q.set_defaults(fn=_cmd_same_chamber)
     q = wsub.add_parser("hecke")
     common(q)
     q.add_argument("file")
     q.add_argument("--point", required=True)
-    q.set_defaults(fn=_cmd_weights)
+    q.set_defaults(fn=_cmd_hecke)
     q = wsub.add_parser("dual")
     common(q)
     q.add_argument("file")
-    q.set_defaults(fn=_cmd_weights)
+    q.set_defaults(fn=_cmd_dual)
 
     p = sub.add_parser("stabilizer", help="stabilizer subgroup reports")
     ssub = p.add_subparsers(dest="stab_cmd", required=True)
     q = ssub.add_parser("xi")
     common(q)
     q.add_argument("--xi", required=True, help="determinant class JSON file")
-    q.set_defaults(fn=_cmd_stabilizer)
+    q.set_defaults(fn=_cmd_stabilizer_xi)
     q = ssub.add_parser("d-alpha")
     common(q)
     q.add_argument("--degree", type=int, required=True)
     q.add_argument("--weights", required=True, help="weight system JSON file")
-    q.set_defaults(fn=_cmd_stabilizer)
+    q.set_defaults(fn=_cmd_stabilizer_d_alpha)
 
     p = sub.add_parser("aut-report", help="layered automorphism report")
     common(p)

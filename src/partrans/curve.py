@@ -125,9 +125,6 @@ class CurveModel:
     def automorphism(self, name):
         return self.automorphisms[self._position(name)]
 
-    def has_automorphism(self, name):
-        return name in self._auto_pos
-
     def conjugator(self, name):
         """(M, columns of M^{-1}) for the named automorphism's linear part,
         None for the identity; built once per name."""
@@ -187,138 +184,204 @@ def point_class(model, name):
     return model.point_class(name)
 
 
-# -- configuration loading ----------------------------------------------
+# -- reading JSON input ---------------------------------------------------
+#
+# Every JSON document a user hands over (a model, weights, a class, a
+# descriptor, a witness, a matrix) is read by these readers. A location is
+# a tuple (source, key, ...): the file or option the document came from
+# (None when there is none), then the path of keys and indices to a value.
 
 
-def _reject_float(_):
-    raise ConfigError("floating point literals are not allowed; write rationals as strings")
+def _where(loc):
+    """Text of a location, as `source: key.key[index]`, or None for the
+    root of a document without a source."""
+    source, *keys = loc
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+    path = path[1:] if path.startswith(".") else path
+    return ": ".join(x for x in (source, path) if x) or None
 
 
-def _parse_fraction(value, location):
-    if isinstance(value, bool):
-        raise ConfigError("expected a rational, got a boolean", location)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"malformed rational {value!r}", location) from None
-    raise ConfigError(f"expected a rational string, got {type(value).__name__}", location)
+def _fail(loc, message, error=ConfigError):
+    raise error(message, _where(loc))
 
 
-def _require_int(value, location):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", location)
+def _float_at(doc, loc):
+    """The location of the first float in doc at loc, in document order
+    (loc itself when a repeated key dropped every float)."""
+    stack = [(doc, loc)]
+    while stack:
+        value, at = stack.pop()
+        if isinstance(value, float):
+            return at
+        items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+        stack.extend(reversed([(v, at + (k,)) for k, v in items]))
+    return loc
+
+
+def _read_json(text, source=None):
+    """The JSON document in text. Floats (NaN and Infinity too) are refused,
+    as are integers Python cannot convert and nesting it cannot recurse
+    into; every error names source."""
+    floats = []
+
+    def as_float(literal):
+        floats.append(literal)
+        return float(literal)
+
+    try:
+        doc = json.loads(text, parse_float=as_float, parse_constant=as_float)
+    except json.JSONDecodeError as e:
+        _fail((source, f"line {e.lineno} column {e.colno}"), f"invalid JSON: {e.msg}")
+    except ValueError as e:
+        _fail((source,), f"invalid JSON: {e}")
+    except RecursionError:
+        _fail((source,), "invalid JSON: nested too deeply")
+    if floats:
+        _fail(_float_at(doc, (source,)),
+              f"floating point literal {floats[0]} is not allowed; write integers, and rationals as strings")
+    return doc
+
+
+def _object(value, keys, loc):
+    """A JSON object holding every key of keys."""
+    if not isinstance(value, dict):
+        _fail(loc, f"expected an object, got {type(value).__name__}")
+    for key in keys:
+        if key not in value:
+            _fail(loc, f"missing key {key!r}")
     return value
 
 
-def _check_identifier(name, location):
-    if not isinstance(name, str) or not name.isidentifier():
-        raise ConfigError(f"name {name!r} is not an identifier", location)
-    return name
+def _list(value, n, loc, what):
+    """A JSON array, of length n unless n is None."""
+    if not isinstance(value, list):
+        _fail(loc, f"expected an array of {what}, got {type(value).__name__}")
+    if n is not None and len(value) != n:
+        _fail(loc, f"expected {n} {what}, got {len(value)}", DimensionMismatch)
+    return value
 
 
-def load_config(text):
-    """Parse a configuration document into a CurveModel.
+def _int(value, loc):
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(loc, f"expected an integer, got {value!r}")
+    return value
+
+
+def _rational(value, loc):
+    """An int (not a bool), a rational string or a Fraction, as a Fraction."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            _fail(loc, f"malformed rational {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        _fail(loc, f"expected a rational string, got {type(value).__name__}")
+    return Fraction(value)
+
+
+def _rationals(value, n, loc):
+    """A list of n rationals (of any length when n is None), as Fractions."""
+    return [_rational(v, loc + (k,)) for k, v in enumerate(_list(value, n, loc, "rationals"))]
+
+
+def _int_matrix(value, n, loc):
+    """An n x n matrix of integers, as a tuple of rows."""
+    return tuple(
+        tuple(_int(x, loc + (i, j)) for j, x in enumerate(_list(row, n, loc + (i,), "integers")))
+        for i, row in enumerate(_list(value, n, loc, "rows"))
+    )
+
+
+def _string(value, loc):
+    if not isinstance(value, str):
+        _fail(loc, f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _identifier(value, loc):
+    if not isinstance(value, str) or not value.isidentifier():
+        _fail(loc, f"name {value!r} is not an identifier")
+    return value
+
+
+def _names(value, loc):
+    """An object mapping names to names."""
+    return {k: _string(v, loc + (k,)) for k, v in _object(value, (), loc).items()}
+
+
+def _affine(obj, dim, loc):
+    """The class map of obj: its "matrix", a dim x dim integer matrix (the
+    identity when absent), and its "translation", dim rationals (zero when
+    absent), as a JacobianElement."""
+    matrix = obj.get("matrix")
+    if matrix is None:
+        matrix = tuple(map(tuple, identity_matrix(dim)))
+    else:
+        matrix = _int_matrix(matrix, dim, loc + ("matrix",))
+    translation = obj.get("translation")
+    if translation is None:
+        return matrix, JacobianElement.zero(dim)
+    return matrix, JacobianElement(_rationals(translation, dim, loc + ("translation",)))
+
+
+def load_config(text, source=None):
+    """Parse a configuration document into a CurveModel; errors name
+    source, the file the text came from, when given.
 
     Structural checks only (shapes, ranges, name resolution); group axioms
     are the business of validate_model.
     """
-    try:
-        doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"invalid JSON: {e.msg}", f"line {e.lineno} column {e.colno}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("top level must be an object")
-
-    genus = _require_int(doc.get("genus"), "genus")
+    loc = (source,)
+    doc = _object(_read_json(text, source), ("genus", "rank"), loc)
+    genus = _int(doc["genus"], loc + ("genus",))
     if genus < 1:
-        raise ConfigError(f"genus must be positive, got {genus}", "genus")
-    rank = _require_int(doc.get("rank"), "rank")
+        _fail(loc + ("genus",), f"genus must be positive, got {genus}")
+    rank = _int(doc["rank"], loc + ("rank",))
     if rank < 2:
-        raise ConfigError(f"rank must be at least 2, got {rank}", "rank")
-    degree = _require_int(doc.get("degree", 0), "degree")
+        _fail(loc + ("rank",), f"rank must be at least 2, got {rank}")
+    degree = _int(doc.get("degree", 0), loc + ("degree",))
     dim = 2 * genus
 
     points = []
     seen = set()
-    for i, entry in enumerate(doc.get("points", [])):
-        loc = f"points[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError("point entry must be an object", loc)
-        name = _check_identifier(entry.get("name"), f"{loc}.name")
+    for i, entry in enumerate(_list(doc.get("points", []), None, loc + ("points",), "points")):
+        at = loc + ("points", i)
+        entry = _object(entry, ("name", "jac"), at)
+        name = _identifier(entry["name"], at + ("name",))
         if name in seen:
-            raise ConfigError(f"duplicate point name {name!r}", loc)
+            _fail(at, f"duplicate point name {name!r}")
         seen.add(name)
-        jac = entry.get("jac")
-        if not isinstance(jac, list):
-            raise ConfigError("jac must be an array of rationals", f"{loc}.jac")
-        if len(jac) != dim:
-            raise DimensionMismatch(
-                f"coordinate length {len(jac)} does not match 2g = {dim}", f"{loc}.jac"
-            )
-        coords = [_parse_fraction(v, f"{loc}.jac[{k}]") for k, v in enumerate(jac)]
-        points.append(MarkedPoint(name, JacobianElement(coords)))
+        points.append(MarkedPoint(name, JacobianElement(_rationals(entry["jac"], dim, at + ("jac",)))))
     point_names = [p.name for p in points]
 
     autos = []
-    raw_autos = doc.get("automorphisms")
+    raw_autos = _list(doc.get("automorphisms") or [], None, loc + ("automorphisms",), "automorphisms")
     if not raw_autos:
-        autos.append(
-            CurveAutomorphism(
-                "id",
-                {n: n for n in point_names},
-                identity_matrix(dim),
-                JacobianElement.zero(dim),
-            )
-        )
-    else:
-        seen_autos = set()
-        for i, entry in enumerate(raw_autos):
-            loc = f"automorphisms[{i}]"
-            if not isinstance(entry, dict):
-                raise ConfigError("automorphism entry must be an object", loc)
-            name = _check_identifier(entry.get("name"), f"{loc}.name")
-            if name in seen_autos:
-                raise ConfigError(f"duplicate automorphism name {name!r}", loc)
-            seen_autos.add(name)
-            raw_perm = entry.get("perm", {})
-            if not isinstance(raw_perm, dict):
-                raise ConfigError("perm must be an object mapping point names", f"{loc}.perm")
-            perm = {}
-            for k, v in raw_perm.items():
-                if k not in seen or v not in seen:
-                    raise ConfigError(f"perm names unknown point {k!r} -> {v!r}", f"{loc}.perm")
-                perm[k] = v
-            for n in point_names:
-                perm.setdefault(n, n)
-            if sorted(perm.values()) != sorted(point_names):
-                raise ConfigError("perm is not a permutation of the points", f"{loc}.perm")
-            matrix = entry.get("matrix")
-            if matrix is None:
-                matrix = identity_matrix(dim)
-            if not isinstance(matrix, list) or len(matrix) != dim or any(
-                not isinstance(row, list) or len(row) != dim for row in matrix
-            ):
-                raise DimensionMismatch(f"matrix must be {dim}x{dim}", f"{loc}.matrix")
-            matrix = [
-                [_require_int(x, f"{loc}.matrix[{a}][{b}]") for b, x in enumerate(row)]
-                for a, row in enumerate(matrix)
-            ]
-            if det_int(matrix) not in (1, -1):
-                raise ConfigError("matrix is not invertible over the integers", f"{loc}.matrix")
-            raw_t = entry.get("translation", [0] * dim)
-            if not isinstance(raw_t, list) or len(raw_t) != dim:
-                raise DimensionMismatch(f"translation must have length {dim}", f"{loc}.translation")
-            translation = JacobianElement(
-                _parse_fraction(v, f"{loc}.translation[{k}]") for k, v in enumerate(raw_t)
-            )
-            autos.append(CurveAutomorphism(name, perm, matrix, translation))
+        autos.append(CurveAutomorphism("id", {n: n for n in point_names}, *_affine({}, dim, loc)))
+    seen_autos = set()
+    for i, entry in enumerate(raw_autos):
+        at = loc + ("automorphisms", i)
+        entry = _object(entry, ("name",), at)
+        name = _identifier(entry["name"], at + ("name",))
+        if name in seen_autos:
+            _fail(at, f"duplicate automorphism name {name!r}")
+        seen_autos.add(name)
+        perm = _names(entry.get("perm", {}), at + ("perm",))
+        for k, v in perm.items():
+            if k not in seen or v not in seen:
+                _fail(at + ("perm",), f"perm names unknown point {k!r} -> {v!r}")
+        for n in point_names:
+            perm.setdefault(n, n)
+        if sorted(perm.values()) != sorted(point_names):
+            _fail(at + ("perm",), "perm is not a permutation of the points")
+        matrix, translation = _affine(entry, dim, at)
+        if det_int(matrix) not in (1, -1):
+            _fail(at + ("matrix",), "matrix is not invertible over the integers")
+        autos.append(CurveAutomorphism(name, perm, matrix, translation))
 
     endo_ring = doc.get("endomorphisms", "scalar")
     if endo_ring not in ("scalar", "matrix"):
-        raise ConfigError("endomorphisms must be 'scalar' or 'matrix'", "endomorphisms")
+        _fail(loc + ("endomorphisms",), "endomorphisms must be 'scalar' or 'matrix'")
 
     return CurveModel(genus, rank, degree, points, autos, endo_ring)
 

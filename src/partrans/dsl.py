@@ -37,7 +37,10 @@ from .picard import (
 from .transform import (
     BasicTransformation,
     Divisor,
+    _coordinate_text,
+    _divisor_text,
     compose,
+    describe,
     identity_transform,
     inverse,
     normalize_word,
@@ -46,6 +49,7 @@ from .extended import (
     ExtendedTransformation,
     compose_ext,
     default_ref_det,
+    describe_ext,
     ext_inverse,
     lift_basic,
 )
@@ -275,16 +279,14 @@ class _Parser:
             dv = self.parse_divisor()
             self.expect(")")
             return ("tensor_div", dv)
-        if self.at("("):
+        paren = self.at("(")
+        if paren:
             self.next()
-            deg = self.parse_int()
-            self.expect(",")
-            vec = self.parse_vector()
-            self.expect(")")
-            return ("tensor_class", deg, vec)
         deg = self.parse_int()
         self.expect(",")
         vec = self.parse_vector()
+        if paren:
+            self.expect(")")
         return ("tensor_class", deg, vec)
 
 
@@ -351,13 +353,7 @@ def _value(node, model, ref_det):
     if kind == "id":
         return identity_transform(model)
     if kind == "dual":
-        return BasicTransformation(
-            model,
-            model.identity_name,
-            -1,
-            LineBundleClass.trivial(2 * model.genus),
-            Divisor(),
-        )
+        return normalize_word(model, [("D",)])
     if kind == "sigma":
         name = node[1]
         model.automorphism(name)
@@ -423,21 +419,6 @@ def eval_expression(text, model, ref_det=None):
 
 
 # -- canonical text ------------------------------------------------------
-
-
-def _divisor_text(model, mult):
-    parts = []
-    for name in model.point_names:
-        c = mult.get(name, 0)
-        if not c:
-            continue
-        if not parts:
-            parts.append(f"{c}*{name}")
-        elif c > 0:
-            parts.append(f"+ {c}*{name}")
-        else:
-            parts.append(f"- {-c}*{name}")
-    return " ".join(parts)
 
 
 def _residue_system(model, cls):
@@ -543,42 +524,21 @@ def divisor_form(model, cls):
 
 
 def format_canonical(x, forms=None):
-    """Deterministic canonical text; evaluates back to x exactly.
+    """Deterministic canonical text; evaluates back to x exactly. It is
+    describe's text, a nontrivial line part written as its divisor form
+    when one exists.
 
     `forms`, when given, is a dict from line class to the text of its T
     atom, read and filled by every call that shares it; the calls must be
     over one model.
     """
-    if isinstance(x, ExtendedTransformation):
-        base = format_canonical(x.basic, forms)
-        if x.rho.is_identity():
-            return base
-        rows = ",".join(
-            "[" + ",".join(str(v) for v in row) + "]" for row in x.rho.tilde
-        )
-        return f"A[{rows}] * {base}"
+    forms = {} if forms is None else forms
     model = x.model
-    parts = []
-    if x.sigma != model.identity_name:
-        parts.append(f"S({x.sigma})")
-    if x.s == -1:
-        parts.append("D-")
-    if not x.line.is_trivial():
-        text = None if forms is None else forms.get(x.line)
-        if text is None:
-            text = _line_text(model, x.line)
-            if forms is not None:
-                forms[x.line] = text
-        parts.append(text)
-    if not x.hecke.is_zero():
-        parts.append(f"H({_divisor_text(model, x.hecke.mult)})")
-    return " * ".join(parts) if parts else "id"
 
+    def line_text(line):
+        if line not in forms:
+            dv = divisor_form(model, line)
+            forms[line] = _coordinate_text(line) if dv is None else f"T(O({_divisor_text(model, dv)}))"
+        return forms[line]
 
-def _line_text(model, line):
-    """The T atom of a nontrivial line class: its divisor form when one
-    exists, else its coordinates."""
-    dv = divisor_form(model, line)
-    if dv is not None:
-        return f"T(O({_divisor_text(model, dv)}))"
-    return f"T({line.degree}, [{', '.join(line.jac.texts())}])"
+    return (describe_ext if isinstance(x, ExtendedTransformation) else describe)(x, line_text)

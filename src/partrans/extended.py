@@ -9,7 +9,7 @@ degree-zero correction tensor; both steps are exact.
 from itertools import compress
 from operator import mul
 
-from .errors import ExtendedCompositionError, NotGeneric, ShapeMismatch
+from .errors import ExtendedCompositionError, ShapeMismatch
 from .intmat import mat_vec, zero_matrix
 from .picard import (
     DEFAULT_ENUM_CAP,
@@ -24,19 +24,17 @@ from .transform import (
     ParabolicInvariant,
     act_det,
     act_invariant,
-    chamber_predicate,
-    _check_weights_rank,
+    _chamber_filter,
+    _coordinate_text,
     compose,
     describe,
     identity_transform,
     inverse,
     _degree_sectors,
     _fold,
-    _hecke_tuples,
     _sector_transforms,
     _word_of,
 )
-from .weights import is_generic
 
 
 class ExtendedTransformation:
@@ -93,8 +91,9 @@ class ExtendedTransformation:
         }
 
 
-def describe_ext(e):
-    base = describe(e.basic)
+def describe_ext(e, line_text=_coordinate_text):
+    """describe with the Jacobian part, when not the identity, as an A atom in front."""
+    base = describe(e.basic, line_text)
     if e.rho.is_identity():
         return base
     rows = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in e.rho.tilde)
@@ -229,13 +228,8 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
     """
     from .dsl import format_canonical
 
-    _check_weights_rank(alpha, model)
-    ok, witness = is_generic(alpha, cap)
-    if not ok:
-        raise NotGeneric(witness)
-    tuples = _hecke_tuples(model, cap)
+    tuples, keeps = _chamber_filter(alpha, model, cap)
     sectors = list(_degree_sectors(model, d, tuples))
-    keeps = chamber_predicate(alpha, cap)
     regular = [
         kept for auto, s, group in sectors for kept in keeps.sectors(model, auto, s, tuples, group)
     ]

@@ -184,29 +184,44 @@ class ParabolicInvariant:
         return f"ParabolicInvariant(rank={self.rank}, det={self.det!r}, weights={self.weights!r})"
 
 
-def describe(t):
-    """Plain canonical text of a tuple, without divisor sugar."""
+def _divisor_text(model, mult):
+    """Multiplicities in the model's point order, as 1*p + 2*q - 1*x."""
+    parts = []
+    for name in model.point_names:
+        c = mult.get(name, 0)
+        if not c:
+            continue
+        if not parts:
+            parts.append(f"{c}*{name}")
+        elif c > 0:
+            parts.append(f"+ {c}*{name}")
+        else:
+            parts.append(f"- {-c}*{name}")
+    return " ".join(parts)
+
+
+def _coordinate_text(line):
+    return f"T({line.degree}, [{', '.join(line.jac.texts())}])"
+
+
+def describe(t, line_text=_coordinate_text):
+    """Canonical text of a tuple, its atoms in S D T H order; line_text
+    writes a nontrivial line part, by default as its coordinates."""
     parts = []
     if t.sigma != t.model.identity_name:
         parts.append(f"S({t.sigma})")
     if t.s == -1:
         parts.append("D-")
     if not t.line.is_trivial():
-        parts.append(f"T({t.line.degree}, [{', '.join(t.line.jac.texts())}])")
+        parts.append(line_text(t.line))
     if not t.hecke.is_zero():
-        terms = " + ".join(
-            f"{t.hecke.get(name)}*{name}"
-            for name in t.model.point_names
-            if t.hecke.get(name)
-        )
-        parts.append(f"H({terms})")
-    return " * ".join(parts) if parts else "id"
+        parts.append(f"H({_divisor_text(t.model, t.hecke.mult)})")
+    return " * ".join(parts) or "id"
 
 
 def make_basic(sigma, s, line, hecke, model):
     """Validated tuple constructor."""
-    if not model.has_automorphism(sigma):
-        model.automorphism(sigma)  # raises UnknownAutomorphism
+    model.automorphism(sigma)  # raises UnknownAutomorphism
     if s not in (1, -1):
         raise ShapeMismatch(f"s must be +1 or -1, got {s!r}")
     if not isinstance(line, LineBundleClass):
@@ -413,7 +428,7 @@ def act_weights(t, w):
     )
 
 
-_Plan = namedtuple("_Plan", "sources missing positions lanes firsts outside tails")
+_Plan = namedtuple("_Plan", "sources missing positions lanes screen tails")
 
 
 class _ChamberTest:
@@ -430,9 +445,10 @@ class _ChamberTest:
     Hecke steps of their points. A WeightSystem of the acted system is
     built only to report its wall in a NotGeneric error.
 
-    Call it on a tuple, or through `sectors` on Hecke multiplicity tuples
-    over the model's points, which builds no tuple unless an error needs
-    one. Both raise as act_weights and same_chamber would, in that order.
+    Call it on a canonical tuple, or through `sectors` on Hecke
+    multiplicity tuples over the model's points, which builds no tuple
+    unless an error needs one. Both raise as act_weights and same_chamber
+    would, in that order.
     """
 
     def __init__(self, alpha, cap):
@@ -442,10 +458,12 @@ class _ChamberTest:
         self.walls = _walls(alpha)
         self.q = self.walls.q
         self.ints = dict(zip(alpha.point_names, self.walls.ints))
-        # alpha's first wall (subset {1} at every point): its floor, or
-        # None when it is integral or there are no walls
+        # (lo, lo + q): the multiples of q around alpha's first wall
+        # (subset {1} at every point) times q, or None when that wall is
+        # integral or there are no walls
         first = sum(row[0] for row in self.walls.rows(1)) if self.count else 0
-        self.first = first // self.q if first % self.q else None
+        lo = first - first % self.q
+        self.within = (lo, lo + self.q) if first % self.q else None
         self.plans = {}  # (automorphism, s) -> see _plan
         self.halves = None  # alpha's _Walls.halves, listed by the first _keeps
 
@@ -455,86 +473,71 @@ class _ChamberTest:
         None); missing is the first sigma(y) outside alpha, or None. When
         there are walls, lanes[r' - 1][j][k] is the acted wall row of
         subrank r' at alpha's j-th point after k Hecke steps, for k below
-        max(r, model rank), and firsts[j][k] its entry at the first wall.
-        outside lists the model's points outside alpha with their
-        positions, and tails caches the acted tails (see _acted)."""
+        max(r, model rank). When the sources are alpha's points and take
+        each of the model's points once, and the walls are within the cap,
+        screen is (base, rows): a tuple H over the model's points has the
+        acted first wall base + sum of rows[i][H[i]]; else screen is None.
+        tails caches the acted tails (see _acted)."""
         plan = self.plans.get((auto, s))
         if plan is None:
             _check_weights_rank(self.alpha, model)
             perm = auto.point_perm
             src = tuple(perm.get(y, y) for y in self.ints)
             missing = next((x for x in src if x not in self.ints), None)
-            names = model.point_names
-            pos = {x: i for i, x in enumerate(names)}
-            outside = [(i, x) for i, x in enumerate(names) if x not in self.ints]
+            pos = {x: i for i, x in enumerate(model.point_names)}
+            pos = tuple(pos.get(x) for x in src)
             r, q = self.alpha.rank, self.q
-            lanes = firsts = None
+            lanes = screen = None
             if missing is None and self.count:
                 acted = [[_act_vector(self.ints[x], k, s, q) for k in range(max(r, model.rank))]
                          for x in src]
                 lanes = [[[_wall_row(v, r, rp) for v in vecs] for vecs in acted]
                          for rp in range(1, r)]
                 firsts = [[row[0] for row in lane] for lane in lanes[0]]
-            plan = self.plans[auto, s] = _Plan(
-                src, missing, tuple(pos.get(x) for x in src), lanes, firsts, outside, {}
-            )
+                n = len(model.points)
+                if self.count <= self.cap and self.within and sorted(
+                        i for i in pos if i is not None) == list(range(n)):
+                    at = dict(zip(pos, firsts))
+                    screen = (sum(f[0] for i, f in zip(pos, firsts) if i is None),
+                              [at[i] for i in range(n)])
+            plan = self.plans[auto, s] = _Plan(src, missing, pos, lanes, screen, {})
         return plan
 
     def __call__(self, t):
-        """The verdict on one tuple."""
-        hecke = t.hecke.mult
-        for x, mult in hecke.items():
-            if mult > 0 and x not in self.ints:
-                raise UnknownPoint(x)
-        plan = self._plan(t.model, t.model.automorphism(t.sigma), t.s)
-        if plan.missing is not None:
-            raise UnknownPoint(plan.missing)
-        r = self.alpha.rank
-        steps = [max(hecke.get(x, 0), 0) % r for x in plan.sources]
-        return self._keeps(plan, steps, lambda: t)
+        """The verdict on one canonical tuple: `sectors` on its Hecke part."""
+        model = t.model
+        mults = tuple(map(t.hecke.get, model.point_names))
+        return self.sectors(model, model.automorphism(t.sigma), t.s, [mults], [(0, None)])[0]
 
     def sectors(self, model, auto, s, tuples, group):
         """The verdicts on the tuples (auto, s, H) for H = tuples[k] over
         model.point_names, for each (k, _) of group in order; a line part
         does not act on weights.
 
-        When the sources are alpha's points and take each of the model's
-        points once, and the walls are within the cap, the first wall's
-        value is computed for every tuple at once, by prefix sums over the
-        points as for the Hecke classes. A tuple whose value there is not
+        A tuple whose acted first wall (see _plan's screen) is not
         integral and lies outside alpha's floor leaves the chamber at that
         wall, which is what _keeps would find. The others are tested one by
         one.
         """
-        plan = self._plan(model, auto, s)
-        _, missing, pos, _, firsts, outside, _ = plan
-        n = len(model.points)
-        heads = None
-        if (
-            missing is None
-            and 0 < self.count <= self.cap
-            and self.first is not None
-            and sorted(i for i in pos if i is not None) == list(range(n))
-        ):
-            at = {i: f for i, f in zip(pos, firsts) if i is not None}
-            heads = [sum(f[0] for i, f in zip(pos, firsts) if i is None)]
-            for i in range(n):
-                entries = at[i][: model.rank]
-                heads = [h + x for h in heads for x in entries]
-            lo = self.first * self.q
-            hi = lo + self.q
+        outside = [(i, x) for i, x in enumerate(model.point_names) if x not in self.ints]
+        plan = None
         verdicts = []
         for k, _ in group:
             mults = tuples[k]
-            if heads is not None and not lo <= heads[k] <= hi:
-                verdicts.append(False)
-                continue
             for i, x in outside:
                 if mults[i] > 0:
                     raise UnknownPoint(x)
-            if missing is not None:
-                raise UnknownPoint(missing)
-            steps = [0 if i is None else mults[i] for i in pos]
+            if plan is None:
+                plan = self._plan(model, auto, s)
+            if plan.missing is not None:
+                raise UnknownPoint(plan.missing)
+            if plan.screen is not None:
+                base, rows = plan.screen
+                first = base + sum(map(getitem, rows, mults))
+                if first % self.q and not self.within[0] < first < self.within[1]:
+                    verdicts.append(False)
+                    continue
+            steps = [0 if i is None else mults[i] for i in plan.positions]
             verdicts.append(self._keeps(plan, steps, lambda: BasicTransformation(
                 model, auto.name, s, LineBundleClass.trivial(2 * model.genus),
                 Divisor(zip(model.point_names, mults)),
@@ -730,15 +733,20 @@ def t_d_quotient_reps(d, model, cap=DEFAULT_ENUM_CAP):
     return list(_sector_transforms(model, tuples, _degree_sectors(model, d, tuples)))
 
 
-def stabilizer_d_alpha_quotient(d, alpha, model, cap=DEFAULT_ENUM_CAP):
-    """Chamber-filtered representatives of the degree stabilizer; a
-    representative is built only for a sector the filter keeps."""
+def _chamber_filter(alpha, model, cap):
+    """The Hecke tuples of the model and the chamber test of alpha, for a
+    filter of the degree stabilizer by a generic alpha of the model's rank."""
     _check_weights_rank(alpha, model)
     ok, witness = is_generic(alpha, cap)
     if not ok:
         raise NotGeneric(witness)
-    tuples = _hecke_tuples(model, cap)
-    keeps = chamber_predicate(alpha, cap)
+    return _hecke_tuples(model, cap), chamber_predicate(alpha, cap)
+
+
+def stabilizer_d_alpha_quotient(d, alpha, model, cap=DEFAULT_ENUM_CAP):
+    """Chamber-filtered representatives of the degree stabilizer; a
+    representative is built only for a sector the filter keeps."""
+    tuples, keeps = _chamber_filter(alpha, model, cap)
     kept = (
         (auto, s, list(itertools.compress(group, keeps.sectors(model, auto, s, tuples, group))))
         for auto, s, group in _degree_sectors(model, d, tuples)

@@ -36,6 +36,8 @@ class WeightSystem:
             entries = entries.items()
         entries = tuple((name, tuple(Fraction(v) for v in vec)) for name, vec in entries)
         for name, vec in entries:
+            if not vec:
+                raise ShapeMismatch(f"empty weight vector at {name!r}")
             if rank is None:
                 rank = len(vec)
             if len(vec) != rank:

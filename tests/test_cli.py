@@ -672,3 +672,178 @@ def test_output_is_deterministic(files, capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# -- malformed JSON inputs -----------------------------------------------
+
+_W = {"p": ["0", "1/3"], "q": ["0", "1/4"]}
+_DESC = {"rank": 2, "degree": 0, "weights": _W}
+_WITNESS = {"points": {"p": "p", "q": "q"}}
+
+
+def _act(flag):
+    return ["act", "--model", "{model}", "id", flag, "{f}"]
+
+
+def _torelli(flag="--witness"):
+    return ["torelli", "--model", "{model}", "--desc-a", "{desc}", "--desc-b", "{desc}", flag, "{f}"]
+
+
+def _verify(*rest):
+    return ["verify", "--model", "{model}", "--source", "{desc}", "--target", "{desc}",
+            "--transform", "id", *rest]
+
+
+_DUAL = ["weights", "dual", "--model", "{model}", "{f}"]
+_G1_AUTOS = {"automorphisms": [{"name": "id"}, {"name": "tau", "perm": {"p": ["p"]}}]}
+
+# case -> (argv, with {f} for the damaged document's file, {desc} for a
+# good descriptor and {model} for the model; the damaged document, None
+# for none; the start of the location the error must name, its file
+# written as f.json). Each of these ended in a traceback, or went through
+# misread, before the JSON readers.
+_MALFORMED = {
+    "weights file that is a list": (_DUAL, [["0", "1/3"]], "f.json: expected an object"),
+    "weight entry abc": (_DUAL, {"p": ["0", "abc"], "q": ["0", "1/4"]}, "f.json: p[1]:"),
+    "det degree x": (_act("--det"), {"degree": "x", "jac": ["0", "0"]}, "f.json: degree:"),
+    "det jac a string": (_act("--det"), {"degree": 0, "jac": "01"}, "f.json: jac:"),
+    "det jac entry a float": (_act("--det"), {"degree": 0, "jac": [0.5, "0"]}, "f.json: jac[0]:"),
+    "descriptor rank two": (_torelli("--desc-a"), dict(_DESC, rank="two"), "f.json: rank:"),
+    "descriptor degree a float": (_torelli("--desc-a"), dict(_DESC, degree=0.5), "f.json: degree:"),
+    "descriptor a string": (_torelli("--desc-a"), "desc", "f.json: expected an object"),
+    "invariant rank x": (
+        _act("--invariant"), {"rank": "x", "det": {"degree": 0, "jac": ["0", "0"]}, "weights": _W},
+        "f.json: rank:"),
+    "witness translation abc (torelli)": (
+        _torelli(), dict(_WITNESS, translation=["abc", "0"]), "f.json: translation[0]:"),
+    "witness translation abc (verify)": (
+        _verify("--witness", "{f}"), dict(_WITNESS, translation=["abc", "0"]), "f.json: translation[0]:"),
+    "witness matrix entry a": (
+        _torelli(), dict(_WITNESS, matrix=[["a", 0], [0, 1]]), "f.json: matrix[0][0]:"),
+    "witness without points": (_torelli(), {"matrix": [[1, 0], [0, 1]]}, "f.json: missing key 'points'"),
+    "witness a list": (_torelli(), [1], "f.json: expected an object"),
+    "witness points an int": (_torelli(), {"points": 5}, "f.json: points:"),
+    "rho not a matrix": (_verify("--rho", "[1]"), None, "--rho: expected 2 rows"),
+    "rho entry a": (_verify("--rho", '[["a", 0], [0, 0]]'), None, "--rho: [0][0]:"),
+    "rho entry a float": (_verify("--rho", "[[1.5, 0], [0, 0]]"), None, "--rho: [0][0]:"),
+    "model perm value a list": (
+        ["normalize", "--model", "{f}", "id"], _G1_AUTOS, "f.json: automorphisms[1].perm.p:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_json_input_exits_2_naming_file_and_field(files, tmp_path, capsys, case):
+    argv, doc, where = _MALFORMED[case]
+    if doc is _G1_AUTOS:
+        doc = dict(json.loads(open(files["g1"]).read()), **doc)
+    paths = {"desc": _write(tmp_path, "desc.json", _DESC), "model": files["g1"],
+             "f": _write(tmp_path, "f.json", json.dumps(doc))}
+    rc, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (rc, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].replace(str(tmp_path) + "/", "").startswith("error: " + where)
+
+
+# JSON-input fuzz: one document of a command, or its model, damaged at one
+# drawn place: a value replaced by a float, a bool, null, a string, a list
+# or an object of the wrong kind, a key deleted, an array made one longer
+# or shorter (a matrix row too, which makes it non-square)
+_DOCS = {
+    "model": {"genus": 1, "rank": 2, "degree": 0,
+              "points": [{"name": "p", "jac": ["0", "0"]}, {"name": "q", "jac": ["1/2", "0"]}],
+              "automorphisms": [{"name": "id", "perm": {"p": "p", "q": "q"},
+                                 "matrix": [[1, 0], [0, 1]], "translation": ["0", "0"]}]},
+    "w": _W,
+    "xi": {"degree": 0, "jac": ["0", "1/2"]},
+    "inv": {"rank": 2, "det": {"degree": 0, "jac": ["1/5", "0"]}, "weights": _W, "label": "v"},
+    "desc": _DESC,
+    "wit": dict(_WITNESS, matrix=[[1, 0], [0, 1]], translation=["0", "0"]),
+    "rho": [[0, 1], [0, 0]],
+}
+_COMMANDS = [
+    ["act", "H(q)", "--det", "{xi}", "--weights", "{w}", "--invariant", "{inv}"],
+    ["weights", "check-generic", "{w}"],
+    ["weights", "fingerprint", "{w}"],
+    ["weights", "same-chamber", "{w}", "{w}"],
+    ["weights", "hecke", "{w}", "--point", "q"],
+    ["weights", "dual", "{w}"],
+    ["stabilizer", "xi", "--xi", "{xi}"],
+    ["stabilizer", "d-alpha", "--degree", "0", "--weights", "{w}"],
+    ["aut-report", "--degree", "0", "--weights", "{w}"],
+    ["torelli", "--desc-a", "{desc}", "--desc-b", "{desc}", "--witness", "{wit}"],
+    ["verify", "--source", "{desc}", "--target", "{desc}", "--transform", "D- * D-",
+     "--rho", "{rho}", "--xi", "{xi}", "--witness", "{wit}", "--claim", "isomorphism"],
+]
+_JUNK = [0.5, -1e3, float("nan"), float("inf"), True, False, None, "abc", "01", "1/0", "", 7, -3,
+         10**30, [], {}, [[1]], ["0"], {"p": "q"}]
+
+
+def _places(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _places(v, path + (k,))
+
+
+def _damaged(doc, path, how, junk):
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return junk
+    *head, last = path
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    value = parent[last]
+    if how == "delete" and isinstance(parent, dict):
+        del parent[last]
+    elif how == "longer" and isinstance(value, list):
+        value.append(value[0] if value else junk)
+    elif how == "shorter" and isinstance(value, list) and value:
+        value.pop()
+    else:
+        parent[last] = junk
+    return doc
+
+
+@st.composite
+def _damaged_commands(draw):
+    cmd = draw(st.sampled_from(_COMMANDS))
+    names = ["model"] + [n for n in _DOCS if any("{%s}" % n in a for a in cmd)]
+    name = draw(st.sampled_from(names))
+    doc = _DOCS[name]
+    path = draw(st.sampled_from(list(_places(doc))))
+    how = draw(st.sampled_from(("replace", "delete", "longer", "shorter")))
+    return cmd, name, _damaged(doc, path, how, draw(st.sampled_from(_JUNK)))
+
+
+_VERDICTS = {("weights", "check-generic"), ("weights", "same-chamber"), ("torelli",), ("verify",)}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_damaged_commands(), as_json=st.booleans())
+def test_json_input_fuzz(fuzz_dir, case, as_json):
+    """act, weights, stabilizer, aut-report, torelli and verify with one
+    damaged JSON document: exit 0, 1 only for a false verdict, or 2 with
+    nothing on stdout; no traceback, and each call within 2 s."""
+    cmd, name, damaged = case
+    docs = dict(_DOCS, **{name: damaged})
+    paths = {n: _write(fuzz_dir, f"{n}.json", json.dumps(d)) for n, d in docs.items() if n != "rho"}
+    paths["rho"] = json.dumps(docs["rho"])
+    argv = [a.format(**paths) for a in cmd]
+    sub = 2 if argv[0] in ("weights", "stabilizer") else 1
+    argv[sub:sub] = ["--model", paths["model"], "--enum-cap", "1000"] + ["--json"] * as_json
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = run_command(argv)
+    elapsed = time.perf_counter() - start
+    assert rc in (0, 1, 2), err.getvalue()
+    assert rc != 1 or tuple(argv[:sub]) in _VERDICTS, argv
+    assert (rc == 2) == (out.getvalue() == ""), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < 2.0, argv

@@ -171,6 +171,15 @@ def test_canonicalize_shifts_to_zero_base():
         canonicalize({"p": ("0", "1")})
 
 
+def test_empty_weight_vector_is_a_shape_mismatch():
+    # the constructor read vec[0] before any length check: IndexError
+    for make in (lambda: WeightSystem({"x": []}), lambda: canonicalize({"x": []})):
+        with pytest.raises(ShapeMismatch, match="empty weight vector at 'x'"):
+            make()
+    with pytest.raises(ShapeMismatch, match="empty weight vector at 'y'"):
+        WeightSystem({"x": (0,), "y": ()}, 1)
+
+
 def test_vector_lookup_and_unknown_point():
     w = W13_14()
     assert w.vector("p") == (0, Fraction(1, 3))
