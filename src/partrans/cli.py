@@ -39,7 +39,6 @@ from .picard import (
     DEFAULT_ENUM_CAP,
     JacobianElement,
     LineBundleClass,
-    frac_to_str,
     make_jac_aut,
 )
 from .transform import (
@@ -144,10 +143,7 @@ def _print_element(args, x):
 
 
 def _weights_text(w):
-    return "\n".join(
-        "%s: %s" % (name, ", ".join(frac_to_str(v) for v in vec))
-        for name, vec in w.entries
-    )
+    return "\n".join("%s: %s" % (name, ", ".join(texts)) for name, texts in w.to_json().items())
 
 
 def _class_text(c):

@@ -49,9 +49,6 @@ class ValidationReport:
     def ok(self):
         return not self.errors
 
-    def is_empty(self):
-        return not self.errors and not self.warnings
-
     def to_json(self):
         return {"ok": self.ok, "errors": list(self.errors), "warnings": list(self.warnings)}
 
@@ -126,12 +123,12 @@ class CurveModel:
         return self.automorphisms[self._position(name)]
 
     def conjugator(self, name):
-        """(M, columns of M^{-1}) for the named automorphism's linear part,
-        None for the identity; built once per name."""
+        """(M, M^{-1}) for the named automorphism's linear part, None for
+        the identity; built once per name."""
         if name not in self._conjugators:
             m = self.automorphism(name).matrix
             identity = m == tuple(map(tuple, identity_matrix(len(m))))
-            self._conjugators[name] = None if identity else (m, list(zip(*inverse_unimodular(m))))
+            self._conjugators[name] = None if identity else (m, inverse_unimodular(m))
         return self._conjugators[name]
 
     # -- structural identity and table arithmetic ------------------------

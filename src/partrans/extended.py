@@ -149,23 +149,25 @@ def act_ext(e, v):
 
 def conjugate_tilde(model, sigma_name, rho):
     """Jacobian part of sigma-pullback conjugation: tilde becomes
-    M_sigma . tilde . M_sigma^{-1} (translations cancel on degree zero);
-    a known inverse of rho is conjugated along."""
+    M_sigma . tilde . M_sigma^{-1} (translations cancel on degree zero).
+    Only rho is conjugated; compose_ext reaches the conjugate's inverse
+    through rho's."""
     pair = model.conjugator(sigma_name)
     if pair is None:
         return rho
-    ms, inv_cols = pair
+    ms, inv = pair
+    left = [[sum(map(mul, row, col)) for col in zip(*rho.tilde)] for row in ms]
+    inv_cols = list(zip(*inv))
+    return JacobianAutomorphism([[sum(map(mul, row, col)) for col in inv_cols] for row in left], rho.r)
 
-    def conj(tilde):
-        left = [[sum(map(mul, row, col)) for col in zip(*tilde)] for row in ms]
-        rows = [[sum(map(mul, row, col)) for col in inv_cols] for row in left]
-        return JacobianAutomorphism(rows, rho.r)
 
-    out = conj(rho.tilde)
-    if rho._inv is not None:
-        inv = conj(rho._inv.tilde)
-        out._inv, inv._inv = inv, out
-    return out
+def _conjugated_mat_vec(pair, m, v):
+    """M_sigma . m . M_sigma^{-1} . v for pair = model.conjugator(sigma),
+    as three matrix-vector products."""
+    if pair is None:
+        return mat_vec(m, v)
+    ms, inv = pair
+    return mat_vec(ms, mat_vec(m, mat_vec(inv, v)))
 
 
 def compose_ext(e1, e2):
@@ -175,7 +177,9 @@ def compose_ext(e1, e2):
     interchange emits the correction tensor tilde(rho_c)(xi - T1(xi)),
     which is well defined only when T1 fixes the reference degree. Pulled
     inside, rho_c^{-1}(M delta) with M = tilde(rho_c) commuting with
-    (id + rM)^{-1} is M (id + rM)^{-1} delta = tilde(rho_c^{-1}) (T1(xi) - xi).
+    (id + rM)^{-1} is M (id + rM)^{-1} delta = tilde(rho_c^{-1}) (T1(xi) - xi),
+    where tilde(rho_c^{-1}) = M_sigma . tilde(rho_2^{-1}) . M_sigma^{-1}
+    goes through e2's memoized inverse.
     """
     if e1.basic.model is not e2.basic.model:
         raise ShapeMismatch("cannot compose extended transformations over different models")
@@ -195,7 +199,8 @@ def compose_ext(e1, e2):
     rho_c = conjugate_tilde(model, t1.sigma, e2.rho)
     moved = txi.jac - xi.jac
     # no correction when T1 fixes xi, and then no inverse to compute
-    pulled_in = mat_vec(jac_aut_inverse(rho_c).tilde, moved.nums) if moved.den > 1 else moved.nums
+    pulled_in = moved.nums if moved.den == 1 else _conjugated_mat_vec(
+        model.conjugator(t1.sigma), jac_aut_inverse(e2.rho).tilde, moved.nums)
     new_rho = rho_c if e1.rho.is_identity() else JacobianAutomorphism(
         tilde_compose(e1.rho.tilde, rho_c.tilde, model.rank), model.rank)
     new_basic = _fold(model, (None, 1, 0, pulled_in, moved.den, {}), _word_of(t1) + _word_of(e2.basic))

@@ -31,6 +31,13 @@ def frac_to_str(f):
     return str(Fraction(f))
 
 
+def fraction_texts(nums, den):
+    """Each n / den for n in nums, 0 <= n < den, as str(Fraction) writes
+    it, from the integers."""
+    gcds = map(math.gcd, nums, itertools.repeat(den))
+    return [f"{n // g}/{den // g}" if n else "0" for n, g in zip(nums, gcds)]
+
+
 class JacobianElement:
     """Vector in (Q/Z)^{2g} as numerators `nums` over one denominator `den`.
 
@@ -114,9 +121,7 @@ class JacobianElement:
 
     def texts(self):
         """Each coordinate as str(Fraction) writes it, from the integers."""
-        den = self.den
-        gcds = map(math.gcd, self.nums, itertools.repeat(den))
-        return [f"{n // g}/{den // g}" if n else "0" for n, g in zip(self.nums, gcds)]
+        return fraction_texts(self.nums, self.den)
 
     to_json = texts
 
@@ -272,7 +277,7 @@ class JacobianAutomorphism:
         return len(self.tilde)
 
     def is_identity(self):
-        return all(all(x == 0 for x in row) for row in self.tilde)
+        return not any(map(any, self.tilde))
 
     def __eq__(self, other):
         return (
@@ -331,12 +336,15 @@ def tilde_compose(m1, m2, r):
 
 def jac_aut_inverse(rho):
     """Inverse automorphism, memoized both ways; its tilde is
-    -M (id + r M)^{-1}, still integral."""
+    (rho^{-1} - id) / r, exact since rho^{-1} = id mod r like rho."""
     if rho._inv is None:
-        m, r = rho.tilde, rho.r
-        cols = list(zip(*inverse_unimodular(
-            [[r * x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
-        )))
-        inv = JacobianAutomorphism([[-sum(map(mul, row, col)) for col in cols] for row in m], r)
+        r = rho.r
+        full = [[r * x for x in row] for row in rho.tilde]
+        for i, row in enumerate(full):
+            row[i] += 1
+        full = inverse_unimodular(full)
+        for i, row in enumerate(full):
+            row[i] -= 1
+        inv = JacobianAutomorphism([[x // r for x in row] for row in full], r)
         rho._inv, inv._inv = inv, rho
     return rho._inv

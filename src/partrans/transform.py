@@ -415,15 +415,15 @@ def act_weights(t, w):
     """Hecke steps at every point, optional dualization, then relabeling.
 
     The output weights at y are the processed weights at sigma(y), matching
-    the fiber of the pullback bundle and the determinant convention. Vectors
-    come out canonical from weights._act_vector, so WeightSystem._trusted holds them.
+    the fiber of the pullback bundle and the determinant convention. Rows
+    come out canonical over w's q from weights._act_vector, so
+    WeightSystem._of_rows holds them.
     """
-    vecs = dict(w.entries)
-    return WeightSystem._trusted(
-        tuple(
-            (y, tuple(_act_vector(vecs[x], k, t.s, 1)))
-            for y, (x, k) in zip(vecs, _weight_sources(t, vecs))
-        ),
+    rows, q = dict(zip(w.point_names, w.rows)), w.q
+    return WeightSystem._of_rows(
+        tuple(rows),
+        q,
+        tuple(tuple(_act_vector(rows[x], k, t.s, q)) for x, k in _weight_sources(t, rows)),
         w.rank,
     )
 
@@ -456,8 +456,8 @@ class _ChamberTest:
         self.cap = cap
         self.count = _wall_count(alpha)
         self.walls = _walls(alpha)
-        self.q = self.walls.q
-        self.ints = dict(zip(alpha.point_names, self.walls.ints))
+        self.q = alpha.q
+        self.ints = dict(zip(alpha.point_names, alpha.rows))
         # (lo, lo + q): the multiples of q around alpha's first wall
         # (subset {1} at every point) times q, or None when that wall is
         # integral or there are no walls

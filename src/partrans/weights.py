@@ -1,24 +1,24 @@
 """Canonical full-flag weight systems and the wall-and-chamber calculus.
 
 A weight system holds, per marked point, a strictly increasing vector of r
-rationals in [0, 1) whose first entry is 0. Chambers are identified by the
-floor vector of all wall values, enumerated in a fixed lexicographic order:
-subrank r' from 1 to r-1, then per-point index subsets lexicographically,
-with the last point varying fastest.
+rationals in [0, 1) whose first entry is 0, as integers over one denominator
+(see WeightSystem). Chambers are identified by the floor vector of all wall
+values, enumerated in a fixed lexicographic order: subrank r' from 1 to r-1,
+then per-point index subsets lexicographically, last point fastest.
 
-Walls are computed on integers (see _Walls). Per subrank, the wall with
-index j * len(tails) + i is heads[j] + tails[i]: sums over the first half
-of the points and over the rest. A block of walls sharing a head is compared
-in one step; genericity meets in the middle (Horowitz & Sahni, 1974).
+Walls are computed on the same integers (see _Walls). Per subrank, the wall
+with index j * len(tails) + i is heads[j] + tails[i]: sums over the first
+half of the points and over the rest. A block of walls sharing a head is
+compared in one step; genericity meets in the middle (Horowitz & Sahni, 1974).
 """
 
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from .errors import EnumerationCapExceeded, NotGeneric, ShapeMismatch, UnknownPoint
-from .picard import DEFAULT_ENUM_CAP, frac_to_str
+from .picard import DEFAULT_ENUM_CAP, frac_to_str, fraction_texts
 
 WALL_ORDER_HEADER = (
     "wall order: subrank r' = 1..r-1, per-point index subsets of size r' "
@@ -26,77 +26,87 @@ WALL_ORDER_HEADER = (
 )
 
 
-class WeightSystem:
-    """Canonical per-point weight vectors; immutable."""
+def _ratios(vecs):
+    """Per vector, (numerator, denominator) of each rational, read once."""
+    vecs = list(map(tuple, vecs))
+    try:
+        return [[v.as_integer_ratio() for v in vec] for vec in vecs]
+    except AttributeError:
+        return [[Fraction(v).as_integer_ratio() for v in vec] for vec in vecs]
 
-    __slots__ = ("rank", "entries", "point_names", "_walls")
+
+class WeightSystem:
+    """Canonical per-point weight vectors; immutable. rows[k] holds the vector at point_names[k]
+    as numerators over q, the lcm of the denominators, so gcd(q, every entry) == 1 and == can
+    compare integers. Fractions and texts are derived only for output."""
+
+    __slots__ = ("rank", "point_names", "q", "rows", "_walls")
 
     def __init__(self, entries, rank=None):
-        if hasattr(entries, "items"):
-            entries = entries.items()
-        entries = tuple((name, tuple(Fraction(v) for v in vec)) for name, vec in entries)
-        for name, vec in entries:
-            if not vec:
-                raise ShapeMismatch(f"empty weight vector at {name!r}")
-            if rank is None:
-                rank = len(vec)
-            if len(vec) != rank:
-                raise ShapeMismatch(f"weight vector at {name!r} has length {len(vec)}, expected {rank}")
-            if vec[0] != 0:
-                raise ShapeMismatch(f"weights at {name!r} are not canonical (first entry {vec[0]})")
-            for a, b in zip(vec, vec[1:]):
-                if not a < b:
-                    raise ShapeMismatch(f"weights at {name!r} are not strictly increasing")
-            if vec[-1] >= 1:
-                raise ShapeMismatch(f"weights at {name!r} leave [0, 1)")
-        self.entries = entries
-        self.point_names = tuple(name for name, _ in entries)
-        self.rank = rank
-        self._walls = None
+        names, vecs = tuple(zip(*(entries.items() if hasattr(entries, "items") else entries))) or ((), ())
+        self._set(names, _ratios(vecs), rank)
 
-    @classmethod
-    def _trusted(cls, entries, rank):
-        """From canonical entries, with nothing converted or checked."""
-        self = object.__new__(cls)
-        self.entries, self.rank, self._walls = entries, rank, None
-        self.point_names = tuple(name for name, _ in entries)
+    def _set(self, names, ratios, rank):
+        """Per-point (numerator, denominator) pairs as rows over their lcm q, checked."""
+        q = math.lcm(*{d for pairs in ratios for _, d in pairs})
+        rows = [tuple([n * (q // d) for n, d in pairs]) for pairs in ratios]
+        for name, row in zip(names, rows):
+            if not row:
+                raise ShapeMismatch(f"empty weight vector at {name!r}")
+            rank = len(row) if rank is None else rank
+            if len(row) != rank:
+                raise ShapeMismatch(f"weight vector at {name!r} has length {len(row)}, expected {rank}")
+            if row[0]:
+                raise ShapeMismatch(f"weights at {name!r} are not canonical (first entry {Fraction(row[0], q)})")
+            if not all(map(lt, row, row[1:])):
+                raise ShapeMismatch(f"weights at {name!r} are not strictly increasing")
+            if row[-1] >= q:
+                raise ShapeMismatch(f"weights at {name!r} leave [0, 1)")
+        self.point_names, self.q, self.rows, self.rank, self._walls = tuple(names), q, tuple(rows), rank, None
         return self
 
-    def vector(self, name):
-        for n, vec in self.entries:
-            if n == name:
-                return vec
+    @classmethod
+    def _of_rows(cls, point_names, q, rows, rank):
+        """From canonical tuple rows over q in reduced form, nothing checked."""
+        self = object.__new__(cls)
+        self.point_names, self.q, self.rows, self.rank, self._walls = point_names, q, rows, rank, None
+        return self
+
+    @property
+    def entries(self):
+        return tuple(zip(self.point_names, map(self._fractions, self.rows)))
+
+    def _fractions(self, row):
+        return tuple(Fraction(x, self.q) for x in row)
+
+    def _index(self, name):
+        if name in self.point_names:
+            return self.point_names.index(name)
         raise UnknownPoint(name)
 
-    def replace(self, name, vec):
-        if name not in self.point_names:
-            raise UnknownPoint(name)
-        return WeightSystem(
-            tuple((n, vec if n == name else v) for n, v in self.entries), self.rank
-        )
+    def vector(self, name):
+        return self._fractions(self.rows[self._index(name)])
 
     def total(self):
-        return sum((sum(vec) for _, vec in self.entries), Fraction(0))
+        return Fraction(sum(map(sum, self.rows)), self.q)
+
+    def _key(self):
+        return self.point_names, self.q, self.rows, self.rank
 
     def __eq__(self, other):
-        return (
-            isinstance(other, WeightSystem)
-            and self.entries == other.entries
-            and self.rank == other.rank
-        )
+        return isinstance(other, WeightSystem) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.entries, self.rank))
+        return hash(self._key())
+
+    def _texts(self):
+        return [(name, fraction_texts(row, self.q)) for name, row in zip(self.point_names, self.rows)]
 
     def to_json(self):
-        return {name: [frac_to_str(v) for v in vec] for name, vec in self.entries}
+        return dict(self._texts())
 
     def __repr__(self):
-        inner = ", ".join(
-            "%s=(%s)" % (name, ", ".join(frac_to_str(v) for v in vec))
-            for name, vec in self.entries
-        )
-        return f"WeightSystem({inner})"
+        return "WeightSystem(%s)" % ", ".join("%s=(%s)" % (n, ", ".join(t)) for n, t in self._texts())
 
 
 class WallDatum:
@@ -112,9 +122,6 @@ class WallDatum:
         self.subrank = subrank
         self.subsets = tuple((name, tuple(sub)) for name, sub in subsets)
         self.value = Fraction(value)
-
-    def is_integral(self):
-        return self.value.denominator == 1
 
     def to_json(self):
         return {
@@ -139,7 +146,7 @@ class ChamberFingerprint:
     __slots__ = ("floors",)
 
     def __init__(self, floors):
-        self.floors = tuple(map(int, floors))
+        self.floors = tuple(floors)
 
     def __eq__(self, other):
         return isinstance(other, ChamberFingerprint) and self.floors == other.floors
@@ -164,19 +171,21 @@ def canonicalize(raw, rank=None):
     Requires strictly increasing entries with spread below 1.
     """
     items = raw.items() if hasattr(raw, "items") else raw
-    entries = []
+    names, ratios = [], []
     for name, vec in items:
-        vec = [Fraction(v) for v in vec]
-        if not vec:
+        (pairs,) = _ratios([vec])
+        if not pairs:
             raise ShapeMismatch(f"empty weight vector at {name!r}")
-        for a, b in zip(vec, vec[1:]):
-            if not a < b:
-                raise ShapeMismatch(f"weights at {name!r} are not strictly increasing")
-        if vec[-1] - vec[0] >= 1:
+        d = math.lcm(*[e for _, e in pairs])
+        row = [n * (d // e) for n, e in pairs]
+        if not all(map(lt, row, row[1:])):
+            raise ShapeMismatch(f"weights at {name!r} are not strictly increasing")
+        if row[-1] - row[0] >= d:
             raise ShapeMismatch(f"weights at {name!r} spread over 1 or more")
-        base = vec[0]
-        entries.append((name, tuple(v - base for v in vec)))
-    return WeightSystem(entries, rank)
+        g = math.gcd(d, *[x - row[0] for x in row])
+        names.append(name)
+        ratios.append([((x - row[0]) // g, d // g) for x in row])
+    return object.__new__(WeightSystem)._set(names, ratios, rank)
 
 
 def parabolic_degree(d, w):
@@ -184,10 +193,8 @@ def parabolic_degree(d, w):
 
 
 def _wall_count(w):
-    n = len(w.entries)
-    if n == 0:
-        return 0
-    return sum(math.comb(w.rank, rp) ** n for rp in range(1, w.rank))
+    n = len(w.rows)
+    return sum(math.comb(w.rank, rp) ** n for rp in range(1, w.rank)) if n else 0
 
 
 def _wall_row(ints, r, rp):
@@ -206,25 +213,23 @@ def _sums(rows):
 
 
 class _Walls:
-    """A weight system's walls times q, the lcm of its denominators: per
-    subrank, built on first use, each point's _wall_row and the tails."""
+    """A weight system's walls times its q: per subrank, built on first use,
+    each point's _wall_row and the tails."""
 
-    __slots__ = ("q", "ints", "rank", "_rows", "_tails")
+    __slots__ = ("points", "rank", "_rows", "_tails")
 
     def __init__(self, w):
-        self.q = q = math.lcm(*(v.denominator for _, vec in w.entries for v in vec))
-        self.ints = [[v.numerator * (q // v.denominator) for v in vec] for _, vec in w.entries]
-        self.rank, self._rows, self._tails = w.rank, {}, {}
+        self.points, self.rank, self._rows, self._tails = w.rows, w.rank, {}, {}
 
     def rows(self, rp):
         if rp not in self._rows:
-            self._rows[rp] = [_wall_row(ints, self.rank, rp) for ints in self.ints]
+            self._rows[rp] = [_wall_row(row, self.rank, rp) for row in self.points]
         return self._rows[rp]
 
     def halves(self):
         """Per subrank, (head rows, tails): the rows of the first n // 2
         points, and the _sums of the others; heads are the head rows' _sums."""
-        h = len(self.ints) // 2
+        h = len(self.points) // 2
         for rp in range(1, self.rank):
             rows = self.rows(rp)
             if rp not in self._tails:
@@ -240,13 +245,13 @@ def _walls(w):
 def _wall(w, rp, digits):
     """The WallDatum of subrank rp taking the digits[k]-th subset at point k."""
     subsets = list(itertools.combinations(range(1, w.rank + 1), rp))
-    value = Fraction(sum(row[d] for row, d in zip(_walls(w).rows(rp), digits)), _walls(w).q)
+    value = Fraction(sum(row[d] for row, d in zip(_walls(w).rows(rp), digits)), w.q)
     return WallDatum(rp, zip(w.point_names, (subsets[d] for d in digits)), value)
 
 
 def _wall_at(w, rp, index):
     """The index-th wall of subrank rp: a mixed-radix decode, last point fastest."""
-    base, n = math.comb(w.rank, rp), len(w.entries)
+    base, n = math.comb(w.rank, rp), len(w.rows)
     return _wall(w, rp, [index // base ** (n - 1 - k) % base for k in range(n)])
 
 
@@ -278,10 +283,10 @@ def is_generic(w, cap=DEFAULT_ENUM_CAP):
     integral wall in wall order, the witness. Work and memory are about the
     square root of the wall count, and at most q residues per half.
     """
-    if not w.entries:
+    if not w.rows:
         return True, None
     walls = _walls(w)
-    q, h = walls.q, len(w.entries) // 2
+    q, h = w.q, len(w.rows) // 2
     for rp in range(1, w.rank):
         rows = walls.rows(rp)
         tails = _least_paths(rows[h:], q)
@@ -293,12 +298,12 @@ def is_generic(w, cap=DEFAULT_ENUM_CAP):
 
 
 def chamber_fingerprint(w, cap=DEFAULT_ENUM_CAP):
-    if not w.entries:
+    if not w.rows:
         return ChamberFingerprint(())
     count = _wall_count(w)
     if count > cap:
         raise EnumerationCapExceeded(count, cap, "walls")
-    q, floors = _walls(w).q, []
+    q, floors = w.q, []
     for rp, (rows, tails) in enumerate(_walls(w).halves(), 1):
         residues = {t % q for t in tails}
         for j, a in enumerate(_sums(rows)):
@@ -315,17 +320,14 @@ def same_chamber(w1, w2, cap=DEFAULT_ENUM_CAP):
     At each wall, an integral value of w1 and then of w2 raises NotGeneric
     before the floors are compared.
     """
-    if w1.point_names != w2.point_names or w1.rank != w2.rank:
-        if w1.point_names == w2.point_names == ():
-            return True
-        raise ShapeMismatch("weight systems live on different point sets or ranks")
-    if not w1.entries:
+    if w1.point_names == w2.point_names == ():
         return True
+    if w1.point_names != w2.point_names or w1.rank != w2.rank:
+        raise ShapeMismatch("weight systems live on different point sets or ranks")
     count = _wall_count(w1)
     if count > cap:
         raise EnumerationCapExceeded(count, cap, "walls")
-    walls1, walls2 = _walls(w1), _walls(w2)
-    hit = _first_wall_difference(walls1.q, walls1.halves(), walls2.q, walls2.halves())
+    hit = _first_wall_difference(w1.q, _walls(w1).halves(), w2.q, _walls(w2).halves())
     if hit is None:
         return True
     rp, i, side = hit
@@ -365,32 +367,29 @@ def _block_difference(q1, a1, tails1, q2, a2, tails2):
     return None
 
 
-def _act_vector(vec, k, s, one):
-    """A canonical vector after k Hecke steps and then, when s == -1, the dual.
-
-    k steps rotate (a_1, ..., a_r) to (a_{k+1}, ..., a_r, one + a_1, ...,
-    one + a_k) and shift it by a_{k+1}; k counts modulo r, since r steps
-    give back the vector. The dual of a canonical b is b_r - reversed(b).
-    Works on Fractions with one = 1 and on a vector scaled by q with one = q.
-    """
-    k %= len(vec)
+def _act_vector(row, k, s, q):
+    """A canonical row over q after k Hecke steps and then, when s == -1, the dual.
+    k steps rotate (a_1, ..., a_r) to (a_{k+1}, ..., a_r, q + a_1, ..., q + a_k) and shift
+    it by a_{k+1}; k counts modulo r. The dual of a canonical b is b_r - reversed(b). Both
+    keep the group the entries generate with q, so an acted system keeps q, reduced."""
+    k %= len(row)
     if k:
-        base = vec[k]
-        vec = [v - base for v in vec[k:]] + [one + v - base for v in vec[:k]]
+        base = row[k]
+        row = [v - base for v in row[k:]] + [q + v - base for v in row[:k]]
     if s == -1:
-        top = vec[-1]
-        vec = [top - v for v in reversed(vec)]
-    return vec
+        row = [row[-1] - v for v in reversed(row)]
+    return row
 
 
 def hecke_weights(w, x):
     """One elementary modification step at x:
     (0, a2, ..., ar) -> (0, a3 - a2, ..., ar - a2, 1 - a2)."""
-    return w.replace(x, tuple(_act_vector(w.vector(x), 1, 1, 1)))
+    acted = tuple(_act_vector(w.rows[w._index(x)], 1, 1, w.q))
+    rows = tuple(acted if name == x else row for name, row in zip(w.point_names, w.rows))
+    return WeightSystem._of_rows(w.point_names, w.q, rows, w.rank)
 
 
 def dual_weights(w):
     """Reverse and reflect every vector: canonical form of (1 - ar, ..., 1 - a1)."""
-    return WeightSystem(
-        [(name, tuple(_act_vector(vec, 0, -1, 1))) for name, vec in w.entries], w.rank
-    )
+    rows = tuple(tuple(_act_vector(row, 0, -1, w.q)) for row in w.rows)
+    return WeightSystem._of_rows(w.point_names, w.q, rows, w.rank)

@@ -8,8 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from partrans import (
+    BasicTransformation,
     ChamberFingerprint,
+    Divisor,
+    LineBundleClass,
     WeightSystem,
+    act_weights,
     canonicalize,
     chamber_fingerprint,
     dual_weights,
@@ -25,9 +29,10 @@ from partrans.errors import (
     UnknownPoint,
 )
 from partrans import weights
+from partrans.transform import _weight_sources
 from partrans.weights import WallDatum, _wall, _wall_at, _wall_count, _walls
 
-from conftest import model_elliptic2, model_g2r3, rand_generic_weights
+from conftest import model_cyclic, model_elliptic2, model_g2r3, rand_basic, rand_generic_weights
 
 
 def ws(rank, **vecs):
@@ -53,14 +58,14 @@ def oracle_walls(w):
 
 
 def oracle_first_integral(w):
-    return next((wall for wall in oracle_walls(w) if wall.is_integral()), None)
+    return next((wall for wall in oracle_walls(w) if wall.value.denominator == 1), None)
 
 
 def oracle_floors(w):
     """Floors of every wall, or the first integral wall."""
     floors = []
     for wall in oracle_walls(w):
-        if wall.is_integral():
+        if wall.value.denominator == 1:
             return wall
         floors.append(wall.value.__floor__())
     return tuple(floors)
@@ -70,9 +75,9 @@ def oracle_same_chamber(w1, w2):
     """The verdict, or the first integral wall of w1 or w2 at the first wall
     that has one (w1 checked first)."""
     for wall1, wall2 in zip(oracle_walls(w1), oracle_walls(w2)):
-        if wall1.is_integral():
+        if wall1.value.denominator == 1:
             return wall1
-        if wall2.is_integral():
+        if wall2.value.denominator == 1:
             return wall2
         if wall1.value.__floor__() != wall2.value.__floor__():
             return False
@@ -87,8 +92,7 @@ def oracle_same_chamber(w1, w2):
 
 def _wall_tables(w):
     """(q, tables): tables[r' - 1] holds every point's wall-table row of subrank r'."""
-    walls = _walls(w)
-    return walls.q, [walls.rows(rp) for rp in range(1, w.rank)]
+    return w.q, [_walls(w).rows(rp) for rp in range(1, w.rank)]
 
 
 def _scaled_walls(tables):
@@ -229,7 +233,7 @@ def test_fingerprint_raises_on_integral_wall():
     bad = ws(2, p=(0, "1/2"), q=(0, "1/2"))
     ok, witness = is_generic(bad)
     assert not ok and witness is not None
-    assert witness.is_integral()
+    assert witness.value.denominator == 1
     with pytest.raises(NotGeneric):
         chamber_fingerprint(bad)
 
@@ -258,7 +262,7 @@ def test_cap_switches_is_generic_to_dp():
     assert direct[0] == via_dp[0] is True
     bad = ws(2, p=(0, "1/2"), q=(0, "1/2"))
     ok, witness = is_generic(bad, cap=1)
-    assert not ok and witness.is_integral()
+    assert not ok and witness.value.denominator == 1
 
 
 def test_cap_exceeded_on_fingerprint():
@@ -282,7 +286,7 @@ def test_dp_witness_matches_enumeration_on_random_systems():
         dp = _dp_witness(w)
         assert (dp is not None) == (first is not None)
         if dp is not None:
-            assert dp.is_integral()
+            assert dp.value.denominator == 1
             assert str(dp) == str(first)
             assert str(is_generic(w, cap=1)[1]) == str(first)
 
@@ -638,3 +642,242 @@ def test_midpoint_convexity_sample():
             m.rank,
         )
         assert same_chamber(a, mid)
+
+
+# -- the integer weight system against its Fraction form ---------------------
+# FractionWeightSystem is WeightSystem as it was before it moved to integer
+# rows over one denominator: one Fraction per entry, every check on
+# Fractions, and the actions on Fractions. It is the reference the integer
+# form must agree with, refusals and texts included.
+
+
+class FractionWeightSystem:
+    def __init__(self, entries, rank=None):
+        if hasattr(entries, "items"):
+            entries = entries.items()
+        entries = tuple((name, tuple(Fraction(v) for v in vec)) for name, vec in entries)
+        for name, vec in entries:
+            if not vec:
+                raise ShapeMismatch(f"empty weight vector at {name!r}")
+            if rank is None:
+                rank = len(vec)
+            if len(vec) != rank:
+                raise ShapeMismatch(f"weight vector at {name!r} has length {len(vec)}, expected {rank}")
+            if vec[0] != 0:
+                raise ShapeMismatch(f"weights at {name!r} are not canonical (first entry {vec[0]})")
+            for a, b in zip(vec, vec[1:]):
+                if not a < b:
+                    raise ShapeMismatch(f"weights at {name!r} are not strictly increasing")
+            if vec[-1] >= 1:
+                raise ShapeMismatch(f"weights at {name!r} leave [0, 1)")
+        self.entries = entries
+        self.point_names = tuple(name for name, _ in entries)
+        self.rank = rank
+
+    def vector(self, name):
+        for n, vec in self.entries:
+            if n == name:
+                return vec
+        raise UnknownPoint(name)
+
+    def replace(self, name, vec):
+        if name not in self.point_names:
+            raise UnknownPoint(name)
+        return FractionWeightSystem(tuple((n, vec if n == name else v) for n, v in self.entries), self.rank)
+
+    def total(self):
+        return sum((sum(vec) for _, vec in self.entries), Fraction(0))
+
+    def __eq__(self, other):
+        return self.entries == other.entries and self.rank == other.rank
+
+    def to_json(self):
+        return {name: [str(v) for v in vec] for name, vec in self.entries}
+
+    def __repr__(self):
+        inner = ", ".join("%s=(%s)" % (name, ", ".join(str(v) for v in vec)) for name, vec in self.entries)
+        return f"WeightSystem({inner})"
+
+
+def fraction_canonicalize(raw, rank=None):
+    items = raw.items() if hasattr(raw, "items") else raw
+    entries = []
+    for name, vec in items:
+        vec = [Fraction(v) for v in vec]
+        if not vec:
+            raise ShapeMismatch(f"empty weight vector at {name!r}")
+        for a, b in zip(vec, vec[1:]):
+            if not a < b:
+                raise ShapeMismatch(f"weights at {name!r} are not strictly increasing")
+        if vec[-1] - vec[0] >= 1:
+            raise ShapeMismatch(f"weights at {name!r} spread over 1 or more")
+        entries.append((name, tuple(v - vec[0] for v in vec)))
+    return FractionWeightSystem(entries, rank)
+
+
+def fraction_act_vector(vec, k, s):
+    k %= len(vec)
+    if k:
+        vec = [v - vec[k] for v in vec[k:]] + [1 + v - vec[k] for v in vec[:k]]
+    if s == -1:
+        vec = [vec[-1] - v for v in reversed(vec)]
+    return tuple(vec)
+
+
+def fraction_hecke(w, x):
+    return w.replace(x, fraction_act_vector(w.vector(x), 1, 1))
+
+
+def fraction_dual(w):
+    return FractionWeightSystem([(x, fraction_act_vector(vec, 0, -1)) for x, vec in w.entries], w.rank)
+
+
+def fraction_act_weights(t, w):
+    vecs = dict(w.entries)
+    sources = _weight_sources(t, vecs)
+    acted = [(y, fraction_act_vector(vecs[x], k, t.s)) for y, (x, k) in zip(vecs, sources)]
+    return FractionWeightSystem(acted, w.rank)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 97)
+_CYCLIC = {}
+
+
+def _cyclic(n, r):
+    if (n, r) not in _CYCLIC:
+        _CYCLIC[n, r] = model_cyclic(1, n, rank=r)
+    return _CYCLIC[n, r]
+
+
+@st.composite
+def raw_systems(draw):
+    """(rank, raw entries) over the points c0, c1, ...: canonical vectors of
+    rank 2-5 on 1-8 points whose entries have mixed prime denominators,
+    given as Fractions, ints or strings, or such a system with one point
+    damaged (moved off 0, reordered, repeated, past 1, resized, emptied)."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 8))
+    entries = {}
+    for k in range(n):
+        vals = set()
+        while len(vals) < r - 1:
+            p = draw(st.sampled_from(_PRIMES))
+            vals.add(Fraction(draw(st.integers(1, p - 1)), p))
+        vec = [Fraction(0)] + sorted(vals)
+        forms = lambda v: (v, str(v), int(v) if v.denominator == 1 else v)
+        entries[f"c{k}"] = [draw(st.sampled_from(forms(v))) for v in vec]
+    damages = ("none", "none", "shift", "swap", "repeat", "past", "long", "short", "empty")
+    damage = draw(st.sampled_from(damages))
+    vec = entries[f"c{draw(st.integers(0, n - 1))}"]
+    if damage == "shift":
+        vec[0] = Fraction(draw(st.integers(1, 5)), 7)
+    elif damage == "swap":
+        vec[-2], vec[-1] = vec[-1], vec[-2]
+    elif damage == "repeat":
+        vec[-1] = vec[-2]
+    elif damage == "past":
+        vec[-1] = Fraction(draw(st.integers(7, 20)), 7)
+    elif damage == "long":
+        vec.append(Fraction(99, 100))
+    elif damage == "short":
+        vec.pop()
+    elif damage == "empty":
+        vec.clear()
+    return r, entries
+
+
+def _both(fn_int, fn_frac):
+    """(result, result) or the two refusals as (type, message)."""
+    out = []
+    for fn in (fn_int, fn_frac):
+        try:
+            out.append(fn())
+        except (ShapeMismatch, UnknownPoint) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _same_system(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return (
+        got.entries == want.entries
+        and got.point_names == want.point_names
+        and got.rank == want.rank
+        and got.to_json() == want.to_json()
+        and repr(got) == repr(want)
+        and got.total() == want.total()
+        and all(got.vector(x) == want.vector(x) for x in want.point_names)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_systems(), st.data())
+def test_integer_weights_match_the_fraction_weights(raw, data):
+    r, entries = raw
+    given_rank = data.draw(st.sampled_from((None, r)))
+    got, want = _both(lambda: WeightSystem(entries, given_rank),
+                      lambda: FractionWeightSystem(entries, given_rank))
+    assert _same_system(got, want)
+    shift = st.sampled_from((0, Fraction(1, 3), Fraction(-5, 4), Fraction(3, 97)))
+    shifted = []
+    for x, vec in entries.items():
+        c = data.draw(shift)
+        shifted.append((x, [Fraction(v) + c for v in vec]))
+    assert _same_system(*_both(lambda: canonicalize(shifted, given_rank),
+                               lambda: fraction_canonicalize(shifted, given_rank)))
+    if isinstance(want, tuple):
+        return
+    w, fw = got, want
+    for x in w.point_names + ("zz",):
+        assert _same_system(*_both(lambda: hecke_weights(w, x), lambda: fraction_hecke(fw, x)))
+    assert _same_system(dual_weights(w), fraction_dual(fw))
+    m = _cyclic(len(w.point_names), r)
+    for _ in range(3):
+        sigma = data.draw(st.sampled_from([a.name for a in m.automorphisms]))
+        hecke = Divisor({x: data.draw(st.integers(0, 2 * r)) for x in m.point_names})
+        s = data.draw(st.sampled_from((1, -1)))
+        t = BasicTransformation(m, sigma, s, LineBundleClass.trivial(2), hecke)
+        assert _same_system(act_weights(t, w), fraction_act_weights(t, fw))
+    # == and hash against the Fraction form, over a second system on the same points
+    if data.draw(st.booleans()):
+        other = hecke_weights(w, w.point_names[0])
+    else:
+        other = canonicalize(shifted, given_rank)
+    f_other = FractionWeightSystem(other.entries, other.rank)
+    assert (w == other) == (fw == f_other)
+    if w == other:
+        assert hash(w) == hash(other)
+    again = WeightSystem(fw.entries, fw.rank)
+    assert w == again and hash(w) == hash(again)
+
+
+def test_weight_actions_and_walls_build_no_fraction(monkeypatch):
+    rng = random.Random(59)
+    m = _cyclic(4, 3)
+    w = rand_generic_weights(rng, m)
+    ts = [rand_basic(rng, m) for _ in range(10)]
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    Fraction(1, 3)
+    assert len(made) == 1  # the count sees constructions
+    made.clear()
+    for t in ts:
+        act_weights(t, w)
+    for x in m.point_names:
+        hecke_weights(w, x)
+    dual_weights(w)
+    walls = _walls(w)
+    for rp in range(1, w.rank):
+        walls.rows(rp)
+    list(walls.halves())
+    assert is_generic(w) == (True, None)
+    chamber_fingerprint(w)
+    assert same_chamber(w, dual_weights(dual_weights(w)))
+    assert made == []
