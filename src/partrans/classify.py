@@ -16,13 +16,13 @@ from .errors import (
     EnumerationCapExceeded,
     ModelError,
     NotGeneric,
+    NotInvertible,
     ShapeMismatch,
     UnknownPoint,
 )
 from .curve import _affine, _names, _object, _rationals
 from .extended import default_ref_det
 from .intmat import (
-    det_int,
     identity_matrix,
     inverse_unimodular,
     mat_mul,
@@ -96,9 +96,10 @@ def _check_witness(model_a, model_b, points, matrix, translation):
         return "point map is not defined on exactly the source points"
     if sorted(points[x] for x in points) != sorted(names_b):
         return "point map is not a bijection onto the target points"
-    d = det_int(matrix)
-    if d not in (1, -1):
-        return f"class-map matrix determinant is {d}, not +-1"
+    try:
+        p_inv = inverse_unimodular(matrix)
+    except NotInvertible as exc:
+        return f"class-map matrix determinant is {exc.det}, not +-1"
     for x in names_a:
         image = affine_image(matrix, model_a.point(x).jac_class, translation)
         if image != model_b.point(points[x]).jac_class:
@@ -111,7 +112,6 @@ def _check_witness(model_a, model_b, points, matrix, translation):
             f"automorphism tables have sizes {len(model_a.automorphisms)} "
             f"and {len(model_b.automorphisms)}"
         )
-    p_inv = inverse_unimodular(matrix)
     for a in model_a.automorphisms:
         perm_b = {points[x]: points[a.point_perm.get(x, x)] for x in names_a}
         m_b = mat_mul(mat_mul(matrix, a.matrix), p_inv)

@@ -24,13 +24,12 @@ from .transform import (
     ParabolicInvariant,
     act_det,
     act_invariant,
-    _chamber_filter,
+    _chamber_sectors,
     _coordinate_text,
     compose,
     describe,
     identity_transform,
     inverse,
-    _degree_sectors,
     _fold,
     _sector_transforms,
     _word_of,
@@ -233,11 +232,8 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
     """
     from .dsl import format_canonical
 
-    tuples, keeps = _chamber_filter(alpha, model, cap)
-    sectors = list(_degree_sectors(model, d, tuples))
-    regular = [
-        kept for auto, s, group in sectors for kept in keeps.sectors(model, auto, s, tuples, group)
-    ]
+    sectors = list(_chamber_sectors(d, alpha, model, cap))
+    regular = [verdict for *_, kept in sectors for verdict in kept]
     # every representative has zero torsion, so one T(...) text per degree
     forms = {}
 
@@ -257,7 +253,7 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
             )
         return rec
 
-    entries = [entry(t) for t in _sector_transforms(model, tuples, sectors)]
+    entries = [entry(t) for t in _sector_transforms(model, (sector[:3] for sector in sectors))]
     if model.endo_ring == "matrix":
         ring_desc = "all integer matrices M with det(I + rM) = +-1"
     else:

@@ -6,6 +6,10 @@ fold: a product is the canonical tuple right-multiplied by one generator
 at a time, each in closed form (the merge of neighbours of one kind, or
 the move of a generator left past the factors of larger kind), so a word
 of n generators takes exactly n steps.
+
+The stabilizers run over the Hecke sectors: _degree_sectors is the one
+loop over (automorphism, sign, Hecke tuple), and _chamber_sectors filters
+it by the chamber of a generic weight system, on integers.
 """
 
 from .errors import (
@@ -30,16 +34,15 @@ from .weights import (
     _act_vector,
     _first_wall_difference,
     _sums,
-    _wall_at,
     _wall_count,
     _wall_row,
     _walls,
     is_generic,
+    same_chamber,
 )
 
 import itertools
 import math
-from collections import namedtuple
 from operator import getitem
 
 
@@ -428,165 +431,9 @@ def act_weights(t, w):
     )
 
 
-_Plan = namedtuple("_Plan", "sources missing positions lanes screen tails")
-
-
-class _ChamberTest:
-    """The test t -> same_chamber(act_weights(t, alpha), alpha, cap), for
-    many tuples t over one alpha, on integers.
-
-    The action keeps every weight denominator dividing alpha's q, so the
-    acted system is compared with alpha on that one q, wall by wall in the
-    same order and with the same checks as same_chamber. Its wall rows at
-    y are those of alpha's scaled vector at sigma(y) after the Hecke steps
-    and the dual; they depend on the steps only modulo r. Per automorphism
-    and sign, the points' sources and their rows for every step count are
-    resolved once, and the acted tails (see weights._Walls.halves) once per
-    Hecke steps of their points. A WeightSystem of the acted system is
-    built only to report its wall in a NotGeneric error.
-
-    Call it on a canonical tuple, or through `sectors` on Hecke
-    multiplicity tuples over the model's points, which builds no tuple
-    unless an error needs one. Both raise as act_weights and same_chamber
-    would, in that order.
-    """
-
-    def __init__(self, alpha, cap):
-        self.alpha = alpha
-        self.cap = cap
-        self.count = _wall_count(alpha)
-        self.walls = _walls(alpha)
-        self.q = alpha.q
-        self.ints = dict(zip(alpha.point_names, alpha.rows))
-        # (lo, lo + q): the multiples of q around alpha's first wall
-        # (subset {1} at every point) times q, or None when that wall is
-        # integral or there are no walls
-        first = sum(row[0] for row in self.walls.rows(1)) if self.count else 0
-        lo = first - first % self.q
-        self.within = (lo, lo + self.q) if first % self.q else None
-        self.plans = {}  # (automorphism, s) -> see _plan
-        self.halves = None  # alpha's _Walls.halves, listed by the first _keeps
-
-    def _plan(self, model, auto, s):
-        """The _Plan of (auto, s). Per point y of alpha: sources holds
-        sigma(y), and positions its position among the model's points (or
-        None); missing is the first sigma(y) outside alpha, or None. When
-        there are walls, lanes[r' - 1][j][k] is the acted wall row of
-        subrank r' at alpha's j-th point after k Hecke steps, for k below
-        max(r, model rank). When the sources are alpha's points and take
-        each of the model's points once, and the walls are within the cap,
-        screen is (base, rows): a tuple H over the model's points has the
-        acted first wall base + sum of rows[i][H[i]]; else screen is None.
-        tails caches the acted tails (see _acted)."""
-        plan = self.plans.get((auto, s))
-        if plan is None:
-            _check_weights_rank(self.alpha, model)
-            perm = auto.point_perm
-            src = tuple(perm.get(y, y) for y in self.ints)
-            missing = next((x for x in src if x not in self.ints), None)
-            pos = {x: i for i, x in enumerate(model.point_names)}
-            pos = tuple(pos.get(x) for x in src)
-            r, q = self.alpha.rank, self.q
-            lanes = screen = None
-            if missing is None and self.count:
-                acted = [[_act_vector(self.ints[x], k, s, q) for k in range(max(r, model.rank))]
-                         for x in src]
-                lanes = [[[_wall_row(v, r, rp) for v in vecs] for vecs in acted]
-                         for rp in range(1, r)]
-                firsts = [[row[0] for row in lane] for lane in lanes[0]]
-                n = len(model.points)
-                if self.count <= self.cap and self.within and sorted(
-                        i for i in pos if i is not None) == list(range(n)):
-                    at = dict(zip(pos, firsts))
-                    screen = (sum(f[0] for i, f in zip(pos, firsts) if i is None),
-                              [at[i] for i in range(n)])
-            plan = self.plans[auto, s] = _Plan(src, missing, pos, lanes, screen, {})
-        return plan
-
-    def __call__(self, t):
-        """The verdict on one canonical tuple: `sectors` on its Hecke part."""
-        model = t.model
-        mults = tuple(map(t.hecke.get, model.point_names))
-        return self.sectors(model, model.automorphism(t.sigma), t.s, [mults], [(0, None)])[0]
-
-    def sectors(self, model, auto, s, tuples, group):
-        """The verdicts on the tuples (auto, s, H) for H = tuples[k] over
-        model.point_names, for each (k, _) of group in order; a line part
-        does not act on weights.
-
-        A tuple whose acted first wall (see _plan's screen) is not
-        integral and lies outside alpha's floor leaves the chamber at that
-        wall, which is what _keeps would find. The others are tested one by
-        one.
-        """
-        outside = [(i, x) for i, x in enumerate(model.point_names) if x not in self.ints]
-        plan = None
-        verdicts = []
-        for k, _ in group:
-            mults = tuples[k]
-            for i, x in outside:
-                if mults[i] > 0:
-                    raise UnknownPoint(x)
-            if plan is None:
-                plan = self._plan(model, auto, s)
-            if plan.missing is not None:
-                raise UnknownPoint(plan.missing)
-            if plan.screen is not None:
-                base, rows = plan.screen
-                first = base + sum(map(getitem, rows, mults))
-                if first % self.q and not self.within[0] < first < self.within[1]:
-                    verdicts.append(False)
-                    continue
-            steps = [0 if i is None else mults[i] for i in plan.positions]
-            verdicts.append(self._keeps(plan, steps, lambda: BasicTransformation(
-                model, auto.name, s, LineBundleClass.trivial(2 * model.genus),
-                Divisor(zip(model.point_names, mults)),
-            )))
-        return verdicts
-
-    def _acted(self, plan, steps):
-        """The acted system's halves per subrank, as weights._Walls.halves
-        gives them, from the rows lane[j][steps[j]] of plan's lanes; the
-        tails are built once per subrank and steps of their points."""
-        h = len(steps) // 2
-        tail = tuple(steps[h:])
-        built = plan.tails.get(tail)
-        if built is None:
-            built = plan.tails[tail] = []
-        for k, lane in enumerate(plan.lanes):
-            if k == len(built):
-                built.append(_sums(map(getitem, lane[h:], tail)))
-            yield list(map(getitem, lane[:h], steps)), built[k]
-
-    def _keeps(self, plan, steps, make):
-        """The verdict on the acted rows lane[j][steps[j]] at alpha's
-        points; make() builds the tuple when a NotGeneric error needs it."""
-        if not self.ints:
-            return True
-        if self.count > self.cap:
-            raise EnumerationCapExceeded(self.count, self.cap, "walls")
-        if not self.count:
-            return True
-        if self.halves is None:
-            self.halves = list(self.walls.halves())
-        hit = _first_wall_difference(self.q, self._acted(plan, steps), self.q, self.halves)
-        if hit is None:
-            return True
-        rp, i, side = hit
-        if side:
-            raise NotGeneric(_wall_at(act_weights(make(), self.alpha) if side == 1 else self.alpha, rp, i))
-        return False
-
-
 def _check_weights_rank(alpha, model):
     if alpha.rank is not None and alpha.rank != model.rank:
         raise ShapeMismatch(f"weights rank {alpha.rank} does not match model rank {model.rank}")
-
-
-def chamber_predicate(alpha, cap=DEFAULT_ENUM_CAP):
-    """The test t -> same_chamber(act_weights(t, alpha), alpha, cap) as a
-    callable over many tuples t; see _ChamberTest."""
-    return _ChamberTest(alpha, cap)
 
 
 def act_invariant(t, v):
@@ -599,7 +446,8 @@ def act_invariant(t, v):
 
 
 def subgroup_membership(t, d, xi=None, alpha=None, cap=DEFAULT_ENUM_CAP):
-    """Membership flags for the sign, degree, determinant and chamber subgroups."""
+    """Membership flags for the sign, degree, determinant and chamber
+    subgroups; t is in T_alpha when it keeps alpha in its chamber."""
     flags = {
         "in_T_plus": t.s == 1,
         "in_T_d": act_degree(t, d) == d,
@@ -609,7 +457,8 @@ def subgroup_membership(t, d, xi=None, alpha=None, cap=DEFAULT_ENUM_CAP):
     if xi is not None:
         flags["in_T_xi"] = act_det(t, xi) == xi
     if alpha is not None:
-        flags["in_T_alpha"] = chamber_predicate(alpha, cap)(t)
+        _check_weights_rank(alpha, t.model)
+        flags["in_T_alpha"] = same_chamber(act_weights(t, alpha), alpha, cap)
     return flags
 
 
@@ -629,8 +478,8 @@ def _hecke_tuples(model, cap):
 def _degree_sectors(model, d, tuples):
     """The admissible sectors (sigma, s, H) of the degree-d stabilizer, as
     (automorphism, s, group) in table order, s = 1 before s = -1. The group
-    lists (index of H in `tuples`, forced L degree) in the order of
-    `tuples`, and is the same list for every automorphism.
+    lists (index k of H in `tuples`, forced L degree, tuples[k]) in the
+    order of `tuples`, and is the same list for every automorphism.
 
     A sector is admissible when r divides s * d - d + |H|, and the
     quotient is the L degree; that depends only on s, d and |H|, so each
@@ -641,14 +490,15 @@ def _degree_sectors(model, d, tuples):
     groups = {}
     for s in (1, -1):
         base = s * d - d
-        groups[s] = [(k, (base + size) // r) for k, size in enumerate(sizes)
+        groups[s] = [(k, (base + size) // r, mults)
+                     for k, (size, mults) in enumerate(zip(sizes, tuples))
                      if (base + size) % r == 0]
     for auto in model.automorphisms:
         for s in (1, -1):
             yield auto, s, groups[s]
 
 
-def _sector_transforms(model, tuples, sectors):
+def _sector_transforms(model, sectors):
     """The representative of each sector of each (automorphism, s, group)
     in `sectors`: the forced L degree with zero torsion part. Each Divisor
     is built once per tuple and each L once per degree, shared by the
@@ -658,10 +508,10 @@ def _sector_transforms(model, tuples, sectors):
     divisors = {}
     lines = {}
     for auto, s, group in sectors:
-        for k, ldeg in group:
+        for k, ldeg, mults in group:
             hecke = divisors.get(k)
             if hecke is None:
-                hecke = divisors[k] = Divisor(zip(names, tuples[k]))
+                hecke = divisors[k] = Divisor(zip(names, mults))
             line = lines.get(ldeg)
             if line is None:
                 line = lines[ldeg] = LineBundleClass(ldeg, JacobianElement.zero(dim))
@@ -708,10 +558,9 @@ def stabilizer_xi(xi, model, cap=DEFAULT_ENUM_CAP):
         den = math.lcm(jac.den, q)
         base = [x * (den // jac.den) for x in jac.nums]
         scale = den // q
-        for k, ldeg in group:
+        for k, ldeg, mults in group:
             rhs = JacobianElement.from_nums([a + scale * b for a, b in zip(base, sums[k])], den)
             root, torsor = divide_by_r(rhs, r)
-            mults = tuples[k]
             sectors.append(
                 {
                     "sigma": auto.name,
@@ -729,26 +578,102 @@ def t_d_quotient_reps(d, model, cap=DEFAULT_ENUM_CAP):
     """Representatives of the degree-d stabilizer modulo tensoring by
     degree-zero classes: one tuple per admissible (sigma, s, H) sector,
     with the forced L degree and zero torsion part."""
-    tuples = _hecke_tuples(model, cap)
-    return list(_sector_transforms(model, tuples, _degree_sectors(model, d, tuples)))
+    return list(_sector_transforms(model, _degree_sectors(model, d, _hecke_tuples(model, cap))))
 
 
-def _chamber_filter(alpha, model, cap):
-    """The Hecke tuples of the model and the chamber test of alpha, for a
-    filter of the degree stabilizer by a generic alpha of the model's rank."""
+def _acted_halves(lanes, steps, tails):
+    """The acted system's halves per subrank, as weights._Walls.halves
+    gives them, from the rows lane[j][steps[j]] of the lanes; the tails
+    are built once per subrank and steps of their points, cached in
+    `tails`."""
+    h = len(steps) // 2
+    tail = tuple(steps[h:])
+    built = tails.get(tail)
+    if built is None:
+        built = tails[tail] = []
+    for k, lane in enumerate(lanes):
+        if k == len(built):
+            built.append(_sums(map(getitem, lane[h:], tail)))
+        yield list(map(getitem, lane[:h], steps)), built[k]
+
+
+def _chamber_sectors(d, alpha, model, cap):
+    """The sectors of the degree-d stabilizer with their chamber verdicts:
+    per (automorphism, s, group) of _degree_sectors, in order,
+    (automorphism, s, group, kept) where kept[k] is
+    same_chamber(act_weights(t, alpha), alpha, cap) for the representative
+    t of group[k]; a line part does not act on weights. alpha of another
+    rank, a non-generic alpha and too many Hecke tuples raise first, in
+    that order; then each representative raises what act_weights and then
+    same_chamber would.
+
+    The action keeps alpha's q, so the acted system is compared with alpha
+    on integers, wall by wall as same_chamber does. Its wall rows at y are
+    those of alpha's row at sigma(y) after the Hecke steps and the dual;
+    they depend on the steps only modulo r, so per (automorphism, s) they
+    are resolved once for every step count (the lanes), and the acted
+    tails once per Hecke steps of the tail points. The acted first wall is
+    one sum of a row per model point: a tuple whose first floor differs
+    from alpha's leaves the chamber there, and the others are compared in
+    full. No acted wall is integral: a Hecke step rotates the index
+    subsets and moves each wall by an integer, the dual negates walls and
+    relabelling permutes points, so the acted system is generic as alpha
+    is.
+    """
     _check_weights_rank(alpha, model)
     ok, witness = is_generic(alpha, cap)
     if not ok:
         raise NotGeneric(witness)
-    return _hecke_tuples(model, cap), chamber_predicate(alpha, cap)
+    tuples = _hecke_tuples(model, cap)
+    ints, q, r = dict(zip(alpha.point_names, alpha.rows)), alpha.q, model.rank
+    count = _wall_count(alpha)
+    index = {x: i for i, x in enumerate(model.point_names)}
+    outside = [(i, x) for x, i in index.items() if x not in ints]
+    if 0 < count <= cap:
+        walls = _walls(alpha)
+        halves = list(walls.halves())
+        floor = sum(row[0] for row in walls.rows(1)) // q
+    for auto, s, group in _degree_sectors(model, d, tuples):
+        src = [auto.point_perm.get(y, y) for y in ints]
+        missing = next((x for x in src if x not in ints), None)
+        if missing is None and 0 < count <= cap:
+            acted = [[_act_vector(ints[x], k, s, q) for k in range(r)] for x in src]
+            lanes = [[[_wall_row(v, r, rp) for v in vecs] for vecs in acted] for rp in range(1, r)]
+            positions = [index.get(x) for x in src]
+            # the acted first wall is base + sum(firsts[i][H[i]]) over the model's points
+            base, firsts = 0, [[0] * r for _ in index]
+            for i, lane in zip(positions, lanes[0]):
+                if i is None:
+                    base += lane[0][0]
+                else:
+                    firsts[i] = [row[0] for row in lane]
+            tails = {}
+        kept = []
+        for _, _, mults in group:
+            for i, x in outside:
+                if mults[i]:
+                    raise UnknownPoint(x)
+            if missing is not None:
+                raise UnknownPoint(missing)
+            if count > cap:
+                raise EnumerationCapExceeded(count, cap, "walls")
+            if not count:
+                kept.append(True)
+            elif (base + sum(map(getitem, firsts, mults))) // q != floor:
+                kept.append(False)
+            else:
+                steps = [0 if i is None else mults[i] for i in positions]
+                hit = _first_wall_difference(q, _acted_halves(lanes, steps, tails), q, halves)
+                kept.append(hit is None)
+        yield auto, s, group, kept
 
 
 def stabilizer_d_alpha_quotient(d, alpha, model, cap=DEFAULT_ENUM_CAP):
-    """Chamber-filtered representatives of the degree stabilizer; a
-    representative is built only for a sector the filter keeps."""
-    tuples, keeps = _chamber_filter(alpha, model, cap)
+    """Chamber-filtered representatives of the degree stabilizer (see
+    _chamber_sectors); a representative is built only for a sector the
+    filter keeps."""
     kept = (
-        (auto, s, list(itertools.compress(group, keeps.sectors(model, auto, s, tuples, group))))
-        for auto, s, group in _degree_sectors(model, d, tuples)
+        (auto, s, list(itertools.compress(group, keeps)))
+        for auto, s, group, keeps in _chamber_sectors(d, alpha, model, cap)
     )
-    return list(_sector_transforms(model, tuples, kept))
+    return list(_sector_transforms(model, kept))

@@ -47,10 +47,15 @@ class WeightSystem:
         self._set(names, _ratios(vecs), rank)
 
     def _set(self, names, ratios, rank):
-        """Per-point (numerator, denominator) pairs as rows over their lcm q, checked."""
+        """Per-point (numerator, denominator) pairs as rows over their lcm q, checked;
+        each point name at most once."""
         q = math.lcm(*{d for pairs in ratios for _, d in pairs})
         rows = [tuple([n * (q // d) for n, d in pairs]) for pairs in ratios]
+        seen = set()
         for name, row in zip(names, rows):
+            if name in seen:
+                raise ShapeMismatch(f"point {name!r} is given more than once")
+            seen.add(name)
             if not row:
                 raise ShapeMismatch(f"empty weight vector at {name!r}")
             rank = len(row) if rank is None else rank

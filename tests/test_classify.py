@@ -122,11 +122,16 @@ def test_curves_isomorphic_bad_witness(elliptic2):
         curves_isomorphic(elliptic2, other, witness={"points": {"p": "u", "q": "v"}})
     with pytest.raises(ModelError, match="not a bijection"):
         curves_isomorphic(elliptic2, other, witness={"points": {"p": "u", "q": "u"}})
-    with pytest.raises(ModelError, match="determinant"):
-        curves_isomorphic(
-            elliptic2,
-            other,
-            witness={"points": {"p": "v", "q": "u"}, "matrix": [[2, 0], [0, 1]]},
+    # a class map that is not unimodular is refused with its determinant
+    for matrix, det in (([[2, 0], [0, 1]], 2), ([[1, 2], [2, 4]], 0)):
+        with pytest.raises(ModelError) as err:
+            curves_isomorphic(
+                elliptic2,
+                other,
+                witness={"points": {"p": "v", "q": "u"}, "matrix": matrix},
+            )
+        assert str(err.value) == (
+            f"invalid isomorphism witness: class-map matrix determinant is {det}, not +-1"
         )
 
 

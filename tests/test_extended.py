@@ -60,7 +60,7 @@ from partrans.intmat import (
     mat_vec,
     zero_matrix,
 )
-from partrans.transform import _word_of, chamber_predicate
+from partrans.transform import _word_of
 from partrans.weights import is_generic
 from test_transform import oracle_normalize_word
 from conftest import (
@@ -382,8 +382,7 @@ def oracle_report(d, alpha, model, cap=10**6):
     if not ok:
         raise NotGeneric(witness)
     reps = oracle_t_d_quotient_reps(d, model, cap)
-    keeps = chamber_predicate(alpha, cap)
-    regular = [keeps(t) for t in reps]
+    regular = [subgroup_membership(t, 0, alpha=alpha, cap=cap)["in_T_alpha"] for t in reps]
 
     def entry(t):
         rec = {
@@ -700,7 +699,6 @@ def test_weights_of_another_rank_are_refused(g2r3):
         lambda: stabilizer_d_alpha_quotient(0, alpha, g2r3),
         lambda: automorphism_group_report(0, alpha, g2r3),
         lambda: subgroup_membership(t, 0, alpha=alpha),
-        lambda: chamber_predicate(alpha)(t),
     ]
     for call in calls:
         with pytest.raises(ShapeMismatch, match="weights rank 2 does not match model rank 3"):

@@ -44,7 +44,7 @@ from partrans import (
     subgroup_membership,
     t_d_quotient_reps,
 )
-from partrans.transform import _word_of, chamber_predicate
+from partrans.transform import _word_of
 from partrans.weights import dual_weights, hecke_weights
 from conftest import (
     brute_stabilizer_count,
@@ -606,12 +606,10 @@ def _verdict(fn):
 
 @settings(max_examples=60, deadline=None)
 @given(acted_pairs())
-def test_chamber_predicate_matches_stepwise_oracle(pair):
+def test_chamber_membership_matches_stepwise_oracle(pair):
     t, w = pair
-    keeps = chamber_predicate(w)
     for rep in [t] + t_d_quotient_reps(0, t.model):
         want = _verdict(lambda: same_chamber(oracle_act_weights(rep, w), w))
-        assert _verdict(lambda: keeps(rep)) == want
         assert _verdict(lambda: subgroup_membership(rep, 0, alpha=w)["in_T_alpha"]) == want
 
 
@@ -630,10 +628,9 @@ def test_d_alpha_filter_matches_stepwise_oracle(rng=random.Random(86)):
     on_wall = WeightSystem({x: (0, Fraction(1, 3), Fraction(2, 3)) for x in m.point_names}, 3)
     with pytest.raises(NotGeneric):
         stabilizer_d_alpha_quotient(0, on_wall, m)
-    keeps = chamber_predicate(on_wall)
     for rep in t_d_quotient_reps(0, m):
         want = _verdict(lambda: same_chamber(oracle_act_weights(rep, on_wall), on_wall))
-        assert _verdict(lambda: keeps(rep)) == want
+        assert _verdict(lambda: subgroup_membership(rep, 0, alpha=on_wall)["in_T_alpha"]) == want
 
 
 def test_act_weights_unknown_points_raise_like_oracle(cyclic3):
@@ -938,9 +935,10 @@ def test_sector_loop_matches_old_loops(key, d, den, data):
     assert json.dumps(stabilizer_xi(xi, m)) == json.dumps(oracle_stabilizer_xi(xi, m))
     # the filter on sector tuples against the filter on the old representatives
     alpha = rand_generic_weights(random.Random(data.draw(st.integers(0, 2**16))), m)
-    keeps = chamber_predicate(alpha)
     kept = stabilizer_d_alpha_quotient(d, alpha, m)
-    assert _rep_texts(kept) == _rep_texts([t for t in want if keeps(t)])
+    assert _rep_texts(kept) == _rep_texts(
+        [t for t in want if subgroup_membership(t, 0, alpha=alpha)["in_T_alpha"]]
+    )
 
 
 _FILTER_MODELS = [
@@ -967,10 +965,9 @@ def test_chamber_filter_matches_oracle_filter(key, d, seed):
          for x in m.point_names},
         m.rank,
     )
-    keeps = chamber_predicate(w)
     for rep in t_d_quotient_reps(d, m):
         want = _verdict(lambda: same_chamber(oracle_act_weights(rep, w), w))
-        assert _verdict(lambda: keeps(rep)) == want
+        assert _verdict(lambda: subgroup_membership(rep, 0, alpha=w)["in_T_alpha"]) == want
 
 
 def _outcome(fn):

@@ -21,6 +21,7 @@ from partrans import (
     is_generic,
     parabolic_degree,
     same_chamber,
+    t_d_quotient_reps,
 )
 from partrans.errors import (
     EnumerationCapExceeded,
@@ -164,6 +165,10 @@ def test_weight_system_requires_canonical_input():
         ws(2, p=(0, 1))
     with pytest.raises(ShapeMismatch):
         ws(3, p=(0, "1/2"))
+    # a repeated point name would give vector() one vector and to_json() another
+    for make in (WeightSystem, canonicalize):
+        with pytest.raises(ShapeMismatch, match="point 'x' is given more than once"):
+            make([("x", (0, Fraction(1, 2))), ("y", (0, Fraction(1, 5))), ("x", (0, Fraction(1, 3)))])
 
 
 def test_canonicalize_shifts_to_zero_base():
@@ -615,6 +620,24 @@ def test_genericity_equivariance():
             assert is_generic(dual_weights(w))[0]
             for x in m.point_names:
                 assert is_generic(hecke_weights(w, x))[0]
+    # the whole action, relabelling included, keeps genericity either way:
+    # the chamber filter relies on an acted generic system meeting no wall
+    verdicts = set()
+    for m in (model_cyclic(1, 3, rank=3), model_cyclic(1, 2, rank=4)):
+        reps = t_d_quotient_reps(0, m)
+        assert any(m.automorphism(t.sigma).point_perm != {x: x for x in m.point_names} for t in reps)
+        for _ in range(6):
+            den = rng.choice((2, 3, 4)) * m.rank
+            on_grid = WeightSystem(
+                {x: (0,) + tuple(Fraction(k, den) for k in sorted(rng.sample(range(1, den), m.rank - 1)))
+                 for x in m.point_names},
+                m.rank,
+            )
+            for w in (rand_generic_weights(rng, m), on_grid):
+                verdicts.add(is_generic(w)[0])
+                for t in reps:
+                    assert is_generic(act_weights(t, w))[0] == is_generic(w)[0]
+    assert verdicts == {True, False}
 
 
 def test_shift_invariance_of_fingerprint():
