@@ -83,9 +83,8 @@ class CurveModel:
         for a in self.automorphisms:
             self._by_key.setdefault(self._key(a.point_perm, a.matrix, a.translation), a)
         dim = 2 * genus
-        identity_key = self._key(
-            {}, tuple(map(tuple, identity_matrix(dim))), JacobianElement.zero(dim)
-        )
+        self._identity_matrix = tuple(map(tuple, identity_matrix(dim)))
+        identity_key = self._key({}, self._identity_matrix, JacobianElement.zero(dim))
         identity = self._by_key.get(identity_key)
         self._identity_name = identity.name if identity is not None else None
         self._compose = []
@@ -127,7 +126,7 @@ class CurveModel:
         the identity; built once per name."""
         if name not in self._conjugators:
             m = self.automorphism(name).matrix
-            identity = m == tuple(map(tuple, identity_matrix(len(m))))
+            identity = m == self._identity_matrix
             self._conjugators[name] = None if identity else (m, inverse_unimodular(m))
         return self._conjugators[name]
 
@@ -146,15 +145,22 @@ class CurveModel:
         """Table data of the element acting as outer-then-inner pullback.
 
         The composed geometric automorphism applies outer's permutation
-        first; its pullback is pullback_outer o pullback_inner.
+        first; its pullback is pullback_outer o pullback_inner. A factor
+        whose matrix is the identity leaves the other's matrix, with no
+        product.
         """
         perm = {}
         for x in self._point_index:
             y = outer.point_perm.get(x, x)
             perm[x] = inner.point_perm.get(y, y)
-        matrix = mat_mul(outer.matrix, inner.matrix)
+        if outer.matrix == self._identity_matrix:
+            matrix = inner.matrix
+        elif inner.matrix == self._identity_matrix:
+            matrix = outer.matrix
+        else:
+            matrix = tuple(map(tuple, mat_mul(outer.matrix, inner.matrix)))
         translation = affine_image(outer.matrix, inner.translation, outer.translation)
-        return perm, tuple(map(tuple, matrix)), translation
+        return perm, matrix, translation
 
     def find_entry(self, perm, matrix, translation):
         return self._by_key.get(self._key(perm, matrix, translation))

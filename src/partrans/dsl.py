@@ -18,9 +18,11 @@ atom promotes the whole word to an extended element.
 
 Two limits keep every input bounded: "(" expr ")" nests at most
 MAX_NESTING deep, and an integer literal has at most MAX_INT_DIGITS
-digits. Past either, parsing raises ParseError. A third bounds what
-evaluation builds: no value or partial product may carry an integer of
-more than MAX_RESULT_DIGITS digits, else evaluation raises ResultTooLarge.
+digits. Past either, parsing raises ParseError. Two more bound what
+evaluation builds and does: no value or partial product may carry an
+integer of more than MAX_RESULT_DIGITS digits, and the squarings of its
+powers may take at most MAX_POWER_WORK word products all together; past
+either, evaluation raises ResultTooLarge.
 """
 
 from fractions import Fraction
@@ -68,6 +70,12 @@ MAX_INT_DIGITS = 1000
 # than 4300 digits; powers would otherwise grow them without bound.
 MAX_RESULT_DIGITS = 4000
 _RESULT_BOUND = 10**MAX_RESULT_DIGITS
+# the most work the squarings of one evaluation's powers may take, in
+# products of two 64-bit words (see _squaring_work). A nilpotent Jacobian
+# part, whose entries grow only linearly, stays under MAX_RESULT_DIGITS at
+# any exponent a literal can write; at genus 6 the 3322 squarings of its
+# 10^999-th power would take about 50 s.
+MAX_POWER_WORK = 5 * 10**7
 
 
 def tokenize(text):
@@ -322,9 +330,14 @@ def evaluate(node, model, ref_det=None):
     Returns a basic tuple, or an extended element when any A atom occurs
     (reference determinant defaulting to the model's degree context).
     Raises ResultTooLarge when a value or partial product passes
-    MAX_RESULT_DIGITS.
+    MAX_RESULT_DIGITS, or its powers would pass MAX_POWER_WORK.
     """
-    return _bounded(_value(node, model, ref_det))
+    return _evaluate(node, model, ref_det, [MAX_POWER_WORK])
+
+
+def _evaluate(node, model, ref_det, work):
+    """evaluate, with work[0] the word products its powers may still take."""
+    return _bounded(_value(node, model, ref_det, work))
 
 
 def _bounded(x):
@@ -339,17 +352,17 @@ def _bounded(x):
     return x
 
 
-def _value(node, model, ref_det):
+def _value(node, model, ref_det, work):
     kind = node[0]
     if kind == "word":
         acc = None
         for child in node[1]:
-            val = evaluate(child, model, ref_det)
+            val = _evaluate(child, model, ref_det, work)
             acc = val if acc is None else _mul(acc, val, model, ref_det)
         return acc
     if kind == "pow":
-        base = evaluate(node[1], model, ref_det)
-        return _power(base, node[2], model, ref_det)
+        base = _evaluate(node[1], model, ref_det, work)
+        return _power(base, node[2], model, ref_det, work)
     if kind == "id":
         return identity_transform(model)
     if kind == "dual":
@@ -394,11 +407,30 @@ def _mul(x, y, model, ref_det):
     return _bounded(compose_ext(x, y))
 
 
-def _power(base, n, model, ref_det):
+def _words(v):
+    return 1 + abs(v).bit_length() // 64
+
+
+def _squaring_work(x):
+    """About how many products of two 64-bit words squaring x takes, with
+    n = 2g: n * d for its coordinates over a d-word denominator and, per
+    nonzero row of its Jacobian part, n**2 * e**2 for e-word entries. A
+    line degree only adds up, and is left out."""
+    basic = x.basic if isinstance(x, ExtendedTransformation) else x
+    n = len(basic.line.jac.nums)
+    work = n * _words(basic.line.jac.den)
+    if basic is not x:
+        rows = [row for row in x.rho.tilde if any(row)]
+        if rows:
+            work += len(rows) * n * n * _words(max(max(map(abs, row)) for row in rows)) ** 2
+    return work
+
+
+def _power(base, n, model, ref_det, work):
     if n == 0:
         return identity_transform(model)
     if n < 0:
-        pos = _power(base, -n, model, ref_det)
+        pos = _power(base, -n, model, ref_det, work)
         if isinstance(pos, BasicTransformation):
             return inverse(pos)
         return ext_inverse(pos)
@@ -411,6 +443,11 @@ def _power(base, n, model, ref_det):
         n >>= 1
         if not n:
             return acc
+        work[0] -= _squaring_work(base)
+        if work[0] < 0:
+            raise ResultTooLarge(
+                MAX_POWER_WORK, f"powers would take more than {MAX_POWER_WORK} products of 64-bit words"
+            )
         base = _mul(base, base, model, ref_det)
 
 

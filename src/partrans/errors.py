@@ -83,12 +83,12 @@ class ExtendedCompositionError(PartransError):
 
 
 class ResultTooLarge(PartransError):
-    """Evaluating an expression built an integer of more than `digits`
-    digits."""
+    """Evaluating an expression passed `bound`: by default, it built an
+    integer of more than `bound` digits; `message` names any other bound."""
 
-    def __init__(self, digits):
-        super().__init__(f"evaluation built an integer of more than {digits} digits")
-        self.digits = digits
+    def __init__(self, bound, message=None):
+        super().__init__(message or f"evaluation built an integer of more than {bound} digits")
+        self.bound = bound
 
 
 class ParseError(PartransError):

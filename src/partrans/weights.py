@@ -8,12 +8,17 @@ then per-point index subsets lexicographically, last point fastest.
 
 Walls are computed on the same integers (see _Walls). Per subrank, the wall
 with index j * len(tails) + i is heads[j] + tails[i]: sums over the first
-half of the points and over the rest. A block of walls sharing a head is
-compared in one step; genericity meets in the middle (Horowitz & Sahni, 1974).
+half of the points and over the rest. Genericity meets in the middle
+(Horowitz & Sahni, 1974). Two systems are compared a block of walls sharing
+a head at a time: a block whose walls all lie nearer each other than the
+first system's walls lie to an integer passes on one bisect over the
+tails' residues (see _first_wall_difference); the others are checked
+exactly.
 """
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter, lt
 
@@ -345,26 +350,58 @@ def _first_wall_difference(q1, halves1, q2, halves2):
     """Where two same-shape systems, given by their _Walls.halves, first
     part in wall order: (r', index, side) with side 1 or 2 when that
     system's wall is integral there, checked in that order, and 0 when the
-    floors differ; None when every floor agrees. Block 0, where most
-    differing systems part, is scanned wall by wall; a later block passes
-    whole when no tail reaches its head's complement mod q and its floors
-    agree, and is scanned otherwise."""
+    floors differ; None when every floor agrees.
+
+    Block 0, where most differing systems part, is scanned wall by wall.
+    A later block with heads a1, a2 has walls x_i = (a1 + t1[i]) / q1 and
+    y_i = (a2 + t2[i]) / q2. When every x_i is farther from the integers
+    than |y_i - x_i|, each y_i lies in the open unit interval that holds
+    x_i: no wall is integral and every floor agrees, which is what a scan
+    would find, so the block passes whole. Any other block gets the exact
+    check of _block_difference. The screen is integer and costs one
+    bisect: q1 times the distance of the nearest x_i to an integer is the
+    ring distance from -a1 mod q1 to the tails' residues mod q1, and
+    q1 * q2 * (y_i - x_i) = s + m_i with s = a2 * q1 - a1 * q2 and
+    m_i = t2[i] * q1 - t1[i] * q2, largest in size at the least or the
+    greatest m_i. Its tables are built only once block 0 passes."""
     for rp, ((rows1, tails1), (rows2, tails2)) in enumerate(zip(halves1, halves2), 1):
         a1, a2 = sum(map(itemgetter(0), rows1)), sum(map(itemgetter(0), rows2))
         hit = _block_difference(q1, a1, tails1, q2, a2, tails2)
         if hit is not None:
             return rp, *hit
-        res1, res2 = {t % q1 for t in tails1}, {t % q2 for t in tails2}
-        for j, (a1, a2) in enumerate(zip(_sums(rows1), _sums(rows2))):
-            if j and (-a1 % q1 in res1 or -a2 % q2 in res2
-                      or [(a1 + t) // q1 for t in tails1] != [(a2 + t) // q2 for t in tails2]):
-                i, side = _block_difference(q1, a1, tails1, q2, a2, tails2)
-                return rp, j * len(tails1) + i, side
+        if not rows1:
+            continue
+        residues = {t % q1 for t in tails1}, {t % q2 for t in tails2}
+        # the residues mod q1 in order, each end repeated one turn away
+        ring = sorted(residues[0])
+        ring = [ring[-1] - q1, *ring, ring[0] + q1]
+        moves = [t2 * q1 - t1 * q2 for t1, t2 in zip(tails1, tails2)]
+        low, high = min(moves), max(moves)
+        heads = zip(_sums(rows1), _sums(rows2))
+        next(heads)
+        for j, (a1, a2) in enumerate(heads, 1):
+            c = -a1 % q1
+            k = bisect_left(ring, c)
+            up, down = ring[k] - c, c - ring[k - 1]
+            near = (up if up < down else down) * q2
+            if -near - low < a2 * q1 - a1 * q2 < near - high:
+                continue
+            hit = _block_difference(q1, a1, tails1, q2, a2, tails2, residues)
+            if hit is not None:
+                return rp, j * len(tails1) + hit[0], hit[1]
     return None
 
 
-def _block_difference(q1, a1, tails1, q2, a2, tails2):
-    """(i, side) at a block's first wall a + tails[i] where the systems part."""
+def _block_difference(q1, a1, tails1, q2, a2, tails2, residues=None):
+    """(i, side) at a block's first wall a + tails[i] where the systems
+    part, or None. Given the residue sets of both tails, the block is first
+    tested whole: no tail reaches its head's complement and the floor lists
+    agree."""
+    if residues is not None:
+        res1, res2 = residues
+        if (-a1 % q1 not in res1 and -a2 % q2 not in res2
+                and [(a1 + t) // q1 for t in tails1] == [(a2 + t) // q2 for t in tails2]):
+            return None
     for i, (t1, t2) in enumerate(zip(tails1, tails2)):
         v1, v2 = a1 + t1, a2 + t2
         if not v1 % q1 or not v2 % q2 or v1 // q1 != v2 // q2:

@@ -5,12 +5,13 @@ import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from partrans.cli import run_command
-from partrans.dsl import MAX_INT_DIGITS, MAX_NESTING
+from partrans.dsl import MAX_INT_DIGITS, MAX_NESTING, MAX_POWER_WORK
 
 
 def _write(dirpath, name, payload):
@@ -196,6 +197,21 @@ def test_result_limit_exits_2_without_traceback(files, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert "evaluation built an integer of more than 4000 digits" in err
+
+
+def test_power_work_limit_exits_2_within_two_seconds(capsys):
+    # a dense nilpotent Jacobian part: its entries grow only linearly, so
+    # the digit limit never fires, and 10^999 took 3322 squarings and 49 s
+    row = "[" + ",".join(["1", "-1"] * 6) + "]"
+    expr = "A[" + ",".join([row] * 12) + "]^1" + "0" * 999
+    golden = Path(__file__).parent / "golden" / "model_g6.json"
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "normalize", "--model", str(golden), expr)
+    assert time.perf_counter() - start < 2.0
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"powers would take more than {MAX_POWER_WORK} products of 64-bit words" in err
 
 
 # expressions from the grammar in partrans.dsl over one of the g1, g6 and

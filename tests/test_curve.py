@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from partrans import JacobianElement, load_config, point_class, pullback, validate_model
+from partrans import JacobianElement, curve, load_config, point_class, pullback, validate_model
 from partrans.intmat import identity_matrix, mat_mul
 from partrans.errors import (
     ConfigError,
@@ -353,6 +353,50 @@ def test_cayley_table_matches_scan_on_broken_tables():
     assert dup.inverse_auto("tau3") == "tau1"
     assert dup.inverse_auto("e") == "id"
     assert validate_model(dup).ok
+
+
+def test_implicit_identity_loads_without_a_product(monkeypatch):
+    rotation = table_doc(model_rotation(1, 4))
+    calls = []
+
+    def counting(a, b):
+        calls.append(len(a))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(curve, "mat_mul", counting)
+    # the identity composed with itself was a 640 x 640 product
+    m = load_config(doc(genus=320, points=[]))
+    assert calls == []
+    assert m.identity_name == m.compose_autos("id", "id") == m.inverse_auto("id") == "id"
+    assert validate_model(m).ok
+    # of the 16 pairs of an order-4 rotation table, the 9 without the
+    # identity entry are multiplied
+    load_config(rotation)
+    assert calls == [2] * 9
+
+
+def test_identity_factors_keep_the_tables():
+    """composed_data leaves out the product where a factor's matrix is the
+    identity; the Cayley and inverse tables are those of a product for
+    every pair."""
+    for m in (
+        golden("model_g1.json"),
+        golden("model_g6.json"),
+        model_cyclic3(),
+        model_cyclic(2, 4, rank=3),
+        model_rotation(2, 3),
+        model_rotation(1, 4),
+        model_rotation(3, 6),
+    ):
+        compose = [[m.find_entry(*scan_composed_data(m, a, b)) for b in m.automorphisms]
+                   for a in m.automorphisms]
+        inverse = [next((b for b in m.automorphisms if scan_is_identity(m, *scan_composed_data(m, a, b))), None)
+                   for a in m.automorphisms]
+        assert m._compose == compose
+        assert m._inverse == inverse
+        for a in m.automorphisms:
+            for b in m.automorphisms:
+                assert m.composed_data(a, b)[1] == scan_composed_data(m, a, b)[1]
 
 
 def test_load_and_validate_order12_genus6_table_is_fast():

@@ -31,6 +31,7 @@ from partrans import (
     of_divisor,
     parse_expression,
 )
+from partrans import dsl
 from partrans.dsl import (
     MAX_INT_DIGITS, MAX_NESTING, MAX_RESULT_DIGITS, _solved_divisor_form, tokenize,
 )
@@ -121,6 +122,46 @@ def test_result_limit(elliptic2):
     # a Jacobian part of finite order stays small under any power
     e = eval_expression("A[[-1,0],[0,-1]]^" + big[:-1] + "1", elliptic2)
     assert e.rho.tilde == ((-1, 0), (0, -1))
+
+
+def _nilpotent(dim):
+    """A[...] of tilde rows (1, -1, 1, ...): N^2 = 0, so rho^n = 1 + n r N."""
+    row = "[" + ",".join(["1", "-1"] * (dim // 2)) + "]"
+    return "A[" + ",".join([row] * dim) + "]"
+
+
+def test_power_work_limit(elliptic2, monkeypatch):
+    """The squarings of one evaluation's powers take at most MAX_POWER_WORK
+    word products, estimated before each squaring (the genus-6 refusal is
+    in tests/test_cli.py)."""
+    big = "1" + "0" * (MAX_INT_DIGITS - 1)
+    # at genus 1 a linear growth to the largest exponent fits
+    e = eval_expression(_nilpotent(2) + "^" + big, elliptic2)
+    assert e.rho.tilde == ((10 ** (MAX_INT_DIGITS - 1), -(10 ** (MAX_INT_DIGITS - 1))),) * 2
+    # the budget is one per evaluation, not one per power: two powers that
+    # each fit alone are refused together
+    single = _nilpotent(2) + "^" + "1" + "0" * 40
+    work = []
+    real = dsl._squaring_work
+    monkeypatch.setattr(dsl, "_squaring_work", lambda x: work.append(real(x)) or work[-1])
+    eval_expression(single, elliptic2)
+    limit = sum(work)
+    monkeypatch.setattr(dsl, "MAX_POWER_WORK", limit)
+    eval_expression(single, elliptic2)
+    with pytest.raises(ResultTooLarge, match=f"powers would take more than {limit} products of 64-bit words") as exc:
+        eval_expression(f"{single} * {single}", elliptic2)
+    assert exc.value.bound == limit
+
+
+def test_squaring_work_estimates(elliptic2):
+    # a basic element: n = 2 coordinates over a one-word denominator
+    assert dsl._squaring_work(eval_expression("T(0, [1/3, 0])", elliptic2)) == 2
+    assert dsl._squaring_work(eval_expression("T(0, [1/" + "7" * 40 + ", 0])", elliptic2)) == 2 * 3
+    # a Jacobian part: n**2 more per nonzero row and word squared of its largest entry
+    assert dsl._squaring_work(eval_expression("A[[0,0],[0,0]]", elliptic2)) == 2
+    assert dsl._squaring_work(eval_expression("A[[0,0],[1,-1]]", elliptic2)) == 2 + 4
+    h = 2**130  # three words
+    assert dsl._squaring_work(eval_expression(f"A[[{h},-{h}],[{h},-{h}]]", elliptic2)) == 2 + 2 * 4 * 9
 
 
 def test_name_resolution_needs_model(cyclic3):

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from partrans import (
     BasicTransformation,
@@ -21,6 +21,7 @@ from partrans import (
     is_generic,
     parabolic_degree,
     same_chamber,
+    stabilizer_d_alpha_quotient,
     t_d_quotient_reps,
 )
 from partrans.errors import (
@@ -443,12 +444,51 @@ def _flip_tables(r, n, flip=None):
     return q, tables
 
 
+def _halves(tables):
+    """_wall_tables in the form of weights._Walls.halves."""
+    return [(rows[: len(rows) // 2], weights._sums(rows[len(rows) // 2 :])) for rows in tables]
+
+
 def _kernel(q1, tables1, q2, tables2):
     """weights._first_wall_difference on the halves of two _wall_tables."""
-    def halves(tables):
-        return [(rows[: len(rows) // 2], weights._sums(rows[len(rows) // 2 :])) for rows in tables]
+    return weights._first_wall_difference(q1, _halves(tables1), q2, _halves(tables2))
 
-    return weights._first_wall_difference(q1, halves(tables1), q2, halves(tables2))
+
+# weights._first_wall_difference as it was before the nearest-residue
+# screen: block 0 scanned, then per later block the tails' residue sets and
+# two floor lists, scanned only where they part.
+
+
+def _floor_list_difference(q1, halves1, q2, halves2):
+    for rp, ((rows1, tails1), (rows2, tails2)) in enumerate(zip(halves1, halves2), 1):
+        a1, a2 = sum(row[0] for row in rows1), sum(row[0] for row in rows2)
+        hit = _scan_block(q1, a1, tails1, q2, a2, tails2)
+        if hit is not None:
+            return rp, *hit
+        res1, res2 = {t % q1 for t in tails1}, {t % q2 for t in tails2}
+        for j, (a1, a2) in enumerate(zip(weights._sums(rows1), weights._sums(rows2))):
+            if j and (-a1 % q1 in res1 or -a2 % q2 in res2
+                      or [(a1 + t) // q1 for t in tails1] != [(a2 + t) // q2 for t in tails2]):
+                i, side = _scan_block(q1, a1, tails1, q2, a2, tails2)
+                return rp, j * len(tails1) + i, side
+    return None
+
+
+def _scan_block(q1, a1, tails1, q2, a2, tails2):
+    for i, (t1, t2) in enumerate(zip(tails1, tails2)):
+        v1, v2 = a1 + t1, a2 + t2
+        if not v1 % q1 or not v2 % q2 or v1 // q1 != v2 // q2:
+            return i, 1 if not v1 % q1 else 2 if not v2 % q2 else 0
+    return None
+
+
+def _assert_kernel_matches_oracles(t1, t2):
+    """The kernel, the floor-list kernel and the product stream part two
+    (q, tables) at one wall."""
+    want = _first_wall_difference(*t1, *t2)
+    (q1, tables1), (q2, tables2) = t1, t2
+    assert _floor_list_difference(q1, _halves(tables1), q2, _halves(tables2)) == want
+    assert _kernel(*t1, *t2) == want
 
 
 def _scaled(q, tables, m):
@@ -468,13 +508,14 @@ def test_flip_tables_part_where_built():
         ((1, 22, 0), (1, 22, 1), (1, 22, 2)),  # one wall: w2 integral before the floors
         ((1, 20, 1), (1, 20, 1), (1, 20, 1)),
         ((1, 20, 0), (1, 20, 0), None),  # both floors step up together
+        (None, (1, 76, 1), (1, 76, 2)),  # w2 integral in the last block
     ]
     for flip1, flip2, want in cases:
         t1 = _flip_tables(3, 4, flip1) if flip1 else none
         t2 = _flip_tables(3, 4, flip2) if flip2 else none
         assert _first_wall_difference(*t1, *t2) == want
-        assert _kernel(*t1, *t2) == want
-        assert _kernel(*_scaled(*t1, 3), *t2) == want
+        _assert_kernel_matches_oracles(t1, t2)
+        _assert_kernel_matches_oracles(_scaled(*t1, 3), t2)
 
 
 @st.composite
@@ -512,8 +553,102 @@ def flip_pairs(draw):
 @given(flip_pairs())
 def test_block_kernel_parts_where_the_product_stream_does(pair):
     t1, t2 = pair
-    assert _kernel(*t1, *t2) == _first_wall_difference(*t1, *t2)
-    assert _kernel(*t2, *t1) == _first_wall_difference(*t2, *t1)
+    _assert_kernel_matches_oracles(t1, t2)
+    _assert_kernel_matches_oracles(t2, t1)
+
+
+_SCREEN_DENS = (5, 6, 7, 8, 9, 12, 97)
+_NEARBY = 1000003
+
+
+@st.composite
+def screen_pairs(draw):
+    """Two weight systems of one shape on the points c0, c1, ...: a system
+    of rank 2-4 on 1-6 points and
+      nearby: it with every entry but the first moved up by 1-3 / 1000003,
+        as the benchmark draws its nearby pairs;
+      far: its image under a representative of its degree-0 stabilizer
+        that keeps its chamber, at 4 points or fewer (walls far apart, one
+        chamber, one q); an independent system when it is not generic;
+      wall: at rank 2 on 2-6 points, a system with an integral wall in a
+        later block, with that system moved as in nearby, either first;
+      other: an independent system."""
+    mode = draw(st.sampled_from(("nearby", "far", "wall", "other")))
+    r = 2 if mode == "wall" else draw(st.integers(2, 4))
+    n = draw(st.integers(2 if mode == "wall" else 1, 4 if mode == "far" else 6))
+
+    def vector():
+        den = draw(st.sampled_from(_SCREEN_DENS))
+        nums = draw(st.lists(st.integers(1, den - 1), min_size=r - 1, max_size=r - 1, unique=True))
+        return (Fraction(0),) + tuple(Fraction(k, den) for k in sorted(nums))
+
+    def system(vecs):
+        return WeightSystem({f"c{k}": vec for k, vec in enumerate(vecs)}, r)
+
+    def nearby(w):
+        return system((0,) + tuple(v + Fraction(draw(st.integers(1, 3)), _NEARBY) for v in vec[1:])
+                      for _, vec in w.entries)
+
+    if mode == "wall":
+        # at rank 2 the wall with digits d is the sum of +-a_k, minus where
+        # d_k = 1: d_0 = 1 puts it in a later block, a_(n-1) makes it integral
+        signs = [-1] + [draw(st.sampled_from((1, -1))) for _ in range(n - 1)]
+        a = [vector()[1] for _ in range(n - 1)]
+        last = -signs[-1] * sum(e * v for e, v in zip(signs, a)) % 1
+        assume(last != 0)
+        on_wall = system((0, v) for v in a + [last])
+        pair = (nearby(on_wall), on_wall)
+        return pair[:: draw(st.sampled_from((1, -1)))]
+    w = system(vector() for _ in range(n))
+    if mode == "nearby":
+        return w, nearby(w)
+    if mode == "far" and is_generic(w)[0]:
+        reps = stabilizer_d_alpha_quotient(0, w, _cyclic(n, r))
+        return w, act_weights(draw(st.sampled_from(reps)), w)
+    return w, system(vector() for _ in range(n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(screen_pairs(), st.integers(2, 4))
+# one point: no head, every subrank one block
+@example((ws(3, c0=(0, "1/5", "3/5")), ws(3, c0=(0, "2/7", "3/7"))), 2)
+@example((ws(4, c0=(0, "1/9", "4/9", "5/9")), ws(4, c0=(0, "1/9", "4/9", "5/9"))), 3)
+def test_screen_parts_where_the_oracles_do(pair, m):
+    """Real pairs against the floor-list kernel and the product stream,
+    both ways, with q1 == q2 (a system against itself) and scaled copies."""
+    t1, t2 = map(_wall_tables, pair)
+    for a, b in ((t1, t2), (t2, t1), (t1, t1), (t1, _scaled(*t1, m)), (_scaled(*t2, m), t1)):
+        _assert_kernel_matches_oracles(a, b)
+
+
+def test_nearby_pair_reaches_the_exact_check_only_at_block_0(monkeypatch):
+    # rank 4 on 4 points: per subrank 4, 6 and 4 blocks of walls. Moved
+    # by a few millionths, every later block passes on the screen, so
+    # _block_difference sees block 0 of each subrank and nothing else
+    w1 = ws(
+        4,
+        x0=(0, "33/103", "46/103", "95/103"),
+        x1=(0, "68/103", "84/103", "95/103"),
+        x2=(0, "32/97", "60/97", "84/97"),
+        x3=(0, "15/97", "21/97", "48/97"),
+    )
+    moves = {"x0": (2, 1, 2), "x1": (3, 1, 3), "x2": (1, 1, 3), "x3": (1, 2, 2)}
+    w2 = WeightSystem(
+        {x: (0,) + tuple(v + Fraction(k, _NEARBY) for v, k in zip(vec[1:], moves[x])) for x, vec in w1.entries},
+        4,
+    )
+    calls = []
+    real = weights._block_difference
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weights, "_block_difference", counting)
+    assert same_chamber(w1, w2)
+    heads = [sum(row[0] for row in rows) for rows, _ in weights._walls(w1).halves()]
+    assert [(args[1], len(args)) for args in calls] == [(a, 6) for a in heads]
+    assert oracle_same_chamber(w1, w2) is True
 
 
 def _generic_rank3(points):
