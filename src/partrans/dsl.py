@@ -41,6 +41,7 @@ from .transform import (
     Divisor,
     _coordinate_text,
     _divisor_text,
+    _hecke_atom,
     compose,
     describe,
     identity_transform,
@@ -565,17 +566,27 @@ def format_canonical(x, forms=None):
     describe's text, a nontrivial line part written as its divisor form
     when one exists.
 
-    `forms`, when given, is a dict from line class to the text of its T
-    atom, read and filled by every call that shares it; the calls must be
-    over one model.
+    `forms`, when given, is a memo read and filled by every call that
+    shares it; the calls must be over one model. It maps each line class
+    to the text of its T atom, and the id of each Hecke divisor to the
+    divisor and the text of its H atom: holding the divisor keeps its id
+    from being reused, and callers that share one Divisor object among
+    many tuples build its text once.
     """
     forms = {} if forms is None else forms
     model = x.model
 
     def line_text(line):
-        if line not in forms:
+        text = forms.get(line)
+        if text is None:
             dv = divisor_form(model, line)
-            forms[line] = _coordinate_text(line) if dv is None else f"T(O({_divisor_text(model, dv)}))"
-        return forms[line]
+            text = forms[line] = _coordinate_text(line) if dv is None else f"T(O({_divisor_text(model, dv)}))"
+        return text
 
-    return (describe_ext if isinstance(x, ExtendedTransformation) else describe)(x, line_text)
+    def hecke_text(hecke):
+        known = forms.get(id(hecke))
+        if known is None:
+            known = forms[id(hecke)] = hecke, _hecke_atom(model, hecke)
+        return known[1]
+
+    return (describe_ext if isinstance(x, ExtendedTransformation) else describe)(x, line_text, hecke_text)

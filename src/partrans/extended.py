@@ -90,9 +90,9 @@ class ExtendedTransformation:
         }
 
 
-def describe_ext(e, line_text=_coordinate_text):
+def describe_ext(e, line_text=_coordinate_text, hecke_text=None):
     """describe with the Jacobian part, when not the identity, as an A atom in front."""
-    base = describe(e.basic, line_text)
+    base = describe(e.basic, line_text, hecke_text)
     if e.rho.is_identity():
         return base
     rows = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in e.rho.tilde)
@@ -228,20 +228,26 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
 
     Each entry is built once; the regular layer holds the same entry
     dicts as the 3-birational one. The chamber verdicts are all taken
-    before any entry is formatted.
+    before any entry is formatted. The entries of one Hecke tuple share its
+    "H" dict and the text of its H atom.
     """
     from .dsl import format_canonical
 
     sectors = list(_chamber_sectors(d, alpha, model, cap))
     regular = [verdict for *_, kept in sectors for verdict in kept]
-    # every representative has zero torsion, so one T(...) text per degree
+    # every representative has zero torsion, so one T(...) text per degree,
+    # and one H(...) text per Hecke tuple
     forms = {}
+    hecke_json = {}  # id of a shared Divisor -> (it, its to_json())
 
     def entry(t):
+        known = hecke_json.get(id(t.hecke))
+        if known is None:
+            known = hecke_json[id(t.hecke)] = t.hecke, t.hecke.to_json()
         rec = {
             "sigma": t.sigma,
             "s": t.s,
-            "H": t.hecke.to_json(),
+            "H": known[1],
             "L_degree": t.line.degree,
             "text": format_canonical(t, forms),
         }

@@ -207,9 +207,14 @@ def _coordinate_text(line):
     return f"T({line.degree}, [{', '.join(line.jac.texts())}])"
 
 
-def describe(t, line_text=_coordinate_text):
+def _hecke_atom(model, hecke):
+    return f"H({_divisor_text(model, hecke.mult)})"
+
+
+def describe(t, line_text=_coordinate_text, hecke_text=None):
     """Canonical text of a tuple, its atoms in S D T H order; line_text
-    writes a nontrivial line part, by default as its coordinates."""
+    writes a nontrivial line part, by default as its coordinates, and
+    hecke_text, when given, a nonzero Hecke part's _hecke_atom."""
     parts = []
     if t.sigma != t.model.identity_name:
         parts.append(f"S({t.sigma})")
@@ -218,7 +223,7 @@ def describe(t, line_text=_coordinate_text):
     if not t.line.is_trivial():
         parts.append(line_text(t.line))
     if not t.hecke.is_zero():
-        parts.append(f"H({_divisor_text(t.model, t.hecke.mult)})")
+        parts.append(_hecke_atom(t.model, t.hecke) if hecke_text is None else hecke_text(t.hecke))
     return " * ".join(parts) or "id"
 
 
@@ -612,7 +617,10 @@ def _chamber_sectors(d, alpha, model, cap):
     those of alpha's row at sigma(y) after the Hecke steps and the dual;
     they depend on the steps only modulo r, so per (automorphism, s) they
     are resolved once for every step count (the lanes), and the acted
-    tails once per Hecke steps of the tail points. The acted first wall is
+    tails once per Hecke steps of the tail points. As in weights._Walls,
+    the lanes stop at subrank r // 2: the acted system and alpha part at a
+    wall of subrank r - r' exactly when they part at its partner of
+    subrank r', which comes first. The acted first wall is
     one sum of a row per model point: a tuple whose first floor differs
     from alpha's leaves the chamber there, and the others are compared in
     full. No acted wall is integral: a Hecke step rotates the index
@@ -638,7 +646,8 @@ def _chamber_sectors(d, alpha, model, cap):
         missing = next((x for x in src if x not in ints), None)
         if missing is None and 0 < count <= cap:
             acted = [[_act_vector(ints[x], k, s, q) for k in range(r)] for x in src]
-            lanes = [[[_wall_row(v, r, rp) for v in vecs] for vecs in acted] for rp in range(1, r)]
+            lanes = [[[_wall_row(v, r, rp) for v in vecs] for vecs in acted]
+                     for rp in range(1, r // 2 + 1)]
             positions = [index.get(x) for x in src]
             # the acted first wall is base + sum(firsts[i][H[i]]) over the model's points
             base, firsts = 0, [[0] * r for _ in index]

@@ -6,6 +6,16 @@ rationals in [0, 1) whose first entry is 0, as integers over one denominator
 values, enumerated in a fixed lexicographic order: subrank r' from 1 to r-1,
 then per-point index subsets lexicographically, last point fastest.
 
+Walls come in complementary pairs. The quotient E/F of a rank-r' subbundle
+F has rank r - r' and lies on F's wall with the opposite sign: the
+complement of the k-th size-r' index subset, in lexicographic order, is the
+(C - 1 - k)-th size-(r - r') subset, C = comb(r, r'), so wall j of subrank
+r - r' is minus wall C^n - 1 - j of subrank r'. A wall is integral exactly
+when its partner is, and for a non-integral x, floor(-x) = -1 - floor(x):
+two systems part at a wall exactly when they part at its partner. Every
+wall decision therefore reads subranks 1..r // 2 only, which come first in
+wall order, and the fingerprint mirrors the other blocks.
+
 Walls are computed on the same integers (see _Walls). Per subrank, the wall
 with index j * len(tails) + i is heads[j] + tails[i]: sums over the first
 half of the points and over the rest. Genericity meets in the middle
@@ -224,7 +234,9 @@ def _sums(rows):
 
 class _Walls:
     """A weight system's walls times its q: per subrank, built on first use,
-    each point's _wall_row and the tails."""
+    each point's _wall_row and the tails. Only subranks up to r // 2 are
+    ever built for a wall decision: the walls of subrank r - r' are those of
+    r' negated, in reverse order (see the module docstring)."""
 
     __slots__ = ("points", "rank", "_rows", "_tails")
 
@@ -237,10 +249,12 @@ class _Walls:
         return self._rows[rp]
 
     def halves(self):
-        """Per subrank, (head rows, tails): the rows of the first n // 2
-        points, and the _sums of the others; heads are the head rows' _sums."""
+        """Per subrank r' = 1..r // 2, (head rows, tails): the rows of the
+        first n // 2 points, and the _sums of the others; heads are the head
+        rows' _sums. Two systems part at a wall of a higher subrank exactly
+        when they part at its partner, which comes earlier in wall order."""
         h = len(self.points) // 2
-        for rp in range(1, self.rank):
+        for rp in range(1, self.rank // 2 + 1):
             rows = self.rows(rp)
             if rp not in self._tails:
                 self._tails[rp] = _sums(rows[h:])
@@ -291,13 +305,16 @@ def is_generic(w, cap=DEFAULT_ENUM_CAP):
     One algorithm, which cap does not bound: per subrank, the first head
     residue of _least_paths whose complement a tail reaches gives the first
     integral wall in wall order, the witness. Work and memory are about the
-    square root of the wall count, and at most q residues per half.
+    square root of the wall count, and at most q residues per half. Only
+    subranks up to r // 2 are searched: a wall of subrank r - r' is
+    integral exactly when its partner of subrank r' is, and that partner
+    comes first in wall order.
     """
     if not w.rows:
         return True, None
     walls = _walls(w)
     q, h = w.q, len(w.rows) // 2
-    for rp in range(1, w.rank):
+    for rp in range(1, w.rank // 2 + 1):
         rows = walls.rows(rp)
         tails = _least_paths(rows[h:], q)
         for res, path in _least_paths(rows[:h], q).items():
@@ -308,20 +325,27 @@ def is_generic(w, cap=DEFAULT_ENUM_CAP):
 
 
 def chamber_fingerprint(w, cap=DEFAULT_ENUM_CAP):
+    """The floors of every wall, or NotGeneric at the first integral wall.
+    The blocks of subranks 1..r // 2 are computed; the block of each higher
+    subrank r - r' is that of r' reversed, each floor f as -1 - f."""
     if not w.rows:
         return ChamberFingerprint(())
     count = _wall_count(w)
     if count > cap:
         raise EnumerationCapExceeded(count, cap, "walls")
-    q, floors = w.q, []
+    q, blocks = w.q, []
     for rp, (rows, tails) in enumerate(_walls(w).halves(), 1):
         residues = {t % q for t in tails}
+        floors = []
         for j, a in enumerate(_sums(rows)):
             if -a % q in residues:
                 i = next(i for i, t in enumerate(tails) if not (a + t) % q)
                 raise NotGeneric(_wall_at(w, rp, j * len(tails) + i))
             floors += [(a + t) // q for t in tails]
-    return ChamberFingerprint(floors)
+        blocks.append(floors)
+    for rp in range(len(blocks) + 1, w.rank):
+        blocks.append([-1 - f for f in reversed(blocks[w.rank - rp - 1])])
+    return ChamberFingerprint(itertools.chain.from_iterable(blocks))
 
 
 def same_chamber(w1, w2, cap=DEFAULT_ENUM_CAP):
@@ -350,7 +374,11 @@ def _first_wall_difference(q1, halves1, q2, halves2):
     """Where two same-shape systems, given by their _Walls.halves, first
     part in wall order: (r', index, side) with side 1 or 2 when that
     system's wall is integral there, checked in that order, and 0 when the
-    floors differ; None when every floor agrees.
+    floors differ; None when every floor agrees. The halves stop at subrank
+    r // 2, and the answer is still exact over all walls: a wall of subrank
+    r - r' is integral exactly when its partner of subrank r' is, and its
+    floors differ exactly when its partner's do (floor(-x) = -1 - floor(x)
+    for a non-integral x), so the first difference is never past r // 2.
 
     Block 0, where most differing systems part, is scanned wall by wall.
     A later block with heads a1, a2 has walls x_i = (a1 + t1[i]) / q1 and

@@ -1,8 +1,10 @@
-"""Shared models and random generators for the suite.
+"""Shared models, random generators and oracles for the suite.
 
 Models are built through load_config so the loader is exercised on every
 path. Random data uses seeded random.Random instances; genericity of
-sampled weights is checked and resampled, never assumed.
+sampled weights is checked and resampled, never assumed. The wall
+calculus over every subrank, which the library no longer runs, is kept
+here as the oracle of the complementary pairing.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import pytest
 
 from partrans import (
     BasicTransformation,
+    ChamberFingerprint,
     Divisor,
     JacobianElement,
     LineBundleClass,
@@ -23,7 +26,10 @@ from partrans import (
     is_generic,
     load_config,
 )
+from partrans import weights
+from partrans.errors import EnumerationCapExceeded, NotGeneric, ShapeMismatch
 from partrans.intmat import mat_mul
+from partrans.picard import DEFAULT_ENUM_CAP
 
 
 def build_model(genus, rank, point_jacs, degree=0, autos=None, endo=None):
@@ -328,3 +334,68 @@ def brute_stabilizer_count(model, xi, deg_window=8):
                             assert abs(dl) < deg_window, "window too small"
                             count += 1
     return count
+
+
+# -- the wall calculus over every subrank ----------------------------------
+# Walls of subrank r - r' are those of r' negated in reverse order, so
+# partrans.weights reads subranks 1..r // 2 only. These read all of
+# 1..r - 1 with the same kernels, as the library did before: the oracle
+# the pairing must agree with.
+
+
+def full_halves(w):
+    """weights._Walls.halves over every subrank 1..r - 1."""
+    walls = weights._walls(w)
+    h = len(w.rows) // 2
+    for rp in range(1, w.rank):
+        rows = walls.rows(rp)
+        yield rows[:h], weights._sums(rows[h:])
+
+
+def full_is_generic(w):
+    if not w.rows:
+        return True, None
+    walls = weights._walls(w)
+    q, h = w.q, len(w.rows) // 2
+    for rp in range(1, w.rank):
+        rows = walls.rows(rp)
+        tails = weights._least_paths(rows[h:], q)
+        for res, path in weights._least_paths(rows[:h], q).items():
+            tail = tails.get(-res % q)
+            if tail is not None:
+                return False, weights._wall(w, rp, path + tail)
+    return True, None
+
+
+def full_chamber_fingerprint(w, cap=DEFAULT_ENUM_CAP):
+    if not w.rows:
+        return ChamberFingerprint(())
+    count = weights._wall_count(w)
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap, "walls")
+    q, floors = w.q, []
+    for rp, (rows, tails) in enumerate(full_halves(w), 1):
+        residues = {t % q for t in tails}
+        for j, a in enumerate(weights._sums(rows)):
+            if -a % q in residues:
+                i = next(i for i, t in enumerate(tails) if not (a + t) % q)
+                raise NotGeneric(weights._wall_at(w, rp, j * len(tails) + i))
+            floors += [(a + t) // q for t in tails]
+    return ChamberFingerprint(floors)
+
+
+def full_same_chamber(w1, w2, cap=DEFAULT_ENUM_CAP):
+    if w1.point_names == w2.point_names == ():
+        return True
+    if w1.point_names != w2.point_names or w1.rank != w2.rank:
+        raise ShapeMismatch("weight systems live on different point sets or ranks")
+    count = weights._wall_count(w1)
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap, "walls")
+    hit = weights._first_wall_difference(w1.q, full_halves(w1), w2.q, full_halves(w2))
+    if hit is None:
+        return True
+    rp, i, side = hit
+    if side:
+        raise NotGeneric(weights._wall_at(w1 if side == 1 else w2, rp, i))
+    return False

@@ -3,8 +3,10 @@
 import json
 import random
 import statistics
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,10 +44,12 @@ from partrans import (
     jac_aut_inverse,
     lift_basic,
     lincomb,
+    load_config,
     make_basic,
     make_jac_aut,
     stabilizer_d_alpha_quotient,
     subgroup_membership,
+    t_d_quotient_reps,
     tilde_compose,
 )
 from partrans import curve, picard
@@ -439,6 +443,48 @@ def test_report_formats_each_entry_once_like_the_old_report(
             ids = [id(e) for e in rep["discrete_3bir"]]
             kept = [ids.index(id(e)) for e in rep["discrete_regular"]]
             assert kept == sorted(set(kept))
+
+
+def _chambers_models(max_tuples=1000):
+    """The fixed models of the benchmark's chambers workload, built by its
+    generator, that have at most max_tuples Hecke tuples."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import chambers
+        import gen
+    finally:
+        sys.path.remove(bench)
+    rng = gen.rng_for("fixed", "chambers", "models")
+    docs = {key: build(rng, *args) for key, (build, args) in chambers.SHAPES.items()}
+    models = {key: load_config(json.dumps(doc)) for key, doc in docs.items()}
+    return {key: m for key, m in models.items() if m.rank ** len(m.point_names) <= max_tuples}
+
+
+def test_report_texts_are_describes_on_the_chambers_models(rng=random.Random(109)):
+    """The entries of one Hecke tuple share its "H" dict and its H text,
+    and those of one degree the T text; each entry is still describe's text
+    of its representative, with the line part as format_canonical writes
+    it alone, and its tuple's to_json()."""
+    models = _chambers_models()
+    assert {"r3n4", "r3c2x2", "r3c2x3", "r4n4"} <= set(models)
+    for m in models.values():
+        alpha = rand_generic_weights(rng, m)
+        lines = {}
+
+        def line_text(line):
+            if line not in lines:
+                lines[line] = format_canonical(BasicTransformation(m, m.identity_name, 1, line, Divisor()))
+            return lines[line]
+
+        for d in range(-3, 4):
+            rep = automorphism_group_report(d, alpha, m)
+            reps = t_d_quotient_reps(d, m)
+            assert len(rep["discrete_3bir"]) == len(reps)
+            for e, t in zip(rep["discrete_3bir"], reps):
+                assert (e["sigma"], e["s"], e["L_degree"]) == (t.sigma, t.s, t.line.degree)
+                assert e["H"] == t.hecke.to_json()
+                assert e["text"] == describe(t, line_text)
 
 
 def test_report_r3n4_is_fast():

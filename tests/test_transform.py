@@ -49,6 +49,7 @@ from partrans.weights import dual_weights, hecke_weights
 from conftest import (
     brute_stabilizer_count,
     build_model,
+    full_same_chamber,
     model_cyclic,
     model_cyclic3,
     model_elliptic2,
@@ -528,7 +529,9 @@ def oracle_act_weights(t, w):
 
 
 def oracle_chamber_filter(reps, alpha):
-    return [rep for rep in reps if same_chamber(oracle_act_weights(rep, alpha), alpha)]
+    """The representatives whose stepwise action keeps alpha's chamber,
+    compared over every subrank."""
+    return [rep for rep in reps if full_same_chamber(oracle_act_weights(rep, alpha), alpha)]
 
 
 # point-relabelling tables at ranks 2-4, and a trivial one
@@ -609,13 +612,13 @@ def _verdict(fn):
 def test_chamber_membership_matches_stepwise_oracle(pair):
     t, w = pair
     for rep in [t] + t_d_quotient_reps(0, t.model):
-        want = _verdict(lambda: same_chamber(oracle_act_weights(rep, w), w))
+        want = _verdict(lambda: full_same_chamber(oracle_act_weights(rep, w), w))
         assert _verdict(lambda: subgroup_membership(rep, 0, alpha=w)["in_T_alpha"]) == want
 
 
 def test_d_alpha_filter_matches_stepwise_oracle(rng=random.Random(86)):
     keys = [("plain", 4, 3), ("plain", 3, 4), ("cyclic", 3, 3), ("cyclic", 4, 3),
-            ("rotation", 4, 2), ("cyclic", 2, 4)]
+            ("rotation", 4, 2), ("cyclic", 2, 4), ("cyclic", 3, 4), ("cyclic", 2, 5), ("plain", 3, 5)]
     for key in keys:
         m = _action_model(key)
         for d in (-1, 0, 2):
@@ -629,7 +632,7 @@ def test_d_alpha_filter_matches_stepwise_oracle(rng=random.Random(86)):
     with pytest.raises(NotGeneric):
         stabilizer_d_alpha_quotient(0, on_wall, m)
     for rep in t_d_quotient_reps(0, m):
-        want = _verdict(lambda: same_chamber(oracle_act_weights(rep, on_wall), on_wall))
+        want = _verdict(lambda: full_same_chamber(oracle_act_weights(rep, on_wall), on_wall))
         assert _verdict(lambda: subgroup_membership(rep, 0, alpha=on_wall)["in_T_alpha"]) == want
 
 
@@ -944,6 +947,7 @@ def test_sector_loop_matches_old_loops(key, d, den, data):
 _FILTER_MODELS = [
     ("plain", 1, 2), ("plain", 6, 2), ("plain", 1, 3), ("plain", 4, 3), ("plain", 1, 4),
     ("plain", 3, 4), ("cyclic", 3, 2), ("cyclic", 3, 3), ("cyclic", 2, 4), ("rotation", 3, 3),
+    ("cyclic", 3, 4), ("plain", 1, 5), ("cyclic", 2, 5), ("plain", 3, 5),
 ]
 
 
@@ -951,7 +955,7 @@ _FILTER_MODELS = [
 @given(st.sampled_from(_FILTER_MODELS), st.integers(-3, 3), st.integers(0, 2**16))
 def test_chamber_filter_matches_oracle_filter(key, d, seed):
     """The filter on acted half-sums against same_chamber on the stepwise
-    action, at ranks 2-4 on 1-6 points: for a generic alpha the kept
+    action, at ranks 2-5 on 1-6 points: for a generic alpha the kept
     representatives, and for weights over one small denominator, often on
     a wall, each verdict or NotGeneric wall."""
     m = _action_model(key)
@@ -966,7 +970,7 @@ def test_chamber_filter_matches_oracle_filter(key, d, seed):
         m.rank,
     )
     for rep in t_d_quotient_reps(d, m):
-        want = _verdict(lambda: same_chamber(oracle_act_weights(rep, w), w))
+        want = _verdict(lambda: full_same_chamber(oracle_act_weights(rep, w), w))
         assert _verdict(lambda: subgroup_membership(rep, 0, alpha=w)["in_T_alpha"]) == want
 
 

@@ -30,11 +30,20 @@ from partrans.errors import (
     ShapeMismatch,
     UnknownPoint,
 )
-from partrans import weights
+from partrans import transform, weights
 from partrans.transform import _weight_sources
 from partrans.weights import WallDatum, _wall, _wall_at, _wall_count, _walls
 
-from conftest import model_cyclic, model_elliptic2, model_g2r3, rand_basic, rand_generic_weights
+from conftest import (
+    full_chamber_fingerprint,
+    full_is_generic,
+    full_same_chamber,
+    model_cyclic,
+    model_elliptic2,
+    model_g2r3,
+    rand_basic,
+    rand_generic_weights,
+)
 
 
 def ws(rank, **vecs):
@@ -622,9 +631,9 @@ def test_screen_parts_where_the_oracles_do(pair, m):
 
 
 def test_nearby_pair_reaches_the_exact_check_only_at_block_0(monkeypatch):
-    # rank 4 on 4 points: per subrank 4, 6 and 4 blocks of walls. Moved
-    # by a few millionths, every later block passes on the screen, so
-    # _block_difference sees block 0 of each subrank and nothing else
+    # rank 4 on 4 points: subranks 1 and 2 are compared, with 4 and 6
+    # blocks of walls. Moved by a few millionths, every later block passes
+    # on the screen, so _block_difference sees block 0 of each and nothing else
     w1 = ws(
         4,
         x0=(0, "33/103", "46/103", "95/103"),
@@ -649,6 +658,139 @@ def test_nearby_pair_reaches_the_exact_check_only_at_block_0(monkeypatch):
     heads = [sum(row[0] for row in rows) for rows, _ in weights._walls(w1).halves()]
     assert [(args[1], len(args)) for args in calls] == [(a, 6) for a in heads]
     assert oracle_same_chamber(w1, w2) is True
+
+
+# -- complementary walls: subranks up to r // 2 against every subrank ------
+
+
+def test_complement_rows_are_the_negated_reverse():
+    """The complement of the k-th size-r' subset is the (C - 1 - k)-th
+    size-(r - r') subset, so a point's row of subrank r - r' is its row of
+    subrank r' negated and reversed."""
+    rng = random.Random(61)
+    for r in range(2, 9):
+        for rp in range(1, r):
+            subsets = list(itertools.combinations(range(r), rp))
+            complements = list(itertools.combinations(range(r), r - rp))
+            assert [tuple(sorted(set(range(r)) - set(sub))) for sub in subsets] == complements[::-1]
+            for _ in range(4):
+                a = [0] + sorted(rng.sample(range(1, 10 * r), r - 1))
+                assert weights._wall_row(a, r, r - rp) == [-v for v in reversed(weights._wall_row(a, r, rp))]
+
+
+_PAIR_DENS = {"generic": (97, 101, 103), "mixed": (5, 6, 7, 8, 9, 12, 97)}
+_PAIR_WORK = 60000
+
+
+@st.composite
+def complement_cases(draw):
+    """(w1, w2, cap): a system of rank 2-7 on 0-6 points, generic (prime
+    denominators near 100), on a wall more often than not (one small
+    denominator, a multiple of r) or mixed, and a second system of its
+    shape: itself, nearby (entries moved by 1-3 / 1000003), far (its image
+    under a tuple of a cyclic model, at small sizes a tuple that keeps its
+    chamber) or another system. cap is the default, one below the wall
+    count or 50; above _PAIR_WORK walls it is always hit."""
+    r = draw(st.integers(2, 7))
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("generic", "wall", "mixed")))
+
+    def vector():
+        if kind == "wall":
+            den = r * draw(st.integers(1, 3))
+        else:
+            den = draw(st.sampled_from([d for d in _PAIR_DENS[kind] if d > r]))
+        nums = draw(st.lists(st.integers(1, den - 1), min_size=r - 1, max_size=r - 1, unique=True))
+        return (Fraction(0),) + tuple(Fraction(k, den) for k in sorted(nums))
+
+    def system(vecs):
+        return WeightSystem({f"c{k}": vec for k, vec in enumerate(vecs)}, r)
+
+    w1 = system(vector() for _ in range(n))
+    mode = draw(st.sampled_from(("self", "nearby", "far", "other")))
+    if mode == "self":
+        w2 = system(vec for _, vec in w1.entries)
+    elif mode == "nearby":
+        w2 = system((0,) + tuple(v + Fraction(draw(st.integers(1, 3)), _NEARBY) for v in vec[1:])
+                    for _, vec in w1.entries)
+    elif mode == "far" and n:
+        m = _cyclic(n, r)
+        if r ** n <= 64 and is_generic(w1)[0]:
+            t = draw(st.sampled_from(stabilizer_d_alpha_quotient(0, w1, m)))
+        else:
+            t = BasicTransformation(
+                m, draw(st.sampled_from([a.name for a in m.automorphisms])), draw(st.sampled_from((1, -1))),
+                LineBundleClass.trivial(2), Divisor({x: draw(st.integers(0, r - 1)) for x in m.point_names}))
+        w2 = act_weights(t, w1)
+    else:
+        w2 = system(vector() for _ in range(n))
+    count = _wall_count(w1)
+    cap = draw(st.sampled_from((10**6, count - 1, 50)))
+    if count > _PAIR_WORK:
+        cap = min(cap, _PAIR_WORK)
+    return w1, w2, cap
+
+
+def _decided(fn):
+    """A wall decision as text: the result, or the refusal's type and text."""
+    try:
+        out = fn()
+    except (NotGeneric, EnumerationCapExceeded) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, ChamberFingerprint):
+        return out.floors, str(out), out.to_json()
+    if isinstance(out, tuple):
+        ok, witness = out
+        return ok, str(witness), witness.to_json() if witness else None
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(complement_cases())
+@example((ws(2), ws(2), 10**6))
+# at even rank the middle subrank is its own partner: r' = 2 of 4 here
+@example((ws(4, c0=(0, "1/7", "2/7", "6/7"), c1=(0, "5/9", "2/3", "8/9")),
+          ws(4, c0=(0, "1/7", "2/7", "6/7"), c1=(0, "5/9", "2/3", "8/9")), 10**6))
+# r' = 3 of 6
+@example((ws(6, c0=(0, "1/12", "1/6", "5/12", "7/12", "5/6"), c1=(0, "1/12", "1/4", "1/3", "1/2", "7/12")),
+          ws(6, c0=(0, "1/12", "1/6", "5/12", "7/12", "5/6"), c1=(0, "1/12", "1/4", "1/3", "1/2", "7/12")),
+          10**6))
+def test_half_the_subranks_decide_as_all_of_them_do(case):
+    """is_generic, chamber_fingerprint and same_chamber (both ways) against
+    the same kernels run over every subrank: witnesses, floors, verdicts
+    and NotGeneric walls, compared as text."""
+    w1, w2, cap = case
+    for w in (w1, w2):
+        assert _decided(lambda: is_generic(w, cap)) == _decided(lambda: full_is_generic(w))
+        assert (_decided(lambda: chamber_fingerprint(w, cap))
+                == _decided(lambda: full_chamber_fingerprint(w, cap)))
+    for a, b in ((w1, w2), (w2, w1)):
+        assert _decided(lambda: same_chamber(a, b, cap)) == _decided(lambda: full_same_chamber(a, b, cap))
+
+
+@pytest.mark.parametrize("r, built", [(2, {1}), (3, {1}), (4, {1, 2}), (5, {1, 2}), (6, {1, 2, 3})])
+def test_wall_decisions_build_rows_up_to_half_the_rank(monkeypatch, r, built):
+    """Every wall decision, the stabilizer filter among them, builds the
+    wall rows of subranks 1..r // 2 and no others."""
+    seen = set()
+    real = weights._wall_row
+
+    def counting(ints, rank, rp):
+        seen.add(rp)
+        return real(ints, rank, rp)
+
+    monkeypatch.setattr(weights, "_wall_row", counting)
+    monkeypatch.setattr(transform, "_wall_row", counting)
+    m = _cyclic(2, r)
+    w = rand_generic_weights(random.Random(67 + r), m)
+    near = WeightSystem(
+        {x: (0,) + tuple(v + Fraction(1, _NEARBY) for v in vec[1:]) for x, vec in w.entries}, r)
+    assert is_generic(w) == (True, None)
+    assert same_chamber(w, near) is True
+    chamber_fingerprint(w)
+    stabilizer_d_alpha_quotient(0, w, m)
+    assert seen == built
+    assert set(w._walls._rows) == set(near._walls._rows) == built
 
 
 def _generic_rank3(points):
