@@ -157,7 +157,7 @@ def curves_isomorphic(model_a, model_b, witness=None, cap=DEFAULT_ENUM_CAP, loc=
     in the search space, not a proof.
     """
     if witness is not None:
-        witness = _object(witness, ("points",), loc)
+        witness = _object(witness, ("points",), loc, ("matrix", "translation"))
         points = _names(witness["points"], loc + ("points",))
         matrix, translation = _affine(witness, 2 * model_a.genus, loc)
     result = {

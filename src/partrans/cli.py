@@ -88,7 +88,7 @@ def _load_model(path):
 
 def _class(doc, dim, loc):
     """A class {"degree": int, "jac": [dim rationals]}."""
-    _object(doc, ("degree", "jac"), loc)
+    _object(doc, ("degree", "jac"), loc, ())
     return LineBundleClass(
         _int(doc["degree"], loc + ("degree",)),
         JacobianElement(_rationals(doc["jac"], dim, loc + ("jac",))),
@@ -106,7 +106,7 @@ def _weights_file(model, path):
 
 def _invariant_file(model, path):
     doc, loc = _document(path)
-    _object(doc, ("rank", "det", "weights"), loc)
+    _object(doc, ("rank", "det", "weights"), loc, ("label",))
     return ParabolicInvariant(
         _int(doc["rank"], loc + ("rank",)),
         _class(doc["det"], 2 * model.genus, loc + ("det",)),
@@ -117,7 +117,7 @@ def _invariant_file(model, path):
 
 def _descriptor_file(model, path, cap):
     doc, loc = _document(path)
-    _object(doc, ("rank", "degree", "weights"), loc)
+    _object(doc, ("rank", "degree", "weights"), loc, ())
     return ModuliDescriptor(
         model,
         _int(doc["rank"], loc + ("rank",)),

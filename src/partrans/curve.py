@@ -245,13 +245,18 @@ def _read_json(text, source=None):
     return doc
 
 
-def _object(value, keys, loc):
-    """A JSON object holding every key of keys."""
+def _object(value, keys, loc, optional=None):
+    """A JSON object holding every key of keys. Unless optional is None it
+    is a record, and a key in neither keys nor optional is refused."""
     if not isinstance(value, dict):
         _fail(loc, f"expected an object, got {type(value).__name__}")
     for key in keys:
         if key not in value:
             _fail(loc, f"missing key {key!r}")
+    if optional is not None:
+        for key in value:
+            if key not in keys and key not in optional:
+                _fail(loc, f"unknown key {key!r}")
     return value
 
 
@@ -335,7 +340,8 @@ def load_config(text, source=None):
     are the business of validate_model.
     """
     loc = (source,)
-    doc = _object(_read_json(text, source), ("genus", "rank"), loc)
+    doc = _object(_read_json(text, source), ("genus", "rank"), loc,
+                  ("degree", "points", "automorphisms", "endomorphisms"))
     genus = _int(doc["genus"], loc + ("genus",))
     if genus < 1:
         _fail(loc + ("genus",), f"genus must be positive, got {genus}")
@@ -349,7 +355,7 @@ def load_config(text, source=None):
     seen = set()
     for i, entry in enumerate(_list(doc.get("points", []), None, loc + ("points",), "points")):
         at = loc + ("points", i)
-        entry = _object(entry, ("name", "jac"), at)
+        entry = _object(entry, ("name", "jac"), at, ())
         name = _identifier(entry["name"], at + ("name",))
         if name in seen:
             _fail(at, f"duplicate point name {name!r}")
@@ -364,7 +370,7 @@ def load_config(text, source=None):
     seen_autos = set()
     for i, entry in enumerate(raw_autos):
         at = loc + ("automorphisms", i)
-        entry = _object(entry, ("name",), at)
+        entry = _object(entry, ("name",), at, ("perm", "matrix", "translation"))
         name = _identifier(entry["name"], at + ("name",))
         if name in seen_autos:
             _fail(at, f"duplicate automorphism name {name!r}")

@@ -26,6 +26,7 @@ either, evaluation raises ResultTooLarge.
 """
 
 from fractions import Fraction
+import functools
 import math
 
 from .errors import ParseError, ResultTooLarge, ShapeMismatch
@@ -41,7 +42,6 @@ from .transform import (
     Divisor,
     _coordinate_text,
     _divisor_text,
-    _hecke_atom,
     compose,
     describe,
     identity_transform,
@@ -77,6 +77,9 @@ _RESULT_BOUND = 10**MAX_RESULT_DIGITS
 # any exponent a literal can write; at genus 6 the 3322 squarings of its
 # 10^999-th power would take about 50 s.
 MAX_POWER_WORK = 5 * 10**7
+# the most (model, line class) T atoms format_canonical keeps; the least
+# recently used goes first
+MAX_LINE_TEXTS = 1024
 
 
 def tokenize(text):
@@ -561,32 +564,19 @@ def divisor_form(model, cls):
     return solved if found is None else found
 
 
-def format_canonical(x, forms=None):
+@functools.lru_cache(maxsize=MAX_LINE_TEXTS)
+def _line_atom(model, line):
+    """The T atom of a nontrivial line class: T(O(...)) of its divisor
+    form when one exists, else its coordinates. The cache key holds the
+    model alive, so no later model can take its identity and read its
+    texts."""
+    dv = divisor_form(model, line)
+    return _coordinate_text(line) if dv is None else f"T(O({_divisor_text(model, dv)}))"
+
+
+def format_canonical(x):
     """Deterministic canonical text; evaluates back to x exactly. It is
     describe's text, a nontrivial line part written as its divisor form
-    when one exists.
-
-    `forms`, when given, is a memo read and filled by every call that
-    shares it; the calls must be over one model. It maps each line class
-    to the text of its T atom, and the id of each Hecke divisor to the
-    divisor and the text of its H atom: holding the divisor keeps its id
-    from being reused, and callers that share one Divisor object among
-    many tuples build its text once.
-    """
-    forms = {} if forms is None else forms
-    model = x.model
-
-    def line_text(line):
-        text = forms.get(line)
-        if text is None:
-            dv = divisor_form(model, line)
-            text = forms[line] = _coordinate_text(line) if dv is None else f"T(O({_divisor_text(model, dv)}))"
-        return text
-
-    def hecke_text(hecke):
-        known = forms.get(id(hecke))
-        if known is None:
-            known = forms[id(hecke)] = hecke, _hecke_atom(model, hecke)
-        return known[1]
-
-    return (describe_ext if isinstance(x, ExtendedTransformation) else describe)(x, line_text, hecke_text)
+    when one exists (memoized per model and class by _line_atom)."""
+    text = describe_ext if isinstance(x, ExtendedTransformation) else describe
+    return text(x, functools.partial(_line_atom, x.model))

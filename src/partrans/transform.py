@@ -207,14 +207,9 @@ def _coordinate_text(line):
     return f"T({line.degree}, [{', '.join(line.jac.texts())}])"
 
 
-def _hecke_atom(model, hecke):
-    return f"H({_divisor_text(model, hecke.mult)})"
-
-
-def describe(t, line_text=_coordinate_text, hecke_text=None):
+def describe(t, line_text=_coordinate_text):
     """Canonical text of a tuple, its atoms in S D T H order; line_text
-    writes a nontrivial line part, by default as its coordinates, and
-    hecke_text, when given, a nonzero Hecke part's _hecke_atom."""
+    writes a nontrivial line part, by default as its coordinates."""
     parts = []
     if t.sigma != t.model.identity_name:
         parts.append(f"S({t.sigma})")
@@ -223,7 +218,7 @@ def describe(t, line_text=_coordinate_text, hecke_text=None):
     if not t.line.is_trivial():
         parts.append(line_text(t.line))
     if not t.hecke.is_zero():
-        parts.append(_hecke_atom(t.model, t.hecke) if hecke_text is None else hecke_text(t.hecke))
+        parts.append(f"H({_divisor_text(t.model, t.hecke.mult)})")
     return " * ".join(parts) or "id"
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from partrans import (
+    ConfigError,
     Divisor,
     EnumerationCapExceeded,
     JacobianElement,
@@ -86,6 +87,17 @@ def test_curves_isomorphic_self_by_search(elliptic2):
     assert res["isomorphic"] is True
     assert res["witness_source"] == "search"
     assert res["witness"]["points"] == {"p": "p", "q": "q"}
+
+
+def test_witness_refuses_unknown_keys(elliptic2):
+    """A witness record refuses a misspelt key, which would otherwise read
+    as the zero translation; its points map takes any point name."""
+    witness = {"points": {"p": "p", "q": "q"}, "tranlsation": ["1/2", "0"]}
+    with pytest.raises(ConfigError) as err:
+        curves_isomorphic(elliptic2, elliptic2, witness, loc=("w.json",))
+    assert str(err.value) == "w.json: unknown key 'tranlsation'"
+    with pytest.raises(ModelError, match="point map"):
+        curves_isomorphic(elliptic2, elliptic2, {"points": {"p": "p", "zz": "q"}})
 
 
 def test_curves_isomorphic_genus_mismatch(elliptic2, worked6):

@@ -695,6 +695,9 @@ def test_output_is_deterministic(files, capsys):
 _W = {"p": ["0", "1/3"], "q": ["0", "1/4"]}
 _DESC = {"rank": 2, "degree": 0, "weights": _W}
 _WITNESS = {"points": {"p": "p", "q": "q"}}
+_MODEL = {"genus": 1, "rank": 2,
+          "points": [{"name": "p", "jac": ["0", "0"]}, {"name": "q", "jac": ["1/2", "0"]}]}
+_TAU = {"name": "tau", "perm": {"p": "q", "q": "p"}}
 
 
 def _act(flag):
@@ -744,6 +747,26 @@ _MALFORMED = {
     "rho entry a float": (_verify("--rho", "[[1.5, 0], [0, 0]]"), None, "--rho: [0][0]:"),
     "model perm value a list": (
         ["normalize", "--model", "{f}", "id"], _G1_AUTOS, "f.json: automorphisms[1].perm.p:"),
+    # a key no record reads: a misspelt "translation" would read as zero
+    "model key bogus": (["normalize", "--model", "{f}", "id"], dict(_MODEL, bogus=1),
+                        "f.json: unknown key 'bogus'"),
+    "model automorphism tranlsation": (
+        ["normalize", "--model", "{f}", "id"],
+        dict(_MODEL, automorphisms=[{"name": "id"}, dict(_TAU, tranlsation=["1/2", "0"])]),
+        "f.json: automorphisms[1]: unknown key 'tranlsation'"),
+    "model point lable": (
+        ["normalize", "--model", "{f}", "id"],
+        dict(_MODEL, points=[{"name": "p", "jac": ["0", "0"], "lable": "p"}]),
+        "f.json: points[0]: unknown key 'lable'"),
+    "det key deg": (_act("--det"), {"degree": 0, "jac": ["0", "0"], "deg": 1}, "f.json: unknown key 'deg'"),
+    "invariant lable": (
+        _act("--invariant"), {"rank": 2, "det": {"degree": 0, "jac": ["0", "0"]}, "weights": _W, "lable": "v"},
+        "f.json: unknown key 'lable'"),
+    "descriptor key bogus": (_torelli("--desc-a"), dict(_DESC, bogus=1), "f.json: unknown key 'bogus'"),
+    "witness tranlsation (torelli)": (
+        _torelli(), dict(_WITNESS, tranlsation=["1/2", "0"]), "f.json: unknown key 'tranlsation'"),
+    "witness tranlsation (verify)": (
+        _verify("--witness", "{f}"), dict(_WITNESS, tranlsation=["1/2", "0"]), "f.json: unknown key 'tranlsation'"),
 }
 
 

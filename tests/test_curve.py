@@ -87,6 +87,28 @@ def test_load_rejects_bad_automorphisms():
         load_config(doc(endomorphisms="field"))
 
 
+def test_load_refuses_unknown_keys():
+    """A record refuses the first key it does not read, naming source,
+    path and key; the name maps (perm) take any point name."""
+    idauto = {"name": "id"}
+    tau = {"name": "tau", "perm": {"p": "q", "q": "p"}}
+    cases = {
+        "m.json: unknown key 'bogus'": doc(bogus=1),
+        "m.json: automorphisms[1]: unknown key 'tranlsation'": doc(
+            automorphisms=[idauto, dict(tau, tranlsation=["1/2", "0"])]),
+        "m.json: automorphisms[1]: unknown key 'points'": doc(
+            automorphisms=[idauto, {"name": "tau", "points": {"p": "q", "q": "p"}}]),
+        "m.json: points[0]: unknown key 'lable'": doc(
+            points=[{"name": "p", "jac": ["0", "0"], "lable": "x"}]),
+    }
+    for message, text in cases.items():
+        with pytest.raises(ConfigError) as err:
+            load_config(text, "m.json")
+        assert str(err.value) == message
+    m = load_config(doc(automorphisms=[idauto, dict(tau, translation=["1/2", "0"])]))
+    assert m.automorphism("tau").point_perm == {"p": "q", "q": "p"}
+
+
 def test_implicit_identity_when_table_empty():
     m = load_config(doc(automorphisms=[]))
     assert [a.name for a in m.automorphisms] == ["id"]

@@ -31,13 +31,13 @@ from partrans import (
     of_divisor,
     parse_expression,
 )
-from partrans import dsl
+from partrans import automorphism_group_report, dsl, t_d_quotient_reps
 from partrans.dsl import (
     MAX_INT_DIGITS, MAX_NESTING, MAX_RESULT_DIGITS, _solved_divisor_form, tokenize,
 )
-from conftest import build_model, rand_basic, rand_tilde
+from conftest import build_model, rand_basic, rand_generic_weights, rand_tilde
 
-from test_extended import rand_ext
+from test_extended import model_r3n4, rand_ext
 
 
 # -- tokens --------------------------------------------------------------
@@ -359,3 +359,51 @@ def test_round_trip_lifted_basic(elliptic2, rng=random.Random(113)):
     e = lift_basic(t)
     # a trivial Jacobian part formats as the plain word
     assert format_canonical(e) == format_canonical(t)
+
+
+# -- the line-text memo ----------------------------------------------------
+
+
+def test_line_memo_is_bounded(elliptic2):
+    dsl._line_atom.cache_clear()
+    maxsize = dsl._line_atom.cache_info().maxsize
+    assert maxsize == dsl.MAX_LINE_TEXTS and 0 < maxsize < 10**6
+    m = elliptic2
+    for k in range(1, maxsize + 50):
+        t = make_basic(m.identity_name, 1, LineBundleClass(k, JacobianElement([0, 0])), {}, m)
+        assert eval_expression(format_canonical(t), m) == t
+        assert dsl._line_atom.cache_info().currsize <= maxsize
+    assert dsl._line_atom.cache_info().currsize == maxsize
+
+
+def test_line_memo_keeps_models_apart():
+    """Two models with the same point names print one class differently,
+    whichever comes first, and a model freed before the next is built
+    (so the next may take its id) lends it no text."""
+    docs = {"T(O(1*q))": ["1/2", "0"], "T(1, [1/2, 0])": ["0", "1/2"]}
+    line = LineBundleClass(1, JacobianElement([Fraction(1, 2), 0]))
+
+    def text(q_jac):
+        m = build_model(1, 2, [("p", ["0", "0"]), ("q", q_jac)])
+        return format_canonical(make_basic(m.identity_name, 1, line, {}, m))
+
+    for order in (list(docs), list(reversed(docs))):
+        dsl._line_atom.cache_clear()
+        for want in order * 3:
+            assert text(docs[want]) == want
+
+
+def test_line_memo_searches_each_class_once_over_many_reports(monkeypatch):
+    dsl._line_atom.cache_clear()
+    calls = []
+    real = dsl.divisor_form
+    monkeypatch.setattr(dsl, "divisor_form", lambda m, cls: calls.append(cls) or real(m, cls))
+    m = model_r3n4()
+    rng = random.Random(104)
+    lines = set()
+    for _ in range(40):
+        alpha, d = rand_generic_weights(rng, m), rng.randint(-3, 3)
+        automorphism_group_report(d, alpha, m)
+        lines |= {t.line for t in t_d_quotient_reps(d, m) if not t.line.is_trivial()}
+    assert len(calls) == len(set(calls)) == len(lines)
+    assert set(calls) == lines

@@ -53,7 +53,7 @@ from partrans import (
     tilde_compose,
 )
 from partrans import curve, picard
-from partrans.dsl import format_canonical
+from partrans.dsl import divisor_form, format_canonical
 from partrans.errors import NotInvertible
 from partrans.intmat import (
     identity_matrix,
@@ -64,7 +64,7 @@ from partrans.intmat import (
     mat_vec,
     zero_matrix,
 )
-from partrans.transform import _word_of
+from partrans.transform import _coordinate_text, _divisor_text, _word_of
 from partrans.weights import is_generic
 from test_transform import oracle_normalize_word
 from conftest import (
@@ -462,10 +462,9 @@ def _chambers_models(max_tuples=1000):
 
 
 def test_report_texts_are_describes_on_the_chambers_models(rng=random.Random(109)):
-    """The entries of one Hecke tuple share its "H" dict and its H text,
-    and those of one degree the T text; each entry is still describe's text
-    of its representative, with the line part as format_canonical writes
-    it alone, and its tuple's to_json()."""
+    """Each entry is describe's text of its representative, with the line
+    part written from divisor_form's form (its coordinates when there is
+    none) without the memo of format_canonical, and its tuple's to_json()."""
     models = _chambers_models()
     assert {"r3n4", "r3c2x2", "r3c2x3", "r4n4"} <= set(models)
     for m in models.values():
@@ -474,7 +473,8 @@ def test_report_texts_are_describes_on_the_chambers_models(rng=random.Random(109
 
         def line_text(line):
             if line not in lines:
-                lines[line] = format_canonical(BasicTransformation(m, m.identity_name, 1, line, Divisor()))
+                dv = divisor_form(m, line)
+                lines[line] = _coordinate_text(line) if dv is None else f"T(O({_divisor_text(m, dv)}))"
             return lines[line]
 
         for d in range(-3, 4):
@@ -488,9 +488,10 @@ def test_report_texts_are_describes_on_the_chambers_models(rng=random.Random(109
 
 
 def test_report_r3n4_is_fast():
-    # 54 entries, one T(...) text per L degree: about 2.3 ms on a shared
-    # 2-core host with Python 3.11, against 14 ms when every entry ran
-    # divisor_form and kept ones ran it twice
+    # 54 entries; format_canonical searches each line class once per model
+    # and process, not once per report: about 0.7 ms on a shared 2-core
+    # host with Python 3.11, against 1.0-1.4 ms with a memo per report and
+    # 14 ms when every entry ran divisor_form and kept ones ran it twice
     m = model_r3n4()
     rng = random.Random(104)
     times = []
