@@ -9,7 +9,10 @@ of n generators takes exactly n steps.
 
 The stabilizers run over the Hecke sectors: _degree_sectors is the one
 loop over (automorphism, sign, Hecke tuple), and _chamber_sectors filters
-it by the chamber of a generic weight system, on integers.
+it by the chamber of a generic weight system, on integers: a representative
+keeps alpha's subrank-1 floors exactly when it permutes the walls so as to
+keep alpha's lifted floors (each floor plus its digit sum), reflected as
+n(r - 1) - 1 - phi by the dual (see _chamber_sectors).
 """
 
 from .errors import (
@@ -32,10 +35,8 @@ from .picard import (
 from .weights import (
     WeightSystem,
     _act_vector,
-    _first_wall_difference,
     _sums,
     _wall_count,
-    _wall_row,
     _walls,
     is_generic,
     same_chamber,
@@ -43,7 +44,7 @@ from .weights import (
 
 import itertools
 import math
-from operator import getitem
+from collections import Counter
 
 
 class Divisor:
@@ -482,17 +483,17 @@ def _degree_sectors(model, d, tuples):
     order of `tuples`, and is the same list for every automorphism.
 
     A sector is admissible when r divides s * d - d + |H|, and the
-    quotient is the L degree; that depends only on s, d and |H|, so each
-    tuple's degree is summed once and the groups are built once.
+    quotient is the L degree; that depends only on s, d and |H|, so the
+    tuples of _hecke_tuples (|H| the _sums of one range(r) per point) are
+    bucketed by |H| mod r once, and each sign's group is one bucket.
     """
     r = model.rank
-    sizes = list(map(sum, tuples))
-    groups = {}
-    for s in (1, -1):
-        base = s * d - d
-        groups[s] = [(k, (base + size) // r, mults)
-                     for k, (size, mults) in enumerate(zip(sizes, tuples))
-                     if (base + size) % r == 0]
+    sizes = _sums([range(r)] * len(tuples[0]))
+    buckets = [[] for _ in range(r)]
+    for k, size in enumerate(sizes):
+        buckets[size % r].append(k)
+    groups = {s: [(k, (s * d - d + sizes[k]) // r, tuples[k]) for k in buckets[(d - s * d) % r]]
+              for s in (1, -1)}
     for auto in model.automorphisms:
         for s in (1, -1):
             yield auto, s, groups[s]
@@ -581,22 +582,6 @@ def t_d_quotient_reps(d, model, cap=DEFAULT_ENUM_CAP):
     return list(_sector_transforms(model, _degree_sectors(model, d, _hecke_tuples(model, cap))))
 
 
-def _acted_halves(lanes, steps, tails):
-    """The acted system's halves per subrank, as weights._Walls.halves
-    gives them, from the rows lane[j][steps[j]] of the lanes; the tails
-    are built once per subrank and steps of their points, cached in
-    `tails`."""
-    h = len(steps) // 2
-    tail = tuple(steps[h:])
-    built = tails.get(tail)
-    if built is None:
-        built = tails[tail] = []
-    for k, lane in enumerate(lanes):
-        if k == len(built):
-            built.append(_sums(map(getitem, lane[h:], tail)))
-        yield list(map(getitem, lane[:h], steps)), built[k]
-
-
 def _chamber_sectors(d, alpha, model, cap):
     """The sectors of the degree-d stabilizer with their chamber verdicts:
     per (automorphism, s, group) of _degree_sectors, in order,
@@ -607,21 +592,25 @@ def _chamber_sectors(d, alpha, model, cap):
     that order; then each representative raises what act_weights and then
     same_chamber would.
 
-    The action keeps alpha's q, so the acted system is compared with alpha
-    on integers, wall by wall as same_chamber does. Its wall rows at y are
-    those of alpha's row at sigma(y) after the Hecke steps and the dual;
-    they depend on the steps only modulo r, so per (automorphism, s) they
-    are resolved once for every step count (the lanes), and the acted
-    tails once per Hecke steps of the tail points. As in weights._Walls,
-    the lanes stop at subrank r // 2: the acted system and alpha part at a
-    wall of subrank r - r' exactly when they part at its partner of
-    subrank r', which comes first. The acted first wall is
-    one sum of a row per model point: a tuple whose first floor differs
-    from alpha's leaves the chamber there, and the others are compared in
-    full. No acted wall is integral: a Hecke step rotates the index
-    subsets and moves each wall by an integer, the dual negates walls and
-    relabelling permutes points, so the acted system is generic as alpha
-    is.
+    The lifted-floor rule: with rows1 alpha's subrank-1 wall rows over q
+    and D a wall's digits, one per point of alpha, the lifted floor
+    phi[D] = (sum over y of rows1[y][D_y] + q * D_y) // q is the wall's
+    floor plus its digit sum. k Hecke steps turn a row at digit i into
+    rows1[(i + k) % r] + q * ((i + k) % r - i), and the dual into
+    -rows1[r - 1 - i]. So (sigma, s, H) keeps every subrank-1 floor
+    exactly when, for every D, phi[E] == phi[D] (s = 1) or
+    n(r - 1) - 1 - phi[E] == phi[D] (s = -1, as no acted wall is
+    integral), where E[sigma(y)] is D_y + H[sigma(y)] mod r, or
+    r - 1 - D_y + H[sigma(y)] mod r; alpha's points outside the model take
+    no step, and sigma permutes alpha's points (a model's permutations are
+    bijections). Subrank 1 is every wall decision at r <= 3; at a higher
+    rank a tuple that passes is kept when its acted rows are alpha's, or
+    else when same_chamber says so.
+
+    Per (automorphism, s), one _sums pass over the model's points gives
+    E's index at a pivot wall D0 for every Hecke tuple, D0 being the first
+    wall of the value fewest E can match; the tuples that pass there are
+    compared a block of walls sharing a head at a time.
     """
     _check_weights_rank(alpha, model)
     ok, witness = is_generic(alpha, cap)
@@ -629,31 +618,37 @@ def _chamber_sectors(d, alpha, model, cap):
         raise NotGeneric(witness)
     tuples = _hecke_tuples(model, cap)
     ints, q, r = dict(zip(alpha.point_names, alpha.rows)), alpha.q, model.rank
-    count = _wall_count(alpha)
+    n, count = len(ints), _wall_count(alpha)
     index = {x: i for i, x in enumerate(model.point_names)}
     outside = [(i, x) for x, i in index.items() if x not in ints]
     if 0 < count <= cap:
-        walls = _walls(alpha)
-        halves = list(walls.halves())
-        floor = sum(row[0] for row in walls.rows(1)) // q
+        rows1 = _walls(alpha).rows(1)
+        phi = [v // q for v in _sums([[v + q * i for i, v in enumerate(row)] for row in rows1])]
+        place, h = {x: r ** (n - 1 - a) for a, x in enumerate(ints)}, n // 2
+        blocks = [phi[j:j + r ** (n - h)] for j in range(0, len(phi), r ** (n - h))]
+        top, levels = n * (r - 1) - 1, Counter(phi)
+        tables = {1: phi, -1: [top - v for v in phi]}
+        pivots = {1: phi.index(min(levels, key=levels.get)),
+                  -1: phi.index(min(levels, key=lambda v: levels.get(top - v, 0)))}
     for auto, s, group in _degree_sectors(model, d, tuples):
         src = [auto.point_perm.get(y, y) for y in ints]
         missing = next((x for x in src if x not in ints), None)
         if missing is None and 0 < count <= cap:
-            acted = [[_act_vector(ints[x], k, s, q) for k in range(r)] for x in src]
-            lanes = [[[_wall_row(v, r, rp) for v in vecs] for vecs in acted]
-                     for rp in range(1, r // 2 + 1)]
+            table, pivot = tables[s], pivots[s]
+            # lanes[y][k][D_y]: the place of sigma(y) in E times its digit there after k steps
+            lanes = [[row[j:] + row[:j] for j in range(0, s * r, s)]
+                     for row in (list(range(0, r * place[x], place[x]))[::s] for x in src)]
             positions = [index.get(x) for x in src]
-            # the acted first wall is base + sum(firsts[i][H[i]]) over the model's points
-            base, firsts = 0, [[0] * r for _ in index]
-            for i, lane in zip(positions, lanes[0]):
+            base, columns = 0, [[0] * r for _ in index]
+            for i, lane, y in zip(positions, lanes, ints):
+                digit = pivot // place[y] % r
                 if i is None:
-                    base += lane[0][0]
+                    base += lane[0][digit]
                 else:
-                    firsts[i] = [row[0] for row in lane]
-            tails = {}
+                    columns[i] = [row[digit] for row in lane]
+            at_pivot = _sums(columns)
         kept = []
-        for _, _, mults in group:
+        for k, _, mults in group:
             for i, x in outside:
                 if mults[i]:
                     raise UnknownPoint(x)
@@ -661,14 +656,18 @@ def _chamber_sectors(d, alpha, model, cap):
                 raise UnknownPoint(missing)
             if count > cap:
                 raise EnumerationCapExceeded(count, cap, "walls")
-            if not count:
-                kept.append(True)
-            elif (base + sum(map(getitem, firsts, mults))) // q != floor:
-                kept.append(False)
-            else:
-                steps = [0 if i is None else mults[i] for i in positions]
-                hit = _first_wall_difference(q, _acted_halves(lanes, steps, tails), q, halves)
-                kept.append(hit is None)
+            if not count or table[base + at_pivot[k]] != phi[pivot]:
+                kept.append(not count)
+                continue
+            steps = [0 if i is None else mults[i] for i in positions]
+            rows = list(map(list.__getitem__, lanes, steps))
+            tails = _sums(rows[h:])
+            keeps = all([table[a + t] for t in tails] == block for a, block in zip(_sums(rows[:h]), blocks))
+            if keeps and r > 3:
+                acted = tuple(tuple(_act_vector(ints[x], step, s, q)) for x, step in zip(src, steps))
+                keeps = acted == alpha.rows or same_chamber(
+                    WeightSystem._of_rows(alpha.point_names, q, acted, alpha.rank), alpha, cap)
+            kept.append(keeps)
         yield auto, s, group, kept
 
 

@@ -52,7 +52,7 @@ from partrans import (
     t_d_quotient_reps,
     tilde_compose,
 )
-from partrans import curve, picard
+from partrans import curve, picard, transform, weights
 from partrans.dsl import divisor_form, format_canonical
 from partrans.errors import NotInvertible
 from partrans.intmat import (
@@ -485,6 +485,33 @@ def test_report_texts_are_describes_on_the_chambers_models(rng=random.Random(109
                 assert (e["sigma"], e["s"], e["L_degree"]) == (t.sigma, t.s, t.line.degree)
                 assert e["H"] == t.hecke.to_json()
                 assert e["text"] == describe(t, line_text)
+
+
+def test_d_alpha_filter_compares_no_walls_on_the_chambers_models(monkeypatch, rng=random.Random(110)):
+    """At rank 3 the lifted floors decide every sector: a
+    stabilizer_d_alpha_quotient on the benchmark's r3n4 and r3c2x2 models
+    calls neither same_chamber nor weights._first_wall_difference, the
+    pairwise wall comparison a per-tuple scan would run."""
+    models = _chambers_models()
+    calls = []
+    for name in ("same_chamber", "_first_wall_difference"):
+        real = getattr(weights, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        for module in (weights, transform):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    for key in ("r3n4", "r3c2x2"):
+        m = models[key]
+        for d in range(-3, 4):
+            alpha = rand_generic_weights(rng, m)
+            assert identity_transform(m) in stabilizer_d_alpha_quotient(d, alpha, m)
+            assert calls == []
+    # the counters do see a comparison
+    assert weights.same_chamber(alpha, alpha)
+    assert calls == ["same_chamber", "_first_wall_difference"]
 
 
 def test_report_r3n4_is_fast():

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from partrans import (
     BasicTransformation,
@@ -45,7 +45,7 @@ from partrans import (
     t_d_quotient_reps,
 )
 from partrans.transform import _word_of
-from partrans.weights import dual_weights, hecke_weights
+from partrans.weights import dual_weights, hecke_weights, is_generic
 from conftest import (
     brute_stabilizer_count,
     build_model,
@@ -954,7 +954,7 @@ _FILTER_MODELS = [
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(_FILTER_MODELS), st.integers(-3, 3), st.integers(0, 2**16))
 def test_chamber_filter_matches_oracle_filter(key, d, seed):
-    """The filter on acted half-sums against same_chamber on the stepwise
+    """The lifted-floor filter against same_chamber on the stepwise
     action, at ranks 2-5 on 1-6 points: for a generic alpha the kept
     representatives, and for weights over one small denominator, often on
     a wall, each verdict or NotGeneric wall."""
@@ -1009,6 +1009,58 @@ def test_sector_filter_raises_like_the_old_loop(rng=random.Random(89)):
     assert (err.value.count, err.value.what) == (27, "hecke sectors")
 
 
+# ranks 2-6 on plain, cyclic and rotation tables, small enough for the oracle
+_SYMMETRIC_MODELS = [
+    ("plain", 4, 2), ("cyclic", 4, 2), ("rotation", 4, 2), ("plain", 4, 3), ("cyclic", 3, 3),
+    ("cyclic", 4, 3), ("rotation", 3, 3), ("plain", 3, 4), ("cyclic", 2, 4), ("cyclic", 3, 4),
+    ("plain", 2, 5), ("cyclic", 2, 5), ("plain", 2, 6), ("cyclic", 2, 6),
+]
+
+
+@st.composite
+def symmetric_filter_cases(draw):
+    """A model, a degree and a generic alpha whose points mostly share one
+    row over a small denominator, so that relabelling, Hecke steps and the
+    dual often keep its chamber; alpha lies on the model's points, on all
+    but the last, or on two more."""
+    m = _action_model(draw(st.sampled_from(_SYMMETRIC_MODELS)))
+    r = m.rank
+    names = list(m.point_names)
+    names = draw(st.sampled_from([names, names[:-1], names + ["zy", "zz"]]))
+
+    def row(den):
+        nums = draw(st.lists(st.integers(1, den - 1), min_size=r - 1, max_size=r - 1, unique=True))
+        return (0,) + tuple(Fraction(k, den) for k in sorted(nums))
+
+    shared = row(draw(st.sampled_from((r + 1, r + 2, 2 * r + 1))))
+    alpha = WeightSystem(
+        {x: row(draw(st.sampled_from((7, 11, 13)))) if draw(st.integers(0, 4)) == 0 else shared
+         for x in names},
+        r,
+    )
+    assume(is_generic(alpha)[0])
+    return m, draw(st.integers(-3, 3)), alpha
+
+
+def test_chamber_filter_matches_oracle_on_symmetric_weights():
+    """The lifted-floor filter against the stepwise action over the old
+    representatives, on symmetric weights at ranks 2-6: the same kept
+    representatives, or the same first error by type and message. The
+    draws are not vacuous: several keep two representatives or more."""
+    kept = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_filter_cases())
+    def check(case):
+        m, d, alpha = case
+        want = _outcome(lambda: oracle_chamber_filter(oracle_t_d_quotient_reps(d, m), alpha))
+        assert _outcome(lambda: stabilizer_d_alpha_quotient(d, alpha, m)) == want
+        kept.append(len(want) if isinstance(want, list) else 0)
+
+    check()
+    assert sum(k >= 2 for k in kept) >= 5
+
+
 def _cyclic_orbits_model(rank, order, orbits):
     """An order-`order` translation along the first coordinate permuting
     each of `orbits` orbits of points, at genus 1."""
@@ -1033,9 +1085,11 @@ def _cyclic_orbits_model(rank, order, orbits):
 
 def test_d_alpha_quotient_rank3_cyclic_six_points_is_fast():
     # rank 3, an order-2 table on three orbits: 729 Hecke tuples, 972
-    # sectors tested per call. Best of 3 about 3 ms on a shared 2-core
-    # host with Python 3.11, against 33 ms with one Divisor per sector and
-    # the sigma permutation read per tuple
+    # sectors per call, each looked up once at the pivot wall of the lifted
+    # floors. Best of 3 about 1.1 ms on a shared 2-core host with Python
+    # 3.11, against 2.4-2.7 ms with a meet-in-the-middle wall scan per
+    # tuple and 33 ms with one Divisor per sector and the sigma
+    # permutation read per tuple
     m = _cyclic_orbits_model(3, 2, 3)
     rng = random.Random(90)
     best = _best_per_call_ms(

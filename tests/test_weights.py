@@ -30,7 +30,7 @@ from partrans.errors import (
     ShapeMismatch,
     UnknownPoint,
 )
-from partrans import transform, weights
+from partrans import weights
 from partrans.transform import _weight_sources
 from partrans.weights import WallDatum, _wall, _wall_at, _wall_count, _walls
 
@@ -780,7 +780,6 @@ def test_wall_decisions_build_rows_up_to_half_the_rank(monkeypatch, r, built):
         return real(ints, rank, rp)
 
     monkeypatch.setattr(weights, "_wall_row", counting)
-    monkeypatch.setattr(transform, "_wall_row", counting)
     m = _cyclic(2, r)
     w = rand_generic_weights(random.Random(67 + r), m)
     near = WeightSystem(
