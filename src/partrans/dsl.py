@@ -162,9 +162,9 @@ class _Parser:
         num = self.parse_int()
         if self.at("/"):
             self.next()
-            den = self.expect("INT")[1]
+            _, den, pos = self.expect("INT")
             if den == 0:
-                raise ParseError("zero denominator", self.peek()[2])
+                raise ParseError("zero denominator", pos)
             return Fraction(num, den)
         return Fraction(num)
 

@@ -2,6 +2,13 @@
 
 Matrices are lists (or tuples) of rows of ints, row major; vectors are
 sequences of ints. No floats and no Fractions anywhere.
+
+One elimination step serves the unimodular inverse and the integer
+solver: _clear_column runs Euclid down one column with unimodular
+whole-row operations. The determinant is Bareiss elimination, whose
+entries are minors of the input: Euclid leaves the columns it has not
+reached unreduced, and on dense matrices their entries grow
+exponentially.
 """
 
 from operator import mul
@@ -35,7 +42,8 @@ def mat_vec(a, v):
 
 
 def det_int(a):
-    """Determinant of an integer matrix, fraction-free Bareiss elimination."""
+    """Determinant of an integer matrix, fraction-free Bareiss elimination,
+    whose intermediate entries are minors of a."""
     n = len(a)
     if n == 0:
         return 1
@@ -60,33 +68,41 @@ def det_int(a):
     return sign * m[n - 1][n - 1]
 
 
+def _clear_column(rows, t):
+    """Euclid down column t of rows[t:], in place, over whole rows.
+
+    Each step reduces an entry by the pivot rows[t][t] (q = 0 while the
+    pivot is 0) and swaps the two rows when a remainder is left, until
+    every entry below the pivot is 0.
+    """
+    piv = rows[t]
+    for i in range(t + 1, len(rows)):
+        row = rows[i]
+        while row[t]:
+            q = row[t] // piv[t] if piv[t] else 0
+            if q:
+                row = [x - q * y for x, y in zip(row, piv)]
+            if row[t]:
+                piv, row = row, piv
+        rows[i] = row
+    rows[t] = piv
+
+
 def inverse_unimodular(a):
     """Inverse of an integer matrix with determinant +-1, as an integer matrix.
 
-    Fraction-free: unimodular row operations on [a | I], Euclid down each
-    column to an upper triangle, then back-substitution. Each Euclid swap
-    negates the determinant and the other operations keep it, so the
-    determinant is the signed product of the triangle's diagonal; anything
-    but +-1 raises NotInvertible with it. The diagonal is then made
-    positive, hence all ones.
+    Fraction-free: _clear_column takes [a | I] to an upper triangle whose
+    diagonal is all +-1 exactly when det a is, since its product is +-det a;
+    at the first other pivot NotInvertible reports det_int(a). Each row is
+    then made to start with +1, and back-substitution clears above the
+    diagonal.
     """
     n = len(a)
     m = [list(map(int, row)) + unit for row, unit in zip(a, identity_matrix(n))]
-    d = 1
     for col in range(n):
-        piv = m[col]
-        for i in range(col + 1, n):
-            row = m[i]
-            while row[col]:
-                q = piv[col] // row[col]
-                piv, row = row, [x - q * y for x, y in zip(piv, row)]
-                d = -d
-            m[i] = row
-        m[col] = piv
-        d *= piv[col]
-    if d not in (1, -1):
-        raise NotInvertible(d)
-    for col in range(n):
+        _clear_column(m, col)
+        if m[col][col] not in (1, -1):
+            raise NotInvertible(det_int(a))
         if m[col][col] < 0:
             m[col] = [-x for x in m[col]]
     for col in reversed(range(n)):
@@ -101,8 +117,12 @@ def inverse_unimodular(a):
 def solve_integer_system(a, c):
     """One integer solution z of a*z = c, or None when unsolvable.
 
-    Diagonalizes via unimodular row and column operations (Smith style,
-    without the divisibility chain, which solving does not need).
+    Diagonalizes d = u*a*v via unimodular row and column operations (Smith
+    style, without the divisibility chain, which solving does not need).
+    Per pivot t, _clear_column alternates on the rows of [d | u] and on
+    those of the transpose [dT | vT] until both the pivot's column and its
+    row are clear. Both run on d's block from (t, t) on: the rows and
+    columns before t are clear off the diagonal.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -110,68 +130,41 @@ def solve_integer_system(a, c):
         raise ShapeMismatch("ragged coefficient matrix")
     if m == 0:
         return [0] * n
-    d = [list(map(int, row)) for row in a]
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-    t = 0
-    while t < m and t < n:
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
+    # rows holds [d | u] from row t and column t of d on, done (d[t][t], u[t])
+    rows = [list(map(int, row)) + unit for row, unit in zip(a, identity_matrix(m))]
+    vt = identity_matrix(n)
+    done = []
+    for t in range(min(m, n)):
+        w = n - t
+        piv = next(((i, j) for i, row in enumerate(rows) for j in range(w) if row[j]), None)
         if piv is None:
             break
         pi, pj = piv
-        if pi != t:
-            d[t], d[pi] = d[pi], d[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in d:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
+        rows[0], rows[pi] = rows[pi], rows[0]
+        for row in rows:
+            row[0], row[pj] = row[pj], row[0]
+        vt[t], vt[t + pj] = vt[t + pj], vt[t]
         while True:
-            for i in range(t + 1, m):
-                while d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    if q:
-                        for k in range(n):
-                            d[i][k] -= q * d[t][k]
-                        for k in range(m):
-                            u[i][k] -= q * u[t][k]
-                    if d[i][t] != 0:
-                        d[t], d[i] = d[i], d[t]
-                        u[t], u[i] = u[i], u[t]
-            for j in range(t + 1, n):
-                while d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    if q:
-                        for row in d:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-                    if d[t][j] != 0:
-                        for row in d:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-            if all(d[i][t] == 0 for i in range(t + 1, m)) and all(
-                d[t][j] == 0 for j in range(t + 1, n)
-            ):
+            _clear_column(rows, 0)
+            # column t is clear now, so a clear row t finishes this pivot
+            if not any(rows[0][1:w]):
                 break
-        t += 1
-    rhs = mat_vec(u, list(map(int, c)))
+            cols = [[*col, *vrow] for col, vrow in zip(zip(*rows), vt[t:])]
+            _clear_column(cols, 0)
+            vt[t:] = [col[len(rows) :] for col in cols]
+            for row, drow in zip(rows, zip(*cols)):
+                row[:w] = drow
+        done.append((rows[0][0], rows[0][w:]))
+        rows = [row[1:] for row in rows[1:]]
+    w = n - len(done)
+    c = list(map(int, c))
     y = [0] * n
-    for i in range(m):
-        di = d[i][i] if i < n else 0
+    for i, (di, u) in enumerate(done + [(0, row[w:]) for row in rows]):
+        ci = sum(map(mul, u, c))
         if di:
-            if rhs[i] % di != 0:
+            if ci % di:
                 return None
-            y[i] = rhs[i] // di
-        elif rhs[i] != 0:
+            y[i] = ci // di
+        elif ci:
             return None
-    return mat_vec(v, y)
+    return mat_vec(list(zip(*vt)), y)

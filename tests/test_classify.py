@@ -135,7 +135,12 @@ def test_curves_isomorphic_bad_witness(elliptic2):
     with pytest.raises(ModelError, match="not a bijection"):
         curves_isomorphic(elliptic2, other, witness={"points": {"p": "u", "q": "u"}})
     # a class map that is not unimodular is refused with its determinant
-    for matrix, det in (([[2, 0], [0, 1]], 2), ([[1, 2], [2, 4]], 0)):
+    for matrix, det in (
+        ([[2, 0], [0, 1]], 2),
+        ([[1, 2], [2, 4]], 0),
+        ([[0, 2], [0, 3]], 0),  # a zero first column
+        ([[0, 1], [2, 0]], -2),  # a zero first pivot
+    ):
         with pytest.raises(ModelError) as err:
             curves_isomorphic(
                 elliptic2,

@@ -173,6 +173,13 @@ def test_parse_error_exits_2(files, capsys):
     assert err.startswith("error:") or "error:" in err
 
 
+def test_zero_denominator_exits_2_at_the_denominator(files, capsys):
+    rc, out, err = run(capsys, "normalize", "--model", files["g1"], "T(0, [1/0, 0])")
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "error: at position 8: zero denominator"
+
+
 @pytest.mark.parametrize(
     "expr, message",
     [

@@ -81,6 +81,14 @@ def test_parse_error_positions(elliptic2):
         parse_expression("")
 
 
+def test_zero_denominator_points_at_the_denominator():
+    # the 0 is at offset 8; the comma after it, at 9, is not the fault
+    with pytest.raises(ParseError) as exc:
+        parse_expression("T(0, [1/0, 0])")
+    assert exc.value.pos == 8
+    assert str(exc.value) == "at position 8: zero denominator"
+
+
 def test_nesting_limit(elliptic2):
     ok = "(" * MAX_NESTING + "H(p)^2" + ")" * MAX_NESTING
     assert format_canonical(eval_expression(ok, elliptic2)) == "T(O(-1*p))"

@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partrans.errors import NotInvertible, ShapeMismatch
 from partrans.intmat import (
@@ -15,6 +17,7 @@ from partrans.intmat import (
     solve_integer_system,
     zero_matrix,
 )
+from partrans.picard import make_jac_aut
 
 
 def frac_det(m):
@@ -87,7 +90,7 @@ def test_inverse_unimodular_rejects_non_unit_determinant():
 def oracle_inverse_unimodular(a):
     """Reference inverse: Gauss-Jordan elimination on Fractions."""
     n = len(a)
-    d = det_int(a)
+    d = frac_det(a)
     if d not in (1, -1):
         raise NotInvertible(d)
     m = [[Fraction(x) for x in row] for row in a]
@@ -186,3 +189,251 @@ def test_solve_integer_system_detects_unsolvable():
 def test_solve_integer_system_shape_check():
     with pytest.raises(ShapeMismatch):
         solve_integer_system([[1, 2], [3]], [0, 0])
+
+
+def test_det_edge_cases():
+    assert det_int([[0, 1], [1, 0]]) == -1
+    assert det_int([[0, 2], [0, 3]]) == 0  # a zero first column
+    assert det_int([]) == 1
+    assert det_int([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+
+
+def test_det_int_stays_fast_on_a_dense_40_matrix():
+    """Bareiss entries are minors of the input, at most 121 bits here.
+    Euclid down the columns, which leaves the columns it has not reached
+    unreduced, grows them to about nine million bits and takes seconds."""
+    rng = random.Random(40)
+    m = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+    start = time.perf_counter()
+    d = det_int(m)
+    assert time.perf_counter() - start < 0.5
+    assert d == frac_det(m)
+
+
+def test_inverse_unimodular_of_a_singular_matrix_reports_det_0():
+    for m in ([[0, 2], [0, 3]], [[1, 2], [2, 4]], zero_matrix(3)):
+        with pytest.raises(NotInvertible) as err:
+            inverse_unimodular(m)
+        assert err.value.det == 0
+
+
+def test_make_jac_aut_keeps_its_determinant_text():
+    # id + 2*[[1, 0], [0, 0]] = [[3, 0], [0, 1]]
+    with pytest.raises(NotInvertible) as err:
+        make_jac_aut([[1, 0], [0, 0]], 2)
+    assert str(err.value) == "id + r*M has determinant 3, expected +1 or -1"
+    # id + 2*[[0, 1], [1, 0]] = [[1, 2], [2, 1]]
+    with pytest.raises(NotInvertible) as err:
+        make_jac_aut([[0, 1], [1, 0]], 2)
+    assert str(err.value) == "id + r*M has determinant -3, expected +1 or -1"
+
+
+# -- the eliminations _clear_column replaced, kept as exact oracles -----
+
+
+def swap_first_inverse(a):
+    """Inverse of an integer matrix with determinant +-1, as an integer matrix.
+
+    Fraction-free: unimodular row operations on [a | I], Euclid down each
+    column to an upper triangle, then back-substitution. Each Euclid swap
+    negates the determinant and the other operations keep it, so the
+    determinant is the signed product of the triangle's diagonal; anything
+    but +-1 raises NotInvertible with it. The diagonal is then made
+    positive, hence all ones.
+    """
+    n = len(a)
+    m = [list(map(int, row)) + unit for row, unit in zip(a, identity_matrix(n))]
+    d = 1
+    for col in range(n):
+        piv = m[col]
+        for i in range(col + 1, n):
+            row = m[i]
+            while row[col]:
+                q = piv[col] // row[col]
+                piv, row = row, [x - q * y for x, y in zip(piv, row)]
+                d = -d
+            m[i] = row
+        m[col] = piv
+        d *= piv[col]
+    if d not in (1, -1):
+        raise NotInvertible(d)
+    for col in range(n):
+        if m[col][col] < 0:
+            m[col] = [-x for x in m[col]]
+    for col in reversed(range(n)):
+        piv = m[col]
+        for i in range(col):
+            f = m[i][col]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], piv)]
+    return [row[n:] for row in m]
+
+
+def smith_solve(a, c):
+    """One integer solution z of a*z = c, or None when unsolvable.
+
+    Diagonalizes via unimodular row and column operations (Smith style,
+    without the divisibility chain, which solving does not need).
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    if any(len(row) != n for row in a):
+        raise ShapeMismatch("ragged coefficient matrix")
+    if m == 0:
+        return [0] * n
+    d = [list(map(int, row)) for row in a]
+    u = identity_matrix(m)
+    v = identity_matrix(n)
+    t = 0
+    while t < m and t < n:
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if d[i][j] != 0:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            d[t], d[pi] = d[pi], d[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in d:
+                row[t], row[pj] = row[pj], row[t]
+            for row in v:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            for i in range(t + 1, m):
+                while d[i][t] != 0:
+                    q = d[i][t] // d[t][t]
+                    if q:
+                        for k in range(n):
+                            d[i][k] -= q * d[t][k]
+                        for k in range(m):
+                            u[i][k] -= q * u[t][k]
+                    if d[i][t] != 0:
+                        d[t], d[i] = d[i], d[t]
+                        u[t], u[i] = u[i], u[t]
+            for j in range(t + 1, n):
+                while d[t][j] != 0:
+                    q = d[t][j] // d[t][t]
+                    if q:
+                        for row in d:
+                            row[j] -= q * row[t]
+                        for row in v:
+                            row[j] -= q * row[t]
+                    if d[t][j] != 0:
+                        for row in d:
+                            row[t], row[j] = row[j], row[t]
+                        for row in v:
+                            row[t], row[j] = row[j], row[t]
+            if all(d[i][t] == 0 for i in range(t + 1, m)) and all(
+                d[t][j] == 0 for j in range(t + 1, n)
+            ):
+                break
+        t += 1
+    rhs = mat_vec(u, list(map(int, c)))
+    y = [0] * n
+    for i in range(m):
+        di = d[i][i] if i < n else 0
+        if di:
+            if rhs[i] % di != 0:
+                return None
+            y[i] = rhs[i] // di
+        elif rhs[i] != 0:
+            return None
+    return mat_vec(v, y)
+
+
+def inverse_or_det(inverse, m):
+    try:
+        return inverse(m)
+    except NotInvertible as err:
+        return ("NotInvertible", err.det)
+
+
+def sparse_matrix(rng, rows, cols, k):
+    """Entries in [-k, k], about half of them 0, so pivots are often 0."""
+    return [[rng.choice((0, rng.randint(-k, k))) for _ in range(cols)] for _ in range(rows)]
+
+
+def rank_deficient(rng, rows, cols, k):
+    """A matrix whose last row is an integer combination of two others."""
+    m = sparse_matrix(rng, rows, cols, k)
+    if rows >= 3:
+        s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+        m[-1] = [s * x + t * y for x, y in zip(m[0], m[1])]
+    elif rows == 2:
+        m[1] = list(m[0])
+    return m
+
+
+def test_inverse_matches_the_replaced_elimination():
+    rng = random.Random(61)
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        k = rng.choice((1, 2, 5))
+        kind = rng.randrange(3)
+        if kind == 0:
+            m = sparse_matrix(rng, n, n, k)
+        elif kind == 1:
+            m = rank_deficient(rng, n, n, k)
+        else:
+            m = random_unimodular(rng, n, rng.randint(0, 3 * n))
+        assert det_int(m) == frac_det(m), m
+        assert inverse_or_det(inverse_unimodular, m) == inverse_or_det(swap_first_inverse, m), m
+
+
+def test_solver_returns_the_replaced_solvers_z():
+    """The solver's particular z is printed as a divisor form, so it must
+    be the same z, not only a solution."""
+    rng = random.Random(67)
+    solved = 0
+    for _ in range(1500):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        k = rng.choice((1, 3, 7))
+        a = (sparse_matrix if rng.randrange(2) else rank_deficient)(rng, rows, cols, k)
+        if rng.randrange(2):
+            c = mat_vec(a, [rng.randint(-3, 3) for _ in range(cols)])
+        else:
+            c = [rng.randint(-9, 9) for _ in range(rows)]
+        z = solve_integer_system(a, c)
+        assert z == smith_solve(a, c), (a, c)
+        solved += z is not None
+    assert 300 < solved < 1400  # both verdicts are exercised
+
+
+@pytest.mark.parametrize("two_g", [2, 4, 12])
+def test_solver_z_on_divisor_form_systems(two_g):
+    """[1...1 0...0; p_x | q*I] z = (degree, target): the system behind
+    every printed T(O(...)), at up to 12 points."""
+    rng = random.Random(71 + two_g)
+    for _ in range(150):
+        q = rng.choice((2, 3, 4, 6, 12, 60))
+        n = rng.randint(1, 12)
+        points = [[rng.randrange(q) for _ in range(two_g)] for _ in range(n)]
+        a = [[1] * n + [0] * two_g]
+        for i in range(two_g):
+            a.append([p[i] for p in points] + [q if j == i else 0 for j in range(two_g)])
+        c = [rng.randint(-4, 4)] + [rng.randrange(q) for _ in range(two_g)]
+        z = solve_integer_system(a, c)
+        assert z == smith_solve(a, c), (a, c)
+        assert z is None or mat_vec(a, z) == c
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda cols: st.tuples(
+            st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), max_size=5),
+            st.lists(st.integers(-9, 9), min_size=5, max_size=5),
+        )
+    )
+)
+def test_solver_z_matches_on_drawn_systems(system):
+    a, c = system
+    c = c[: len(a)]
+    assert solve_integer_system(a, c) == smith_solve(a, c)
