@@ -16,13 +16,13 @@ from .errors import (
     EnumerationCapExceeded,
     ModelError,
     NotGeneric,
-    NotInvertible,
     ShapeMismatch,
     UnknownPoint,
 )
 from .curve import _affine, _names, _object, _rationals
 from .extended import default_ref_det
 from .intmat import (
+    det_int,
     identity_matrix,
     inverse_unimodular,
     mat_mul,
@@ -87,19 +87,23 @@ class ModuliDescriptor:
         )
 
 
-def _check_witness(model_a, model_b, points, matrix, translation):
+def _check_witness(model_a, model_b, points, matrix, translation, p_inv=None):
     """Validate an isomorphism witness; return None if valid, else the
-    first failed equation as text."""
+    first failed equation as text. p_inv is the class map's inverse when
+    the caller knows the map to be unimodular, else None."""
     names_a = model_a.point_names
     names_b = model_b.point_names
     if sorted(points) != sorted(names_a):
         return "point map is not defined on exactly the source points"
     if sorted(points[x] for x in points) != sorted(names_b):
         return "point map is not a bijection onto the target points"
-    try:
+    if p_inv is None:
+        # Bareiss first: on a dense matrix that is not unimodular, the Euclid
+        # inverse's entries grow exponentially before its rejecting pivot
+        det = det_int(matrix)
+        if det not in (1, -1):
+            return f"class-map matrix determinant is {det}, not +-1"
         p_inv = inverse_unimodular(matrix)
-    except NotInvertible as exc:
-        return f"class-map matrix determinant is {exc.det}, not +-1"
     for x in names_a:
         image = affine_image(matrix, model_a.point(x).jac_class, translation)
         if image != model_b.point(points[x]).jac_class:
@@ -129,10 +133,13 @@ def _check_witness(model_a, model_b, points, matrix, translation):
 
 def _witness_candidates(model_a, model_b, cap):
     """Deterministic witness search space: all point bijections crossed
-    with the identity class map and the pullback maps of both tables."""
+    with the identity class map and the pullback maps of both tables, each
+    yielded with the map's inverse. A map that is not unimodular, which
+    _check_witness would refuse, is passed over."""
     n = len(model_a.points)
     dim = 2 * model_a.genus
-    maps = [(tuple(tuple(r) for r in identity_matrix(dim)), JacobianElement.zero(dim))]
+    identity = tuple(tuple(r) for r in identity_matrix(dim))
+    maps = [(identity, JacobianElement.zero(dim))]
     for table in (model_b.automorphisms, model_a.automorphisms):
         for a in table:
             cand = (a.matrix, a.translation)
@@ -141,10 +148,17 @@ def _witness_candidates(model_a, model_b, cap):
     total = math.factorial(n) * len(maps)
     if total > cap:
         raise EnumerationCapExceeded(total, cap, "isomorphism candidates")
+    # matrix -> its inverse, or None when it is not unimodular; worked out
+    # once, for the first bijection, and reused by the rest
+    inverses = {identity: identity}
     for perm in itertools.permutations(model_b.point_names, n):
         points = dict(zip(model_a.point_names, perm))
         for matrix, translation in maps:
-            yield points, matrix, translation
+            if matrix not in inverses:
+                unimodular = det_int(matrix) in (1, -1)
+                inverses[matrix] = inverse_unimodular(matrix) if unimodular else None
+            if inverses[matrix] is not None:
+                yield points, matrix, translation, inverses[matrix]
 
 
 def curves_isomorphic(model_a, model_b, witness=None, cap=DEFAULT_ENUM_CAP, loc=(None,)):
@@ -178,8 +192,8 @@ def curves_isomorphic(model_a, model_b, witness=None, cap=DEFAULT_ENUM_CAP, loc=
         result["witness"] = _witness_json(points, matrix, translation)
         result["witness_source"] = "supplied"
         return result
-    for points, matrix, translation in _witness_candidates(model_a, model_b, cap):
-        if _check_witness(model_a, model_b, points, matrix, translation) is None:
+    for points, matrix, translation, p_inv in _witness_candidates(model_a, model_b, cap):
+        if _check_witness(model_a, model_b, points, matrix, translation, p_inv) is None:
             result["isomorphic"] = True
             result["witness"] = _witness_json(points, matrix, translation)
             result["witness_source"] = "search"

@@ -355,19 +355,16 @@ def compose(t1, t2):
 
 
 def inverse(t):
-    """Group inverse; the inverse of a Hecke part H at its support P is
-    T_O(D_P) o H_{(r - h)|_P}, followed by T_{-L}, D^s and S_{sigma^-1}."""
+    """Group inverse: T_{-L} folded with H_{-h}, D^s and S_{sigma^-1}; the
+    H rule turns -h into T_O([supp h]) o H_{r - h}."""
     model = t.model
     jac = t.line.jac
-    deg, nums, den = len(t.hecke.mult) - t.line.degree, [-a for a in jac.nums], jac.den
-    for x in t.hecke.mult:
-        nums, den = add_nums(nums, den, 1, model.point(x).jac_class)
-    atoms = [("H", {x: model.rank - v for x, v in t.hecke.items()})]
+    atoms = [("H", {x: -v for x, v in t.hecke.items()})]
     if t.s == -1:
         atoms.append(("D",))
     if t.sigma != model.identity_name:
         atoms.append(("S", model.inverse_auto(t.sigma)))
-    return _fold(model, (None, 1, deg, nums, den, {}), atoms)
+    return _fold(model, (None, 1, -t.line.degree, [-a for a in jac.nums], jac.den, {}), atoms)
 
 
 # -- actions -------------------------------------------------------------

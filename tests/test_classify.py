@@ -1,16 +1,21 @@
 """Descriptors, curve comparison, the degree bridge and decompositions."""
 
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from partrans import (
     ConfigError,
+    CurveAutomorphism,
+    CurveModel,
     Divisor,
     EnumerationCapExceeded,
     JacobianElement,
     LineBundleClass,
+    MarkedPoint,
     ModelError,
     ModuliDescriptor,
     NotGeneric,
@@ -28,6 +33,8 @@ from partrans import (
     verify_decomposition,
     weight_system_for,
 )
+from partrans.cli import run_command
+from partrans.intmat import det_int
 from conftest import build_model, model_worked6, rand_generic_weights
 
 
@@ -150,6 +157,51 @@ def test_curves_isomorphic_bad_witness(elliptic2):
         assert str(err.value) == (
             f"invalid isomorphism witness: class-map matrix determinant is {det}, not +-1"
         )
+
+
+def test_dense_witness_matrix_is_refused_fast(tmp_path, capsys):
+    """A dense 40x40 class map that is not unimodular is refused on its
+    Bareiss determinant, before the Euclid inverse, which takes minutes
+    to reach its rejecting pivot as its unreduced entries grow."""
+    rng = random.Random(40)
+    matrix = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+    message = (f"invalid isomorphism witness: class-map matrix determinant is "
+               f"{det_int(matrix)}, not +-1")
+    model = build_model(20, 2, [])
+    start = time.perf_counter()
+    with pytest.raises(ModelError) as err:
+        curves_isomorphic(model, model, {"points": {}, "matrix": matrix})
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == message
+    docs = {"m": {"genus": 20, "rank": 2, "points": []},
+            "d": {"rank": 2, "degree": 0, "weights": {}},
+            "w": {"points": {}, "matrix": matrix}}
+    paths = {}
+    for key, doc in docs.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    rc = run_command(["torelli", "--model", str(paths["m"]), "--desc-a", str(paths["d"]),
+                      "--desc-b", str(paths["d"]), "--witness", str(paths["w"])])
+    assert time.perf_counter() - start < 0.5
+    cap = capsys.readouterr()
+    assert (rc, cap.out) == (2, "")
+    assert message in cap.err
+    assert "Traceback" not in cap.err
+
+
+def test_search_skips_a_table_map_that_is_not_unimodular():
+    """The loader refuses such a table matrix, but a model built in code
+    can carry one: the search passes over it, as over any refused map."""
+    zero, half = JacobianElement.zero(2), JacobianElement([Fraction(1, 2), 0])
+    autos = [CurveAutomorphism("id", {}, [[1, 0], [0, 1]], zero),
+             CurveAutomorphism("bad", {}, [[2, 0], [0, 1]], zero)]
+    a, b = (CurveModel(1, 2, 0, [MarkedPoint("p", x), MarkedPoint("q", y)], autos)
+            for x, y in ((zero, half), (half, zero)))
+    res = curves_isomorphic(a, b)
+    assert res["isomorphic"] is True
+    assert res["witness"]["points"] == {"p": "q", "q": "p"}
+    assert res["witness"]["matrix"] == [[1, 0], [0, 1]]
 
 
 def test_curves_isomorphic_search_miss(elliptic2):

@@ -4,15 +4,17 @@ every traced run. The file uses only the standard library and is read here
 without being imported as a module, so no bytecode is written next to it.
 Its self-check (bench/selfcheck.py) runs one checked round per workload
 against its own oracle. The package's public surface, __all__, is pinned
-to what partrans/__init__.py binds."""
+to the one table in partrans/__init__.py, and fresh interpreters check
+which modules each way into the package loads."""
 
-import ast
 import importlib
 import os
 import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import partrans
 from partrans.curve import CurveModel
@@ -44,22 +46,46 @@ def test_bench_selfcheck():
 
 
 def test_public_surface_is_all():
-    """__all__ has no duplicates, each of its names resolves to no module,
-    and it lists exactly the public names partrans/__init__.py binds."""
+    """__all__ is the one table's names, once each; each resolves to the
+    object its module gives, never to a module; and a star import, dir()
+    and a missing name agree with it."""
     names = partrans.__all__
     assert len(names) == len(set(names))
-    assert [n for n in names if not hasattr(partrans, n)] == []
-    assert [n for n in names if isinstance(getattr(partrans, n), type(partrans))] == []
-    tree = ast.parse((ROOT / "src" / "partrans" / "__init__.py").read_text())
-    bound = set()
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            bound.add(node.name)
-    public = {n for n in bound if not n.startswith("_")
-              and not isinstance(getattr(partrans, n, None), type(partrans))}
-    assert set(names) == public
+    assert names == [n for module_names in partrans._EXPORTS.values() for n in module_names]
+    for module, module_names in partrans._EXPORTS.items():
+        source = importlib.import_module(f"partrans.{module}")
+        for n in module_names:
+            assert getattr(partrans, n) is getattr(source, n), n
+            assert not isinstance(getattr(partrans, n), type(partrans)), n
+    namespace = {}
+    exec("from partrans import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
+    assert set(names) <= set(dir(partrans))
+    with pytest.raises(AttributeError):
+        partrans.no_such_name
+
+
+def _submodules_loaded(code):
+    """The partrans submodules a fresh interpreter has loaded after `code`."""
+    listing = "print(*(m.partition('.')[2] for m in sys.modules if m.startswith('partrans.')))"
+    script = f"{code}\nimport sys\n{listing}"
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_partrans_loads_no_submodule():
+    assert _submodules_loaded("import partrans") == set()
+
+
+def test_load_config_loads_only_what_a_model_needs():
+    loaded = _submodules_loaded("import partrans\npartrans.load_config")
+    assert loaded == {"curve", "picard", "intmat", "errors"}
+
+
+def test_cli_loads_every_traced_layer():
+    """The tracer rebinds functions in the partrans modules loaded once
+    partrans.cli is imported, so that import must load every layer."""
+    assert set(SPANS["LAYERS"]) <= _submodules_loaded("import partrans.cli")
