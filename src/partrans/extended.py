@@ -7,15 +7,15 @@ degree-zero correction tensor; both steps are exact.
 """
 
 from itertools import compress
-from operator import mul
 
 from .errors import ExtendedCompositionError, ShapeMismatch
-from .intmat import mat_vec, zero_matrix
+from .intmat import mat_mul, mat_vec, zero_matrix
 from .picard import (
     DEFAULT_ENUM_CAP,
     JacobianAutomorphism,
     JacobianElement,
     LineBundleClass,
+    _inverse_tilde_vec,
     jac_aut_inverse,
     lincomb,
     tilde_compose,
@@ -132,9 +132,8 @@ def act_A(rho, xi, v):
         0, JacobianElement.from_nums(mat_vec(rho.tilde, delta.jac.nums), delta.jac.den)
     )
     det_new = lincomb([(v.det, 1), (twist, v.rank)])
-    note = "A-twist(0, [" + ", ".join(twist.jac.texts()) + "])"
-    label = v.label + "|" + note if v.label else note
-    return ParabolicInvariant(v.rank, det_new, v.weights, label)
+    return ParabolicInvariant(
+        v.rank, det_new, v.weights, (v, lambda: "A-twist(0, [" + ", ".join(twist.jac.texts()) + "])"))
 
 
 def act_ext(e, v):
@@ -149,71 +148,62 @@ def act_ext(e, v):
 def conjugate_tilde(model, sigma_name, rho):
     """Jacobian part of sigma-pullback conjugation: tilde becomes
     M_sigma . tilde . M_sigma^{-1} (translations cancel on degree zero).
-    Only rho is conjugated; compose_ext reaches the conjugate's inverse
-    through rho's."""
+    Only rho is conjugated; the interchange reaches the conjugate's
+    inverse through rho's."""
     pair = model.conjugator(sigma_name)
     if pair is None:
         return rho
     ms, inv = pair
-    left = [[sum(map(mul, row, col)) for col in zip(*rho.tilde)] for row in ms]
-    inv_cols = list(zip(*inv))
-    return JacobianAutomorphism([[sum(map(mul, row, col)) for col in inv_cols] for row in left], rho.r)
+    return JacobianAutomorphism(mat_mul(ms, mat_mul(rho.tilde, inv)), rho.r)
 
 
-def _conjugated_mat_vec(pair, m, v):
-    """M_sigma . m . M_sigma^{-1} . v for pair = model.conjugator(sigma),
-    as three matrix-vector products."""
-    if pair is None:
-        return mat_vec(m, v)
-    ms, inv = pair
-    return mat_vec(ms, mat_vec(m, mat_vec(inv, v)))
-
-
-def compose_ext(e1, e2):
-    """Normal form of e1 after e2.
-
-    The inner Jacobian part is conjugated through e1's basic part; the
-    interchange emits the correction tensor tilde(rho_c)(xi - T1(xi)),
-    which is well defined only when T1 fixes the reference degree. Pulled
-    inside, rho_c^{-1}(M delta) with M = tilde(rho_c) commuting with
-    (id + rM)^{-1} is M (id + rM)^{-1} delta = tilde(rho_c^{-1}) (T1(xi) - xi),
-    where tilde(rho_c^{-1}) = M_sigma . tilde(rho_2^{-1}) . M_sigma^{-1}
-    goes through e2's memoized inverse.
-    """
-    if e1.basic.model is not e2.basic.model:
-        raise ShapeMismatch("cannot compose extended transformations over different models")
-    if e1.ref_det != e2.ref_det:
-        raise ShapeMismatch("mismatched reference determinant")
-    model = e1.basic.model
-    xi = e1.ref_det
-    t1 = e1.basic
-    if e2.rho.is_identity():
-        return ExtendedTransformation(e1.rho, compose(t1, e2.basic), xi)
+def _interchange(xi, t1, rho):
+    """rho pushed out through the basic part t1: (rho_c, fold state of the
+    correction), rho_c being rho conjugated by t1's automorphism. The
+    correction tilde(rho_c)(xi - T1(xi)), defined when T1 fixes xi's degree,
+    pulled inside is tilde(rho_c^{-1})(T1(xi) - xi): M = tilde(rho_c) commutes with id + rM."""
+    model = t1.model
     txi = act_det(t1, xi)
     if txi.degree != xi.degree:
         raise ExtendedCompositionError(
             "cannot push a Jacobian part through a basic part moving the reference "
             f"degree ({xi.degree} -> {txi.degree})"
         )
-    rho_c = conjugate_tilde(model, t1.sigma, e2.rho)
     moved = txi.jac - xi.jac
-    # no correction when T1 fixes xi, and then no inverse to compute
-    pulled_in = moved.nums if moved.den == 1 else _conjugated_mat_vec(
-        model.conjugator(t1.sigma), jac_aut_inverse(e2.rho).tilde, moved.nums)
+    pulled_in = moved.nums  # zero when T1 fixes xi: no correction to pull in
+    if moved.den != 1:
+        pair = model.conjugator(t1.sigma)
+        if pair is None:
+            pulled_in = _inverse_tilde_vec(rho, pulled_in)
+        else:
+            pulled_in = mat_vec(pair[0], _inverse_tilde_vec(rho, mat_vec(pair[1], pulled_in)))
+    return conjugate_tilde(model, t1.sigma, rho), (None, 1, 0, pulled_in, moved.den, {})
+
+
+def compose_ext(e1, e2):
+    """Normal form of e1 after e2: e2's Jacobian part is pushed out
+    through e1's basic part (see _interchange)."""
+    if e1.basic.model is not e2.basic.model:
+        raise ShapeMismatch("cannot compose extended transformations over different models")
+    if e1.ref_det != e2.ref_det:
+        raise ShapeMismatch("mismatched reference determinant")
+    model, xi, t1 = e1.model, e1.ref_det, e1.basic
+    if e2.rho.is_identity():
+        return ExtendedTransformation(e1.rho, compose(t1, e2.basic), xi)
+    rho_c, state = _interchange(xi, t1, e2.rho)
     new_rho = rho_c if e1.rho.is_identity() else JacobianAutomorphism(
         tilde_compose(e1.rho.tilde, rho_c.tilde, model.rank), model.rank)
-    new_basic = _fold(model, (None, 1, 0, pulled_in, moved.den, {}), _word_of(t1) + _word_of(e2.basic))
-    return ExtendedTransformation(new_rho, new_basic, xi)
+    return ExtendedTransformation(new_rho, _fold(model, state, _word_of(t1) + _word_of(e2.basic)), xi)
 
 
 def ext_inverse(e):
-    """Inverse in the extended group, via basic inversion and the
-    interchange in compose_ext."""
-    left = lift_basic(inverse(e.basic), e.ref_det)
-    right = ExtendedTransformation(
-        jac_aut_inverse(e.rho), identity_transform(e.basic.model), e.ref_det
-    )
-    return compose_ext(left, right)
+    """Inverse in the extended group: rho^{-1} pushed out through T^{-1}
+    (see _interchange)."""
+    t, xi = inverse(e.basic), e.ref_det
+    if e.rho.is_identity():
+        return ExtendedTransformation(e.rho, t, xi)
+    rho_c, state = _interchange(xi, t, jac_aut_inverse(e.rho))
+    return ExtendedTransformation(rho_c, _fold(t.model, state, _word_of(t)), xi)
 
 
 def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):

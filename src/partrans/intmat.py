@@ -3,14 +3,15 @@
 Matrices are lists (or tuples) of rows of ints, row major; vectors are
 sequences of ints. No floats and no Fractions anywhere.
 
-One elimination step serves the unimodular inverse and the integer
-solver: _clear_column runs Euclid down one column with unimodular
-whole-row operations. The determinant is Bareiss elimination, whose
-entries are minors of the input: Euclid leaves the columns it has not
-reached unreduced, and on dense matrices their entries grow
+One elimination step serves the unimodular solve (and so the inverse)
+and the integer solver: _clear_column runs Euclid down one column with
+unimodular whole-row operations. The determinant is Bareiss elimination,
+whose entries are minors of the input: Euclid leaves the columns it has
+not reached unreduced, and on dense matrices their entries grow
 exponentially.
 """
 
+from itertools import compress
 from operator import mul
 
 from .errors import NotInvertible, ShapeMismatch
@@ -33,8 +34,21 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    """a . b without zero terms: a row of a with at most a third of its
+    entries nonzero gives the sum of those multiples of rows of b, and a
+    denser row one dot product per column of b."""
+    width, cols, out = len(b[0]) if b else 0, None, []
+    for row in a:
+        if (len(row) - row.count(0)) * 3 > len(row):
+            cols = cols or list(zip(*b))
+            out.append([sum(map(mul, row, col)) for col in cols])
+            continue
+        acc = [0] * width
+        for k in compress(range(len(row)), row):
+            c = row[k]
+            acc = [x + c * y for x, y in zip(acc, b[k])]
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):
@@ -89,16 +103,21 @@ def _clear_column(rows, t):
 
 
 def inverse_unimodular(a):
-    """Inverse of an integer matrix with determinant +-1, as an integer matrix.
+    """Inverse of an integer matrix with determinant +-1, as an integer matrix."""
+    return solve_unimodular(a, identity_matrix(len(a)))
 
-    Fraction-free: _clear_column takes [a | I] to an upper triangle whose
+
+def solve_unimodular(a, b):
+    """a^{-1} b for a of determinant +-1 and a block b of right-hand columns.
+
+    Fraction-free: _clear_column takes [a | b] to an upper triangle whose
     diagonal is all +-1 exactly when det a is, since its product is +-det a;
     at the first other pivot NotInvertible reports det_int(a). Each row is
     then made to start with +1, and back-substitution clears above the
-    diagonal.
+    diagonal. The rows are n + width(b) wide, not 2n as for an inverse.
     """
     n = len(a)
-    m = [list(map(int, row)) + unit for row, unit in zip(a, identity_matrix(n))]
+    m = [[*map(int, row), *rhs] for row, rhs in zip(a, b)]
     for col in range(n):
         _clear_column(m, col)
         if m[col][col] not in (1, -1):

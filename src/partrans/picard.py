@@ -12,16 +12,17 @@ division by r) is an integer pass followed by a single reduction.
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add
 
 from .errors import EnumerationCapExceeded, NotInvertible, ShapeMismatch
 from .intmat import (
     det_int,
     identity_matrix,
-    inverse_unimodular,
     mat_add,
+    mat_mul,
     mat_scale,
     mat_vec,
+    solve_unimodular,
 )
 
 DEFAULT_ENUM_CAP = 10**6
@@ -326,25 +327,37 @@ def tilde_compose(m1, m2, r):
     """Tilde matrix of rho1 o rho2 where m1 belongs to the outer factor:
     M1 + M2 + r * M1 M2, as a tuple of integer rows; a zero row of M1
     leaves M2's row."""
-    cols = list(zip(*m2))
     return tuple(
-        tuple(x + y + r * sum(map(mul, ra, col)) for x, y, col in zip(ra, rb, cols))
-        if any(ra) else rb
-        for ra, rb in zip(m1, m2)
+        tuple(map(add, rb, map(add, ra, map(r.__mul__, rp)))) if any(ra) else rb
+        for ra, rb, rp in zip(m1, m2, mat_mul(m1, m2))
     )
+
+
+def _neg_inverse_times(rho, mx):
+    """-(id + rM)^{-1} M X for M = tilde(rho), given the rows mx of M X. A zero
+    row of M is one of the result; the rest is one unimodular solve over the
+    block of id + rM on M's nonzero rows and columns (of the same determinant)."""
+    t, r = rho.tilde, rho.r
+    live = [i for i, row in enumerate(t) if any(row)]
+    block = [[r * t[i][j] + (i == j) for j in live] for i in live]
+    out = [[0] * len(row) for row in mx]
+    for i, row in zip(live, solve_unimodular(block, [mx[i] for i in live])):
+        out[i] = [-x for x in row]
+    return out
 
 
 def jac_aut_inverse(rho):
     """Inverse automorphism, memoized both ways; its tilde is
-    (rho^{-1} - id) / r, exact since rho^{-1} = id mod r like rho."""
+    (rho^{-1} - id) / r = -M (id + rM)^{-1} for M = tilde(rho)."""
     if rho._inv is None:
-        r = rho.r
-        full = [[r * x for x in row] for row in rho.tilde]
-        for i, row in enumerate(full):
-            row[i] += 1
-        full = inverse_unimodular(full)
-        for i, row in enumerate(full):
-            row[i] -= 1
-        inv = JacobianAutomorphism([[x // r for x in row] for row in full], r)
+        inv = JacobianAutomorphism(_neg_inverse_times(rho, rho.tilde), rho.r)
         rho._inv, inv._inv = inv, rho
     return rho._inv
+
+
+def _inverse_tilde_vec(rho, v):
+    """tilde(rho^{-1}) v: through rho's inverse when it is memoized, else
+    as -(id + rM)^{-1} M v (M commutes with id + rM), inverting nothing."""
+    if rho._inv is not None:
+        return mat_vec(rho._inv.tilde, v)
+    return [x for x, in _neg_inverse_times(rho, [[x] for x in mat_vec(rho.tilde, v)])]

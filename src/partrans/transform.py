@@ -28,7 +28,6 @@ from .picard import (
     LineBundleClass,
     add_nums,
     affine_nums,
-    divide_by_r,
     lincomb,
     pullback,
 )
@@ -45,6 +44,7 @@ from .weights import (
 import itertools
 import math
 from collections import Counter
+from functools import partial
 
 
 class Divisor:
@@ -152,10 +152,12 @@ class BasicTransformation:
 class ParabolicInvariant:
     """Discrete shadow (rank, determinant class, weights) of a parabolic bundle.
 
-    The label is provenance only and is ignored by equality.
+    The label is provenance only and is ignored by equality. The actions
+    pass it as (previous invariant, note), written on first read as the
+    previous label, "|" and note().
     """
 
-    __slots__ = ("rank", "det", "weights", "label")
+    __slots__ = ("rank", "det", "weights", "_label")
 
     def __init__(self, rank, det, weights, label=""):
         if weights.rank is not None and weights.rank != rank:
@@ -163,7 +165,15 @@ class ParabolicInvariant:
         self.rank = rank
         self.det = det
         self.weights = weights
-        self.label = label
+        self._label = label
+
+    @property
+    def label(self):
+        if isinstance(self._label, tuple):
+            v, note = self._label
+            note = note()
+            self._label = v.label + "|" + note if v.label else note
+        return self._label
 
     def __eq__(self, other):
         return (
@@ -326,8 +336,7 @@ def _fold(model, state, atoms):
                 perm = model.automorphism(tau).point_perm
                 hecke = {perm.get(x, x): v for x, v in hecke.items()}
             if deg or any(a % den for a in nums):
-                inv = model.automorphism(model.inverse_auto(tau))
-                nums, den = affine_nums(inv.matrix, nums, den, inv.translation, deg)
+                nums, den = _pullback_nums(model, model.inverse_auto(tau), nums, den, deg)
     return BasicTransformation(
         model,
         model.identity_name if sigma is None else sigma,
@@ -389,9 +398,17 @@ def act_det(t, xi):
     if t.s == -1:
         deg = -deg
         nums = [-a for a in nums]
-    auto = model.automorphism(t.sigma)
-    nums, den = affine_nums(auto.matrix, nums, den, auto.translation, deg)
+    nums, den = _pullback_nums(model, t.sigma, nums, den, deg)
     return LineBundleClass(deg, JacobianElement.from_nums(nums, den))
+
+
+def _pullback_nums(model, name, nums, den, deg):
+    """affine_nums for the named automorphism's (M, t), with no product
+    when M is the identity."""
+    auto = model.automorphism(name)
+    if model.conjugator(name) is None:
+        return add_nums(nums, den, deg, auto.translation)
+    return affine_nums(auto.matrix, nums, den, auto.translation, deg)
 
 
 def _weight_sources(t, points):
@@ -437,10 +454,7 @@ def _check_weights_rank(alpha, model):
 def act_invariant(t, v):
     if v.rank != t.model.rank:
         raise ShapeMismatch(f"invariant rank {v.rank} does not match model rank {t.model.rank}")
-    label = v.label + "|" + describe(t) if v.label else describe(t)
-    return ParabolicInvariant(
-        v.rank, act_det(t, v.det), act_weights(t, v.weights), label
-    )
+    return ParabolicInvariant(v.rank, act_det(t, v.det), act_weights(t, v.weights), (v, partial(describe, t)))
 
 
 def subgroup_membership(t, d, xi=None, alpha=None, cap=DEFAULT_ENUM_CAP):
@@ -541,7 +555,8 @@ def stabilizer_xi(xi, model, cap=DEFAULT_ENUM_CAP):
     integer; its L solutions then form a torsor under J[r] around the
     canonical r-th root of pullback_{sigma^{-1}}(xi)^s tensor xi^{-1}(H).
     The class of H is read from integer prefix sums of the points'
-    numerators; the rest of the root depends only on (sigma, s).
+    numerators, the rest of the root depends only on (sigma, s), and
+    the root is reduced once, as divide_by_r of the class in [0, 1).
     """
     r = model.rank
     dim = 2 * model.genus
@@ -557,8 +572,7 @@ def stabilizer_xi(xi, model, cap=DEFAULT_ENUM_CAP):
         base = [x * (den // jac.den) for x in jac.nums]
         scale = den // q
         for k, ldeg, mults in group:
-            rhs = JacobianElement.from_nums([a + scale * b for a, b in zip(base, sums[k])], den)
-            root, torsor = divide_by_r(rhs, r)
+            root = JacobianElement.from_nums([(a + scale * b) % den for a, b in zip(base, sums[k])], den * r)
             sectors.append(
                 {
                     "sigma": auto.name,
@@ -566,7 +580,7 @@ def stabilizer_xi(xi, model, cap=DEFAULT_ENUM_CAP):
                     "H": {names[i]: mults[i] for i in by_name if mults[i]},
                     "L_degree": ldeg,
                     "root": root.to_json(),
-                    "torsor_size": torsor,
+                    "torsor_size": r**dim,
                 }
             )
     return {"total": len(sectors) * r**dim, "sectors": sectors}

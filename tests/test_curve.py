@@ -137,6 +137,28 @@ def test_validate_accepts_fixture_models():
     assert report.ok and not report.warnings
 
 
+def test_validate_reads_a_point_left_out_of_a_perm_as_fixed():
+    """A model built in code may leave fixed points out of a perm, as every
+    reader of point_perm allows; its report is that of the model listing
+    them, errors included."""
+    zero = JacobianElement.zero(2)
+    third = JacobianElement(["1/3", "0"])
+    neg = [[-1, 0], [0, -1]]
+    for jac, autos in (
+        (zero, [("id", identity_matrix(2))]),
+        (third, [("id", identity_matrix(2)), ("neg", neg)]),
+    ):
+        reports = []
+        for perm in ({}, {"p": "p"}):
+            m = curve.CurveModel(1, 2, 0, [curve.MarkedPoint("p", jac)],
+                                 [curve.CurveAutomorphism(n, perm, a, zero) for n, a in autos])
+            reports.append(validate_model(m).to_json())
+        assert reports[0] == reports[1]
+    assert reports[0]["errors"] == [
+        "pullback of neg sends the class of p to ['2/3', '0'] instead of the class of p"
+    ]
+
+
 def test_validate_warns_small_genus():
     report = validate_model(model_elliptic2())
     assert any("genus 1" in w for w in report.warnings)

@@ -1,11 +1,13 @@
 """Extended transformations: Jacobian part, interchange, group report."""
 
+import functools
 import json
 import random
 import statistics
 import sys
 import time
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from partrans import (
     act_det,
     act_ext,
     act_invariant,
+    act_weights,
     apply_jac_aut_line,
     automorphism_group_report,
     compose,
@@ -71,6 +74,7 @@ from conftest import (
     build_model,
     model_cyclic,
     model_order4,
+    model_rotation,
     rand_generic_weights,
     rand_basic,
     rand_invariant,
@@ -104,10 +108,12 @@ def rand_deg_preserving_basic(rng, model, d=0):
     return make_basic(sigma, s, line, Divisor(mults), model)
 
 
-def rand_ext(rng, model, ref):
-    return ExtendedTransformation(
-        rand_rho(rng, model), rand_deg_preserving_basic(rng, model, ref.degree), ref
-    )
+def rand_ext(rng, model, ref, moves=3, negate=False):
+    """A random element over ref; negate (at r = 2 only) takes the
+    Jacobian part of -(id + 2M) for that of id + 2M."""
+    tilde = rand_tilde(rng, 2 * model.genus, model.rank, moves)
+    rho = make_jac_aut(negated(tilde) if negate else tilde, model.rank)
+    return ExtendedTransformation(rho, rand_deg_preserving_basic(rng, model, ref.degree), ref)
 
 
 # -- construction --------------------------------------------------------
@@ -564,10 +570,26 @@ def test_user_jacobian_parts_are_still_checked(elliptic2):
 # -- the integer paths against the code they replaced ----------------------
 
 
+def dot_mul(a, b):
+    """a . b as one dot product per entry, zeros included."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def dot_tilde_compose(m1, m2, r):
+    """M1 + M2 + r * M1 M2 by dot products, a zero row of M1 leaving M2's."""
+    cols = list(zip(*m2))
+    return tuple(
+        tuple(x + y + r * sum(map(mul, ra, col)) for x, y, col in zip(ra, rb, cols))
+        if any(ra) else rb
+        for ra, rb in zip(m1, m2)
+    )
+
+
 def oracle_conjugate_tilde(model, sigma_name, rho):
     """M_sigma . tilde . M_sigma^{-1}, inverting M_sigma on every call."""
     ms = [list(row) for row in model.automorphism(sigma_name).matrix]
-    m = mat_mul(mat_mul(ms, [list(row) for row in rho.tilde]), inverse_unimodular(ms))
+    m = dot_mul(dot_mul(ms, [list(row) for row in rho.tilde]), inverse_unimodular(ms))
     return JacobianAutomorphism(m, rho.r)
 
 
@@ -575,7 +597,33 @@ def oracle_jac_aut_inverse(rho):
     """-M (id + r M)^{-1} through the full matrix id + r M."""
     m = [list(row) for row in rho.tilde]
     full = mat_add(identity_matrix(len(m)), mat_scale(rho.r, m))
-    return JacobianAutomorphism(mat_scale(-1, mat_mul(m, inverse_unimodular(full))), rho.r)
+    return JacobianAutomorphism(mat_scale(-1, dot_mul(m, inverse_unimodular(full))), rho.r)
+
+
+def inverting_compose_ext(e1, e2):
+    """compose_ext with the correction pulled inside by the conjugate of
+    the whole inverse of id + r tilde(rho_2)."""
+    model, xi, t1 = e1.model, e1.ref_det, e1.basic
+    if e2.rho.is_identity():
+        return ExtendedTransformation(e1.rho, compose(t1, e2.basic), xi)
+    txi = act_det(t1, xi)
+    if txi.degree != xi.degree:
+        raise ExtendedCompositionError("reference degree moved")
+    moved = txi.jac - xi.jac
+    rho_c_inv = oracle_conjugate_tilde(model, t1.sigma, oracle_jac_aut_inverse(e2.rho))
+    pulled_in = mat_vec(rho_c_inv.tilde, moved.nums)
+    rho_c = oracle_conjugate_tilde(model, t1.sigma, e2.rho)
+    new_rho = rho_c if e1.rho.is_identity() else JacobianAutomorphism(
+        dot_tilde_compose(e1.rho.tilde, rho_c.tilde, model.rank), model.rank)
+    state = (None, 1, 0, pulled_in, moved.den, {})
+    return ExtendedTransformation(new_rho, transform._fold(model, state, _word_of(t1) + _word_of(e2.basic)), xi)
+
+
+def lifted_ext_inverse(e):
+    """ext_inverse as the interchange of lift(T^{-1}) with (rho^{-1}, id)."""
+    left = lift_basic(inverse(e.basic), e.ref_det)
+    right = ExtendedTransformation(oracle_jac_aut_inverse(e.rho), identity_transform(e.model), e.ref_det)
+    return inverting_compose_ext(left, right)
 
 
 def composed(ts):
@@ -609,7 +657,7 @@ def oracle_compose_ext(e1, e2, product=composed):
     )
     pulled_in = apply_jac_aut_line(oracle_jac_aut_inverse(rho_c), correction)
     t_corr = BasicTransformation(model, model.identity_name, 1, pulled_in, Divisor())
-    new_rho = make_jac_aut(tilde_compose(e1.rho.tilde, rho_c.tilde, model.rank), model.rank)
+    new_rho = make_jac_aut(dot_tilde_compose(e1.rho.tilde, rho_c.tilde, model.rank), model.rank)
     return ExtendedTransformation(new_rho, product([t_corr, t1, e2.basic]), xi)
 
 
@@ -657,8 +705,14 @@ def oracle_json(e):
     }
 
 
+def eager_act_invariant(t, v):
+    """act_invariant with its label written at once."""
+    label = v.label + "|" + describe(t) if v.label else describe(t)
+    return ParabolicInvariant(v.rank, act_det(t, v.det), act_weights(t, v.weights), label)
+
+
 def oracle_act_ext(e, v):
-    moved = act_invariant(e.basic, v)
+    moved = eager_act_invariant(e.basic, v)
     if e.rho.is_identity():
         return moved
     delta = lincomb([(moved.det, 1), (e.ref_det, -1)])
@@ -679,49 +733,91 @@ def assert_same_ext(got, want):
     assert repr(got) == f"ExtendedTransformation({oracle_describe_ext(want)!r})"
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(range(3)), st.integers(0, 2**32 - 1), st.booleans())
-def test_extended_group_matches_the_oracles(g2r3, order4, elliptic2, which, seed, memo):
+@functools.cache
+def wide_models():
+    """Rank 2: a genus-3 block rotation of order 4, and a genus-2 table of
+    translations, whose matrices are all the identity."""
+    return model_rotation(3, 4), model_cyclic(2, 3)
+
+
+def negated(m):
+    """The tilde of -(id + 2M) at r = 2, which is -id - M."""
+    return [[-x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+def assert_same_invariant(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.label == want.label and repr(got) == repr(want)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(range(5)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((3, 40)),
+    st.booleans(),
+    st.sampled_from([(a, b) for a in (False, True) for b in (False, True)]),
+    st.sampled_from(("", "user label")),
+    st.booleans(),
+)
+def test_extended_group_matches_the_oracles(
+    g2r3, order4, elliptic2, which, seed, moves, negate, memo, user, late
+):
     """compose_ext, ext_inverse, act_ext and their texts agree with the
-    replaced code, on fresh Jacobian parts and on parts whose inverse is
-    already memoized."""
-    m = (g2r3, order4, elliptic2)[which]
+    replaced code: on sparse and dense Jacobian parts, negated ones at
+    r = 2, and parts whose inverse is fresh or already memoized. Chained
+    labels read in either order equal the eagerly written ones."""
+    m = (g2r3, order4, elliptic2, *wide_models())[which]
     rng = random.Random(seed)
     ref = default_ref_det(m)
-    e1, e2 = rand_ext(rng, m, ref), rand_ext(rng, m, ref)
-    if memo:
-        jac_aut_inverse(e1.rho)
-        jac_aut_inverse(e2.rho)
+    e1, e2 = (rand_ext(rng, m, ref, moves, negate and m.rank == 2) for _ in range(2))
+    for e, known in zip((e1, e2), memo):
+        if known:
+            jac_aut_inverse(e.rho)
     for a in m.automorphisms:
         conj = conjugate_tilde(m, a.name, e2.rho)
         assert conj == oracle_conjugate_tilde(m, a.name, e2.rho)
         assert jac_aut_inverse(conj) == oracle_jac_aut_inverse(conj)
-    assert_same_ext(compose_ext(e1, e2), oracle_compose_ext(e1, e2))
-    assert_same_ext(compose_ext(e1, e2), oracle_compose_ext(e1, e2, rewritten))
+    got = compose_ext(e1, e2)
+    assert_same_ext(got, oracle_compose_ext(e1, e2))
+    assert_same_ext(got, oracle_compose_ext(e1, e2, rewritten))
+    assert_same_ext(got, inverting_compose_ext(e1, e2))
     assert_same_ext(compose_ext(e1, lift_basic(e2.basic, ref)),
                     oracle_compose_ext(e1, lift_basic(e2.basic, ref), rewritten))
-    assert_same_ext(ext_inverse(e1), oracle_ext_inverse(e1))
-    assert_same_ext(ext_inverse(e1), oracle_ext_inverse(e1))  # now through the memo
+    for _ in range(2):  # the second time through the memo
+        assert_same_ext(ext_inverse(e1), oracle_ext_inverse(e1))
+        assert_same_ext(ext_inverse(e1), lifted_ext_inverse(e1))
+    assert jac_aut_inverse(jac_aut_inverse(e1.rho)) is e1.rho
     v = rand_invariant(rng, m, degree=ref.degree)
-    got, want = act_ext(e1, v), oracle_act_ext(e1, v)
-    assert got == want and got.to_json() == want.to_json() and got.label == want.label
+    v = ParabolicInvariant(v.rank, v.det, v.weights, user)
+    t = rand_deg_preserving_basic(rng, m, ref.degree)
+    chain = [v, act_invariant(e1.basic, v)]
+    chain += [act_invariant(t, chain[-1]), act_ext(e2, chain[-1])]
+    want = [v, eager_act_invariant(e1.basic, v)]
+    want += [eager_act_invariant(t, want[-1]), oracle_act_ext(e2, want[-1])]
+    for k in reversed(range(4)) if late else range(4):
+        assert_same_invariant(chain[k], want[k])
+    assert_same_invariant(act_ext(e1, v), oracle_act_ext(e1, v))
 
 
 def _count_inversions(monkeypatch):
+    """Record the matrix of every conjugator inverse and of every solve
+    for a Jacobian part's inverse."""
     calls = []
-    for module in (picard, curve):
-        real = module.inverse_unimodular
-        monkeypatch.setattr(
-            module, "inverse_unimodular", lambda a, real=real: calls.append(a) or real(a)
-        )
+    for module, name in ((curve, "inverse_unimodular"), (picard, "solve_unimodular")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda a, *b, real=real: calls.append(a) or real(a, *b))
     return calls
 
 
 def test_extended_group_inverts_each_matrix_once(g2r3, order4, monkeypatch, rng=random.Random(106)):
     """Counted work, not timed: once a model's conjugators are built,
-    ext_inverse on a fresh element inverts at most one matrix and none on
-    an element whose inverse is known, and compose_ext at most one."""
+    ext_inverse on a fresh element solves once at most (for the inverse)
+    and not at all on an element whose inverse is known; compose_ext
+    solves once at most, and not at all when e2's inverse is known."""
     calls = _count_inversions(monkeypatch)
+    solved = 0
     for m in (g2r3, order4):
         for a in m.automorphisms:
             m.conjugator(a.name)
@@ -734,9 +830,13 @@ def test_extended_group_inverts_each_matrix_once(g2r3, order4, monkeypatch, rng=
             calls.clear()
             ext_inverse(e1)
             assert calls == []
-            calls.clear()
             compose_ext(e1, e2)
             assert len(calls) <= 1
+            solved += len(calls)
+            calls.clear()
+            compose_ext(e2, e1)
+            assert calls == []
+    assert solved > 5
 
 
 def test_conjugators_are_built_once_per_automorphism(monkeypatch, rng=random.Random(107)):

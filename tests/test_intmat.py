@@ -15,6 +15,7 @@ from partrans.intmat import (
     mat_scale,
     mat_vec,
     solve_integer_system,
+    solve_unimodular,
     zero_matrix,
 )
 from partrans.picard import make_jac_aut
@@ -63,6 +64,66 @@ def test_matrix_helpers():
     assert mat_scale(-2, a) == [[-2, -4], [-6, -8]]
     assert mat_mul(a, b) == [[2, 1], [4, 3]]
     assert mat_vec(a, [1, -1]) == [-1, -1]
+
+
+def oracle_mat_mul(a, b):
+    """a . b by the triple loop over every index."""
+    cols = len(b[0]) if b else 0
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)] for row in a]
+
+
+def sparse_rows(rng, rows, cols, density):
+    """Entries in [-5, 5], each nonzero with the given probability; about
+    one row in three is zero."""
+    out = []
+    for _ in range(rows):
+        p = 0 if rng.randrange(3) == 0 else density
+        out.append([rng.randint(-5, 5) if rng.random() < p else 0 for _ in range(cols)])
+    return out
+
+
+def test_mat_mul_matches_the_triple_loop():
+    """Dense, sparse, rectangular and empty shapes, lists and tuples."""
+    rng = random.Random(45)
+    for _ in range(600):
+        m, n, p = rng.randint(0, 6), rng.randint(0, 6), rng.randint(1, 6)
+        density = rng.choice((1.0, 0.5, 0.2, 0.0))
+        a, b = sparse_rows(rng, m, n, density), sparse_rows(rng, n, p, density)
+        want = oracle_mat_mul(a, b)
+        assert mat_mul(a, b) == want, (a, b)
+        assert mat_mul(tuple(map(tuple, a)), tuple(map(tuple, b))) == want
+    assert mat_mul([], [[1, 2]]) == []
+    assert mat_mul([[], []], []) == [[], []]
+    assert mat_mul([[0, 0]], [[1, 2, 3], [0, 0, 0]]) == [[0, 0, 0]]
+    assert mat_mul([[0, 4]], [[1, 2, 3], [0, 0, 0]]) == [[0, 0, 0]]
+
+
+def test_solve_unimodular_is_the_inverse_times_b():
+    rng = random.Random(46)
+    for _ in range(400):
+        n, k = rng.randint(0, 8), rng.randint(0, 3)
+        a = random_unimodular(rng, n, rng.randint(0, 3 * n))
+        b = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+        x = solve_unimodular(a, b)
+        assert x == oracle_mat_mul(inverse_unimodular(a), b)
+        assert oracle_mat_mul(a, x) == b
+
+
+def test_solve_unimodular_refuses_with_the_inverses_determinant():
+    rng = random.Random(47)
+    refused = 0
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        a = (sparse_matrix if rng.randrange(2) else rank_deficient)(rng, n, n, rng.choice((1, 2, 5)))
+        b = [[rng.randint(-9, 9)] for _ in range(n)]
+        want = inverse_or_det(inverse_unimodular, a)
+        got = inverse_or_det(lambda m: solve_unimodular(m, b), a)
+        if isinstance(want, tuple):
+            refused += 1
+            assert got == want and want[1] == frac_det(a), a
+        else:
+            assert got == oracle_mat_mul(want, b)
+    assert refused > 300
 
 
 def test_inverse_unimodular_roundtrip():
@@ -208,6 +269,35 @@ def test_det_int_stays_fast_on_a_dense_40_matrix():
     d = det_int(m)
     assert time.perf_counter() - start < 0.5
     assert d == frac_det(m)
+
+
+def dense_unimodular(rng, n, k=2):
+    """L U for unitriangular L and U with entries in [-k, k]: every entry
+    nonzero or nearly so, determinant 1, entries of at most about n k^2."""
+    low = [[rng.randint(-k, k) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    up = [[rng.randint(-k, k) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    return oracle_mat_mul(low, up)
+
+
+def test_mat_mul_stays_fast_on_dense_40_matrices():
+    """Skipping zero terms must not cost a dense product its speed."""
+    rng = random.Random(41)
+    a, b = ([[rng.randint(-3, 3) or 1 for _ in range(40)] for _ in range(40)] for _ in range(2))
+    start = time.perf_counter()
+    got = mat_mul(a, b)
+    assert time.perf_counter() - start < 0.5
+    assert got == oracle_mat_mul(a, b)
+
+
+def test_solve_unimodular_stays_fast_on_a_dense_40_matrix():
+    rng = random.Random(42)
+    a = dense_unimodular(rng, 40)
+    assert sum(x != 0 for row in a for x in row) > 1400
+    b = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(40)]
+    start = time.perf_counter()
+    x = solve_unimodular(a, b)
+    assert time.perf_counter() - start < 0.5
+    assert oracle_mat_mul(a, x) == b
 
 
 def test_inverse_unimodular_of_a_singular_matrix_reports_det_0():

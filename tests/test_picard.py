@@ -20,6 +20,7 @@ from partrans import (
 )
 from partrans.curve import CurveAutomorphism
 from partrans.errors import NotInvertible, ShapeMismatch
+from partrans.intmat import det_int, identity_matrix, inverse_unimodular, mat_add, mat_scale
 from partrans.picard import JacobianAutomorphism, apply_jac_aut, apply_jac_aut_line
 
 from conftest import model_cyclic3, model_elliptic2, model_order4, rand_jac, rand_tilde
@@ -181,6 +182,31 @@ def test_jac_aut_inverse_roundtrip():
             x = rand_jac(rng, 2, den=30)
             assert apply_jac_aut(inv, apply_jac_aut(rho, x)) == x
             assert apply_jac_aut(rho, apply_jac_aut(inv, x)) == x
+
+
+def test_jac_aut_inverse_solves_on_the_nonzero_rows_like_the_whole_inverse():
+    """Against ((id + rM)^{-1} - id) / r over the whole matrix, on parts
+    with and without zero rows up to 2g = 12; a trusted part whose id + rM
+    is not unimodular is refused with the whole matrix's determinant."""
+    rng = random.Random(33)
+    refused = 0
+    for _ in range(300):
+        dim, r = rng.choice((2, 4, 6, 12)), rng.choice((2, 3, 5))
+        m = rand_tilde(rng, dim, r, rng.choice((0, 3, 4 * dim)))
+        if rng.randrange(4) == 0:  # most likely not unimodular
+            m[rng.randrange(dim)][rng.randrange(dim)] += rng.choice((-1, 1))
+        full = mat_add(identity_matrix(dim), mat_scale(r, m))
+        try:
+            inv = inverse_unimodular(full)
+        except NotInvertible as err:
+            refused += 1
+            with pytest.raises(NotInvertible) as got:
+                jac_aut_inverse(JacobianAutomorphism(m, r))
+            assert got.value.det == err.det == det_int(full)
+            continue
+        want = [[(x - (i == j)) // r for j, x in enumerate(row)] for i, row in enumerate(inv)]
+        assert jac_aut_inverse(JacobianAutomorphism(m, r)).tilde == tuple(map(tuple, want))
+    assert refused > 20
 
 
 def test_fixed_r_torsion_pointwise():

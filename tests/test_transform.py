@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -44,6 +45,7 @@ from partrans import (
     subgroup_membership,
     t_d_quotient_reps,
 )
+from partrans import transform
 from partrans.transform import _word_of
 from partrans.weights import dual_weights, hecke_weights, is_generic
 from conftest import (
@@ -907,6 +909,53 @@ def oracle_stabilizer_xi(xi, model, cap=10**6):
                     }
                 )
     return {"total": len(sectors) * r**dim, "sectors": sectors}
+
+
+def two_reduction_stabilizer_xi(xi, model, cap=10**6):
+    """stabilizer_xi reducing each sector's class by from_nums and then its
+    root again in divide_by_r."""
+    r = model.rank
+    dim = 2 * model.genus
+    tuples = transform._hecke_tuples(model, cap)
+    q, sums = transform._hecke_class_sums(model)
+    names = model.point_names
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    sectors = []
+    for auto, s, group in transform._degree_sectors(model, xi.degree, tuples):
+        inv = model.automorphism(model.inverse_auto(auto.name))
+        jac = lincomb([(pullback(inv, xi), s), (xi, -1)]).jac
+        den = math.lcm(jac.den, q)
+        base = [x * (den // jac.den) for x in jac.nums]
+        scale = den // q
+        for k, ldeg, mults in group:
+            rhs = JacobianElement.from_nums([a + scale * b for a, b in zip(base, sums[k])], den)
+            root, torsor = divide_by_r(rhs, r)
+            sectors.append({
+                "sigma": auto.name,
+                "s": s,
+                "H": {names[i]: mults[i] for i in by_name if mults[i]},
+                "L_degree": ldeg,
+                "root": root.to_json(),
+                "torsor_size": torsor,
+            })
+    return {"total": len(sectors) * r**dim, "sectors": sectors}
+
+
+def test_stabilizer_roots_match_the_two_reduction_path(elliptic2, worked6, rng=random.Random(85)):
+    """The paper's two worked models at the trivial class, then random
+    classes of several denominators on them and on the sector models."""
+    cases = [(elliptic2, triv(elliptic2)), (worked6, triv(worked6))]
+    models = [elliptic2, worked6] + [_action_model(key) for key in _SECTOR_MODELS]
+    for m in models:
+        for den in (1, 2, 3, 5, 12, 35):
+            jac = JacobianElement(Fraction(rng.randrange(den), den) for _ in range(2 * m.genus))
+            cases.append((m, LineBundleClass(rng.randint(-4, 4), jac)))
+    nonzero = 0
+    for m, xi in cases:
+        got = stabilizer_xi(xi, m)
+        assert json.dumps(got) == json.dumps(two_reduction_stabilizer_xi(xi, m))
+        nonzero += sum(any(x != "0" for x in sec["root"]) for sec in got["sectors"])
+    assert nonzero > 1000  # most roots are not zero
 
 
 def _rep_texts(reps):
