@@ -557,6 +557,8 @@ def divisor_form(model, cls):
     form of least (l1 norm, lexicographic coefficient tuple); a class whose
     every form needs a coefficient beyond the bound gets the solver's form.
     """
+    if len(cls.jac) != 2 * model.genus:
+        raise ShapeMismatch(f"class coordinate length {len(cls.jac)} does not match 2g = {2 * model.genus}")
     solved = _solved_divisor_form(model, cls)
     if solved is None:
         return None

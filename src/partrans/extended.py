@@ -26,6 +26,8 @@ from .transform import (
     act_invariant,
     _chamber_sectors,
     _coordinate_text,
+    _degree_sectors,
+    _hecke_tuples,
     compose,
     describe,
     identity_transform,
@@ -222,8 +224,9 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
     """
     from .dsl import format_canonical
 
-    sectors = list(_chamber_sectors(d, alpha, model, cap))
-    regular = [verdict for *_, kept in sectors for verdict in kept]
+    kept = [{k for k, *_ in group} for *_, group in _chamber_sectors(d, alpha, model, cap)]
+    sectors = list(_degree_sectors(model, d, _hecke_tuples(model, cap)))
+    regular = [k in keep for (*_, group), keep in zip(sectors, kept) for k, *_ in group]
 
     def entry(t):
         rec = {
@@ -241,7 +244,7 @@ def automorphism_group_report(d, alpha, model, cap=DEFAULT_ENUM_CAP):
             )
         return rec
 
-    entries = [entry(t) for t in _sector_transforms(model, (sector[:3] for sector in sectors))]
+    entries = [entry(t) for t in _sector_transforms(model, sectors)]
     if model.endo_ring == "matrix":
         ring_desc = "all integer matrices M with det(I + rM) = +-1"
     else:

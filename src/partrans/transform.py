@@ -8,11 +8,13 @@ the move of a generator left past the factors of larger kind), so a word
 of n generators takes exactly n steps.
 
 The stabilizers run over the Hecke sectors: _degree_sectors is the one
-loop over (automorphism, sign, Hecke tuple), and _chamber_sectors filters
-it by the chamber of a generic weight system, on integers: a representative
-keeps alpha's subrank-1 floors exactly when it permutes the walls so as to
-keep alpha's lifted floors (each floor plus its digit sum), reflected as
-n(r - 1) - 1 - phi by the dual (see _chamber_sectors).
+loop over (automorphism, sign, Hecke tuple) for the listings, and
+_chamber_sectors keeps the sectors of a generic weight system's chamber
+without it, on integers: a representative keeps alpha's subrank-1 floors
+exactly when it permutes the walls so as to keep alpha's lifted floors
+(each floor plus its digit sum), reflected as n(r - 1) - 1 - phi by the
+dual. A sector's Hecke tuples send a pivot wall to distinct walls, so only
+the tuples that send it into its level are tested (see _chamber_sectors).
 """
 
 from .errors import (
@@ -35,6 +37,7 @@ from .weights import (
     WeightSystem,
     _act_vector,
     _sums,
+    _wall_at,
     _wall_count,
     _walls,
     is_generic,
@@ -349,7 +352,16 @@ def _fold(model, state, atoms):
 def normalize_word(model, atoms):
     """The canonical tuple of an arbitrary generator word, folded from the
     identity one atom at a time (see _fold); atoms may carry out-of-range
-    Hecke multiplicities."""
+    Hecke multiplicities. Every point an H atom names and every
+    automorphism an S atom names must be the model's, whatever the
+    multiplicity, else UnknownPoint or UnknownAutomorphism."""
+    atoms = list(atoms)
+    for atom in atoms:
+        if atom[0] == "H":
+            for x, _ in atom[1].items():
+                model.point(x)
+        elif atom[0] == "S":
+            model.automorphism(atom[1])
     return _fold(model, (None, 1, 0, (0,) * (2 * model.genus), 1, {}), atoms)
 
 
@@ -477,14 +489,19 @@ def subgroup_membership(t, d, xi=None, alpha=None, cap=DEFAULT_ENUM_CAP):
 # -- stabilizers ---------------------------------------------------------
 
 
-def _hecke_tuples(model, cap):
-    """Every in-range Hecke multiplicity tuple over model.point_names, in
-    lexicographic order."""
+def _hecke_count(model, cap):
+    """The model's point count n, once its r^n Hecke tuples are within cap."""
     n = len(model.points)
     count = model.rank**n
     if count > cap:
         raise EnumerationCapExceeded(count, cap, "hecke sectors")
-    return list(itertools.product(range(model.rank), repeat=n))
+    return n
+
+
+def _hecke_tuples(model, cap):
+    """Every in-range Hecke multiplicity tuple over model.point_names, in
+    lexicographic order."""
+    return list(itertools.product(range(model.rank), repeat=_hecke_count(model, cap)))
 
 
 def _degree_sectors(model, d, tuples):
@@ -593,15 +610,58 @@ def t_d_quotient_reps(d, model, cap=DEFAULT_ENUM_CAP):
     return list(_sector_transforms(model, _degree_sectors(model, d, _hecke_tuples(model, cap))))
 
 
+def _lifted_floors(alpha):
+    """(phi, first): alpha's lifted floors in wall order (see
+    _chamber_sectors), and the index of its first integral subrank-1 wall,
+    or None. They meet in the middle: with a and t the lifted sums over the
+    first half of alpha's points and over the rest, floor((a + t) / q) is
+    a's floor plus t's, plus one when their residues reach q."""
+    q, h = alpha.q, len(alpha.rows) // 2
+    lifted = [[v + q * i for i, v in enumerate(row)] for row in _walls(alpha).rows(1)]
+    tails = [divmod(t, q) for t in _sums(lifted[h:])]
+    residues = {t for _, t in tails}
+    phi, first = [], None
+    for j, a in enumerate(_sums(lifted[:h])):
+        f, c = divmod(a, q)
+        c = q - c
+        if first is None and c % q in residues:
+            first = j * len(tails) + [t for _, t in tails].index(c % q)
+        phi += [f + g + (t >= c) for g, t in tails]
+    return phi, first
+
+
+def _refuse_group(names, outside, b, missing, count, cap):
+    """Raise what the first refusing representative of the bucket-b group
+    would: per tuple in lexicographic order, UnknownPoint for its first
+    nonzero digit at a model point outside alpha (`outside`, ascending
+    indices), then UnknownPoint for a sigma-image outside alpha
+    (`missing`), then the walls cap. The bucket's first tuple is b at the
+    last point. Its first tuple with a digit outside alpha is 1 at the last
+    outside point and b - 1 at the last point, or, when the last point is
+    outside and b is 0, 1 and r - 1 at the last two points; a one-point
+    bucket 0 has none."""
+    n = len(names)
+    if b and outside and outside[-1] == n - 1:
+        raise UnknownPoint(names[-1])
+    if missing is not None:
+        raise UnknownPoint(missing)
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap, "walls")
+    if outside and n > 1:
+        i = outside[-1]
+        raise UnknownPoint(names[n - 2 if i == n - 1 and n - 2 in outside else i])
+
+
 def _chamber_sectors(d, alpha, model, cap):
-    """The sectors of the degree-d stabilizer with their chamber verdicts:
-    per (automorphism, s, group) of _degree_sectors, in order,
-    (automorphism, s, group, kept) where kept[k] is
-    same_chamber(act_weights(t, alpha), alpha, cap) for the representative
-    t of group[k]; a line part does not act on weights. alpha of another
-    rank, a non-generic alpha and too many Hecke tuples raise first, in
-    that order; then each representative raises what act_weights and then
-    same_chamber would.
+    """The sectors of the degree-d stabilizer that keep alpha's chamber: per
+    (automorphism, s) of _degree_sectors, in order, (automorphism, s, kept),
+    where kept holds the (k, L degree, tuple) of the group whose
+    representative t has same_chamber(act_weights(t, alpha), alpha, cap),
+    in the group's order; a line part does not act on weights. alpha of
+    another rank, a non-generic alpha and too many Hecke tuples raise
+    first, in that order; then each group raises what act_weights and then
+    same_chamber would for its first representative that raises (see
+    _refuse_group).
 
     The lifted-floor rule: with rows1 alpha's subrank-1 wall rows over q
     and D a wall's digits, one per point of alpha, the lifted floor
@@ -618,76 +678,109 @@ def _chamber_sectors(d, alpha, model, cap):
     rank a tuple that passes is kept when its acted rows are alpha's, or
     else when same_chamber says so.
 
-    Per (automorphism, s), one _sums pass over the model's points gives
-    E's index at a pivot wall D0 for every Hecke tuple, D0 being the first
-    wall of the value fewest E can match; the tuples that pass there are
-    compared a block of walls sharing a head at a time.
+    Only the tuples a pivot wall admits are tested. For a fixed
+    (sigma, s), H -> E is one-to-one at any wall D0, so the tuples that
+    keep phi at D0 are the preimages of D0's level: the walls E whose phi
+    is the value the rule asks of E there. Per sign, D0 is the first wall
+    of the value whose level is smallest, and the level is listed once per
+    call, keeping the members whose digit sum puts |H| in the sign's
+    bucket. Per automorphism, each member decodes digit by digit into its
+    one tuple, a candidate when it takes no step at alpha's points outside
+    the model. A candidate that acts as the identity is kept. Any other is
+    tested at the walls one digit away from the pivot; it is then kept if
+    its acted rows are alpha's, and else compared a block of walls sharing
+    a head at a time.
     """
     _check_weights_rank(alpha, model)
-    ok, witness = is_generic(alpha, cap)
-    if not ok:
-        raise NotGeneric(witness)
-    tuples = _hecke_tuples(model, cap)
-    ints, q, r = dict(zip(alpha.point_names, alpha.rows)), alpha.q, model.rank
-    n, count = len(ints), _wall_count(alpha)
-    index = {x: i for i, x in enumerate(model.point_names)}
-    outside = [(i, x) for x, i in index.items() if x not in ints]
+    names, r = model.point_names, model.rank
+    ints, q = dict(zip(alpha.point_names, alpha.rows)), alpha.q
+    count = _wall_count(alpha)
     if 0 < count <= cap:
-        rows1 = _walls(alpha).rows(1)
-        phi = [v // q for v in _sums([[v + q * i for i, v in enumerate(row)] for row in rows1])]
-        place, h = {x: r ** (n - 1 - a) for a, x in enumerate(ints)}, n // 2
-        blocks = [phi[j:j + r ** (n - h)] for j in range(0, len(phi), r ** (n - h))]
-        top, levels = n * (r - 1) - 1, Counter(phi)
-        tables = {1: phi, -1: [top - v for v in phi]}
-        pivots = {1: phi.index(min(levels, key=levels.get)),
-                  -1: phi.index(min(levels, key=lambda v: levels.get(top - v, 0)))}
-    for auto, s, group in _degree_sectors(model, d, tuples):
+        phi, wall = _lifted_floors(alpha)
+    if 0 < count <= cap and r <= 3:
+        # the subrank-1 walls are all that is_generic reads at r <= 3
+        if wall is not None:
+            raise NotGeneric(_wall_at(alpha, 1, wall))
+    else:
+        ok, witness = is_generic(alpha, cap)
+        if not ok:
+            raise NotGeneric(witness)
+    n = _hecke_count(model, cap)
+    index = {x: i for i, x in enumerate(names)}
+    outside = [i for x, i in index.items() if x not in ints]
+    if 0 < count <= cap:
+        places = [r ** a for a in range(len(ints) - 1, -1, -1)]
+        position = {x: a for a, x in enumerate(ints)}
+        top, h = len(ints) * (r - 1) - 1, len(ints) // 2
+        width = r ** (len(ints) - h)
+        pivots, tables, levels = {}, {1: phi}, Counter(phi)
+        for s, rot in ((1, range(r)), (-1, range(r - 1, -1, -1))):
+            # the lifted floor a wall's image must have; the pivot is the first
+            # wall of the value with the fewest such images
+            image = (lambda v: v) if s == 1 else (lambda v: top - v)
+            v0 = min(levels, key=lambda v: levels.get(image(v), 0))
+            d0 = phi.index(v0)
+            at0 = [rot[d0 // p % r] for p in places]
+            # |H| is E's digit sum less at0's, mod r, once no step falls outside the model
+            residue = (d - s * d + sum(at0)) % r
+            level, e = [], -1
+            for _ in range(levels.get(image(v0), 0)):
+                e = phi.index(image(v0), e + 1)
+                digits = [e // p % r for p in places]
+                if sum(digits) % r == residue:
+                    level.append((e, digits))
+            # the walls one digit away from the pivot: alpha's point, the digit
+            # there, turned as the sign turns it, and the floor its image must have
+            near = [(a, rot[t], image(phi[d0 + (t - d0 // p % r) * p]))
+                    for a, p in enumerate(places) for t in range(r) if t != d0 // p % r]
+            pivots[s] = rot, at0, level, near
+    for auto in model.automorphisms:
         src = [auto.point_perm.get(y, y) for y in ints]
         missing = next((x for x in src if x not in ints), None)
         if missing is None and 0 < count <= cap:
-            table, pivot = tables[s], pivots[s]
-            # lanes[y][k][D_y]: the place of sigma(y) in E times its digit there after k steps
-            lanes = [[row[j:] + row[:j] for j in range(0, s * r, s)]
-                     for row in (list(range(0, r * place[x], place[x]))[::s] for x in src)]
-            positions = [index.get(x) for x in src]
-            base, columns = 0, [[0] * r for _ in index]
-            for i, lane, y in zip(positions, lanes, ints):
-                digit = pivot // place[y] % r
-                if i is None:
-                    base += lane[0][digit]
-                else:
-                    columns[i] = [row[digit] for row in lane]
-            at_pivot = _sums(columns)
-        kept = []
-        for k, _, mults in group:
-            for i, x in outside:
-                if mults[i]:
-                    raise UnknownPoint(x)
-            if missing is not None:
-                raise UnknownPoint(missing)
-            if count > cap:
-                raise EnumerationCapExceeded(count, cap, "walls")
-            if not count or table[base + at_pivot[k]] != phi[pivot]:
-                kept.append(not count)
-                continue
-            steps = [0 if i is None else mults[i] for i in positions]
-            rows = list(map(list.__getitem__, lanes, steps))
-            tails = _sums(rows[h:])
-            keeps = all([table[a + t] for t in tails] == block for a, block in zip(_sums(rows[:h]), blocks))
-            if keeps and r > 3:
-                acted = tuple(tuple(_act_vector(ints[x], step, s, q)) for x, step in zip(src, steps))
-                keeps = acted == alpha.rows or same_chamber(
-                    WeightSystem._of_rows(alpha.point_names, q, acted, alpha.rank), alpha, cap)
-            kept.append(keeps)
-        yield auto, s, group, kept
+            pos = [position[x] for x in src]
+            lanes = [places[j] for j in pos]
+            stray = [a for a, x in enumerate(src) if x not in index]
+            fixed = src == list(ints)
+        for s in (1, -1):
+            b = (d - s * d) % r
+            if n or not b:
+                _refuse_group(names, outside, b, missing, count, cap)
+            if not n and b:
+                kept = []
+            elif not count:
+                kept = [(0, (s * d - d) // r, (0,) * n)]
+            else:
+                kept = []
+                rot, at0, level, near = pivots[s]
+                for e, digits in level:
+                    steps = [(digits[j] - c) % r for j, c in zip(pos, at0)]
+                    if stray and any(steps[a] for a in stray):
+                        continue
+                    if not (fixed and s == 1 and not any(steps)):  # else t acts as the identity
+                        if any(phi[e + lanes[a] * ((c + steps[a]) % r - digits[pos[a]])] != v for a, c, v in near):
+                            continue
+                        acted = tuple(tuple(_act_vector(ints[x], k, s, q)) for x, k in zip(src, steps))
+                        if acted != alpha.rows:  # else t fixes alpha
+                            table = tables.get(s) or tables.setdefault(s, [top - v for v in phi])
+                            rows = [[p * ((c + k) % r) for c in rot] for p, k in zip(lanes, steps)]
+                            tails = _sums(rows[h:])
+                            if not all([table[a + t] for t in tails] == phi[j:j + width]
+                                       for j, a in zip(range(0, len(phi), width), _sums(rows[:h]))):
+                                continue
+                            if r > 3 and not same_chamber(
+                                    WeightSystem._of_rows(alpha.point_names, q, acted, alpha.rank), alpha, cap):
+                                continue
+                    hecke, k = tuple(steps[src.index(x)] if x in ints else 0 for x in names), 0
+                    for v in hecke:
+                        k = k * r + v
+                    kept.append((k, (s * d - d + sum(hecke)) // r, hecke))
+                kept.sort()
+            yield auto, s, kept
 
 
 def stabilizer_d_alpha_quotient(d, alpha, model, cap=DEFAULT_ENUM_CAP):
     """Chamber-filtered representatives of the degree stabilizer (see
     _chamber_sectors); a representative is built only for a sector the
     filter keeps."""
-    kept = (
-        (auto, s, list(itertools.compress(group, keeps)))
-        for auto, s, group, keeps in _chamber_sectors(d, alpha, model, cap)
-    )
-    return list(_sector_transforms(model, kept))
+    return list(_sector_transforms(model, _chamber_sectors(d, alpha, model, cap)))

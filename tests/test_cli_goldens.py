@@ -5,7 +5,10 @@ its stdout, stderr and exit code must equal the recorded ones in
 tests/golden/walls/cases.json. The inputs cover ranks 3 to 6 on genus-1
 models with cyclic automorphism tables: generic systems, a system moved by
 a few millionths (same chamber), another chamber, systems on a wall of
-subrank 1 and of the middle subrank, and runs stopped by --enum-cap.
+subrank 1 and of the middle subrank, and runs stopped by --enum-cap. The
+chamber-filtered stabilizer and the automorphism report also run at every
+degree -3..3 on plain rank-3 models of 4, 5 and 6 points, a two-orbit
+table and a plain rank-4 model, under a generic and a symmetric system.
 
 To rebuild the inputs and the goldens from the code under src/:
 
@@ -13,6 +16,7 @@ To rebuild the inputs and the goldens from the code under src/:
 """
 
 import functools
+import hashlib
 import io
 import json
 import sys
@@ -47,6 +51,55 @@ def _cyclic_model(rank, names, jacs, translation):
         "points": [{"name": x, "jac": jac} for x, jac in zip(names, jacs)],
         "automorphisms": autos,
     }
+
+
+def _plain_model(rank, n):
+    """Genus 1, the trivial table: point x_k at (k/7, k^2 mod 5 / 5)."""
+    return {
+        "genus": 1,
+        "rank": rank,
+        "degree": 0,
+        "points": [{"name": f"x{k}", "jac": [f"{k}/7", f"{k * k % 5}/5"]} for k in range(n)],
+    }
+
+
+def _two_orbit_model(rank):
+    """Genus 1, an order-2 translation by 1/2 along the first coordinate
+    swapping the points of each of two orbits."""
+    names = [["a0", "a1"], ["b0", "b1"]]
+    return {
+        "genus": 1,
+        "rank": rank,
+        "degree": 0,
+        "points": [{"name": names[o][k], "jac": [f"{k}/2", f"{o}/3"]} for o in range(2) for k in range(2)],
+        "automorphisms": [
+            {"name": "id", "perm": {}, "matrix": [[1, 0], [0, 1]], "translation": ["0", "0"]},
+            {"name": "tau", "perm": {"a0": "a1", "a1": "a0", "b0": "b1", "b1": "b0"},
+             "matrix": [[1, 0], [0, 1]], "translation": ["1/2", "0"]},
+        ],
+    }
+
+
+def _generic(names, rank):
+    """Point k on (0, k + 3, 3k + 10, 7k + 24)[:rank] over the k-th prime
+    from 97: no wall is integral, as no point's wall entries vanish mod
+    its prime."""
+    primes = [97, 101, 103, 107, 109, 113, 127]
+    return {x: ["0"] + [f"{a}/{p}" for a in (k + 3, 3 * k + 10, 7 * k + 24)[:rank - 1]]
+            for k, (x, p) in enumerate(zip(names, primes))}
+
+
+def _symmetric(names, rank, same):
+    """The first `same` points on (0, 3, 10, 24)[:rank] over 101, which
+    keeps every wall off the integers; the next two on
+    (0, 1/r, ..., (r - 1)/r), which Hecke steps and the dual keep; the
+    rest on one row over 7."""
+    row = ["0"] + [f"{j}/{rank}" for j in range(1, rank)]
+    first = ["0"] + [f"{a}/101" for a in (3, 10, 24)[:rank - 1]]
+    vecs = {x: first for x in names[:same]}
+    vecs.update({x: row for x in names[same:same + 2]})
+    vecs.update({x: ["0"] + [f"{a}/7" for a in (1, 5, 6)[:rank - 1]] for x in names[same + 2:]})
+    return vecs
 
 
 def _nearby(vecs, num=1, den=1000003):
@@ -94,6 +147,22 @@ INPUTS = {
                       "c1": ["0", "1/12", "1/4", "1/3", "1/2", "7/12"]},
 }
 
+# the chamber-filtered stabilizer and the automorphism report at every
+# degree -3..3: model file -> weights files
+FILTER_INPUTS = {
+    **{f"model_r3n{n}.json": _plain_model(3, n) for n in (4, 5, 6)},
+    "model_r3c2x2.json": _two_orbit_model(3),
+    "model_r4n3.json": _plain_model(4, 3),
+}
+for _name, _doc in list(FILTER_INPUTS.items()):
+    _names, _rank = [p["name"] for p in _doc["points"]], _doc["rank"]
+    _stem = _name[len("model_"):-len(".json")]
+    FILTER_INPUTS[f"{_stem}_a.json"] = _generic(_names, _rank)
+    FILTER_INPUTS[f"{_stem}_sym.json"] = _symmetric(_names, _rank, 2 if "c2" in _stem else 1)
+INPUTS.update(FILTER_INPUTS)
+FILTERED = [(name, [w for w in FILTER_INPUTS if w.startswith(name[len("model_"):-len(".json")] + "_")])
+            for name in FILTER_INPUTS if name.startswith("model_")]
+
 
 def _cases():
     out = []
@@ -126,17 +195,30 @@ def _cases():
         # past the Hecke-tuple count, then past the wall count only
         out.append(["stabilizer", "d-alpha", *model, "--enum-cap", "5", "--degree", "0", "--weights", a])
         out.append(["aut-report", *model, "--json", "--enum-cap", "30", "--degree", "0", "--weights", a])
+    for model, weights in FILTERED:
+        for d in range(-3, 4):
+            for w in weights:
+                out.append(["stabilizer", "d-alpha", "--model", model, "--degree", str(d), "--weights", w])
+                out.append(["aut-report", "--model", model, "--json", "--degree", str(d), "--weights", w])
     return out
 
 
 CASES = _cases()
 
 
+# a longer stdout, such as a report listing hundreds of sectors, is
+# recorded as its SHA-256
+MAX_RECORDED = 16384
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = run_command(list(argv))
-    return {"argv": list(argv), "exit": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    stdout = out.getvalue()
+    if len(stdout) > MAX_RECORDED:
+        stdout = "sha256:" + hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    return {"argv": list(argv), "exit": rc, "stdout": stdout, "stderr": err.getvalue()}
 
 
 @functools.lru_cache(maxsize=None)

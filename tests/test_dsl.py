@@ -299,6 +299,13 @@ def test_format_prefers_small_divisors(elliptic2):
     assert divisor_form(m, cls) == {"q": 1}
 
 
+@pytest.mark.parametrize("coords", [[0, 0, 0, 0], [Fraction(1, 2)], []])
+def test_divisor_form_refuses_a_class_of_the_wrong_length(elliptic2, g1r3n0, coords):
+    for m in (elliptic2, g1r3n0):
+        with pytest.raises(ShapeMismatch, match=f"class coordinate length {len(coords)} does not match 2g = 2"):
+            divisor_form(m, LineBundleClass(1, JacobianElement(coords)))
+
+
 def test_divisor_form_high_degree_uses_solver(order4):
     m = order4
     cls = LineBundleClass(20, JacobianElement([0, 0]))

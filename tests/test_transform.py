@@ -5,6 +5,8 @@ import json
 import math
 import random
 import time
+from collections import Counter
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,7 @@ from partrans import (
     identity_transform,
     inverse,
     lincomb,
+    load_config,
     make_basic,
     normalize_word,
     of_divisor,
@@ -45,7 +48,7 @@ from partrans import (
     subgroup_membership,
     t_d_quotient_reps,
 )
-from partrans import transform
+from partrans import transform, weights
 from partrans.transform import _word_of
 from partrans.weights import dual_weights, hecke_weights, is_generic
 from conftest import (
@@ -183,6 +186,29 @@ def test_negative_hecke_splits(elliptic2):
     t = normalize_word(m, [("H", Divisor({"p": -1}))])
     want = basic(m, line=m.point_class("p"), hecke={"p": 1})
     assert t == want
+
+
+def _golden_g1():
+    return load_config((Path(__file__).parent / "golden" / "model_g1.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("mult", [1, 2, 0, -1])
+def test_normalize_word_refuses_hecke_points_outside_the_model(mult):
+    # a multiplicity below the rank carries nothing into L, and is refused all the same
+    m = _golden_g1()
+    with pytest.raises(UnknownPoint) as err:
+        normalize_word(m, [("H", {"zz": mult})])
+    assert err.value.name == "zz"
+    with pytest.raises(UnknownPoint):
+        normalize_word(m, [("H", Divisor({"p": 1})), ("D",), ("H", {"p": 1, "zz": mult})])
+
+
+def test_normalize_word_refuses_unknown_automorphisms():
+    m = _golden_g1()
+    with pytest.raises(UnknownAutomorphism):
+        normalize_word(m, [("S", "bogus")])
+    # words from a generator are read once
+    assert normalize_word(m, iter([("D",), ("D",)])).is_identity()
 
 
 def test_dual_tensor_interchange(elliptic2, rng=random.Random(72)):
@@ -530,10 +556,78 @@ def oracle_act_weights(t, w):
     return out
 
 
-def oracle_chamber_filter(reps, alpha):
+def oracle_chamber_filter(reps, alpha, cap=10**6):
     """The representatives whose stepwise action keeps alpha's chamber,
     compared over every subrank."""
-    return [rep for rep in reps if full_same_chamber(oracle_act_weights(rep, alpha), alpha)]
+    return [rep for rep in reps if full_same_chamber(oracle_act_weights(rep, alpha), alpha, cap)]
+
+
+def full_scan_chamber_filter(d, alpha, model, cap=10**6):
+    """The representatives the chamber filter keeps, found by looking every
+    Hecke tuple up at a pivot wall: per (automorphism, sign) sector, each
+    of the r^n tuples in its degree bucket is tested there, in order, and
+    those that pass are compared a block of walls at a time. It raises
+    what stabilizer_d_alpha_quotient raises first, at r^n steps per
+    sector."""
+    transform._check_weights_rank(alpha, model)
+    ok, witness = is_generic(alpha, cap)
+    if not ok:
+        raise NotGeneric(witness)
+    tuples = transform._hecke_tuples(model, cap)
+    groups = []
+    ints, q, r = dict(zip(alpha.point_names, alpha.rows)), alpha.q, model.rank
+    n, count = len(ints), weights._wall_count(alpha)
+    index = {x: i for i, x in enumerate(model.point_names)}
+    outside = [(i, x) for x, i in index.items() if x not in ints]
+    if 0 < count <= cap:
+        rows1 = weights._walls(alpha).rows(1)
+        phi = [v // q for v in weights._sums([[v + q * i for i, v in enumerate(row)] for row in rows1])]
+        place, h = {x: r ** (n - 1 - a) for a, x in enumerate(ints)}, n // 2
+        blocks = [phi[j:j + r ** (n - h)] for j in range(0, len(phi), r ** (n - h))]
+        top, levels = n * (r - 1) - 1, Counter(phi)
+        tables = {1: phi, -1: [top - v for v in phi]}
+        pivots = {1: phi.index(min(levels, key=levels.get)),
+                  -1: phi.index(min(levels, key=lambda v: levels.get(top - v, 0)))}
+    for auto, s, group in transform._degree_sectors(model, d, tuples):
+        src = [auto.point_perm.get(y, y) for y in ints]
+        missing = next((x for x in src if x not in ints), None)
+        if missing is None and 0 < count <= cap:
+            table, pivot = tables[s], pivots[s]
+            # lanes[y][k][D_y]: the place of sigma(y) in E times its digit there after k steps
+            lanes = [[row[j:] + row[:j] for j in range(0, s * r, s)]
+                     for row in (list(range(0, r * place[x], place[x]))[::s] for x in src)]
+            positions = [index.get(x) for x in src]
+            base, columns = 0, [[0] * r for _ in index]
+            for i, lane, y in zip(positions, lanes, ints):
+                digit = pivot // place[y] % r
+                if i is None:
+                    base += lane[0][digit]
+                else:
+                    columns[i] = [row[digit] for row in lane]
+            at_pivot = weights._sums(columns)
+        kept = []
+        for k, _, mults in group:
+            for i, x in outside:
+                if mults[i]:
+                    raise UnknownPoint(x)
+            if missing is not None:
+                raise UnknownPoint(missing)
+            if count > cap:
+                raise EnumerationCapExceeded(count, cap, "walls")
+            if not count or table[base + at_pivot[k]] != phi[pivot]:
+                kept.append(not count)
+                continue
+            steps = [0 if i is None else mults[i] for i in positions]
+            rows = list(map(list.__getitem__, lanes, steps))
+            tails = weights._sums(rows[h:])
+            keeps = all([table[a + t] for t in tails] == block for a, block in zip(weights._sums(rows[:h]), blocks))
+            if keeps and r > 3:
+                acted = tuple(tuple(weights._act_vector(ints[x], step, s, q)) for x, step in zip(src, steps))
+                keeps = acted == alpha.rows or same_chamber(
+                    WeightSystem._of_rows(alpha.point_names, q, acted, alpha.rank), alpha, cap)
+            kept.append(keeps)
+        groups.append((auto, s, list(itertools.compress(group, kept))))
+    return list(transform._sector_transforms(model, groups))
 
 
 # point-relabelling tables at ranks 2-4, and a trivial one
@@ -657,6 +751,23 @@ def test_d_alpha_quotient_rank3_six_points_is_fast():
         calls=1,
     )
     assert best < 60
+
+
+def test_d_alpha_quotient_keeps_a_large_stabilizer_fast():
+    # nine of ten points on (0, 1/3, 2/3), which every Hecke step keeps: the
+    # 3^8 sectors with |H| = 0 mod 3 on those points act as the identity on
+    # alpha and are kept without a wall scan. About 0.35 s on a shared
+    # 2-core host with Python 3.11, against 24 s for the full scan, which
+    # checks each kept tuple over all 3^10 walls
+    m = _action_model(("plain", 10, 3))
+    first, *rest = m.point_names
+    alpha = WeightSystem({first: (0, Fraction(3, 101), Fraction(10, 101)),
+                          **{x: (0, Fraction(1, 3), Fraction(2, 3)) for x in rest}}, 3)
+    start = time.perf_counter()
+    kept = stabilizer_d_alpha_quotient(0, alpha, m)
+    assert time.perf_counter() - start < 5
+    assert len(kept) == 3**8
+    assert all(t.s == 1 and not t.hecke.get(first) and t.hecke.degree() % 3 == 0 for t in kept)
 
 
 def test_act_invariant_homomorphism(cyclic3, involution, order4):
@@ -1012,6 +1123,7 @@ def test_chamber_filter_matches_oracle_filter(key, d, seed):
     alpha = rand_generic_weights(rng, m)
     want = oracle_chamber_filter(t_d_quotient_reps(d, m), alpha)
     assert _rep_texts(stabilizer_d_alpha_quotient(d, alpha, m)) == _rep_texts(want)
+    assert _rep_texts(full_scan_chamber_filter(d, alpha, m)) == _rep_texts(want)
     den = rng.choice((2, 3, 4)) * m.rank
     w = WeightSystem(
         {x: (0,) + tuple(Fraction(k, den) for k in sorted(rng.sample(range(1, den), m.rank - 1)))
@@ -1030,20 +1142,52 @@ def _outcome(fn):
         return type(exc).__name__, str(exc)
 
 
-def test_sector_filter_raises_like_the_old_loop(rng=random.Random(89)):
-    """Weights on fewer or more points than the model: the filter on sector
-    tuples raises what the stepwise action over the old representatives
-    raises first, or keeps the same representatives."""
-    for key in (("cyclic", 3, 3), ("cyclic", 2, 4), ("plain", 3, 3), ("plain", 3, 2), ("rotation", 4, 2)):
+def _foreign_point_cases(rng):
+    """(model, alpha) pairs where alpha and the model's points differ:
+    alpha misses the last, the first, a middle or all but one of the
+    model's points (so some sigma-images fall outside alpha on the
+    permuting tables), carries two points the model lacks, both, only
+    those, or none; and the pointless model under alpha with points and
+    without."""
+    cases = []
+    for key in (("cyclic", 3, 3), ("cyclic", 2, 4), ("plain", 3, 3), ("plain", 3, 2), ("rotation", 4, 2),
+                ("cyclic", 4, 3), ("plain", 1, 3)):
         m = _action_model(key)
-        full = rand_generic_weights(rng, m)
-        extra = WeightSystem(
-            full.entries + (("zy", full.entries[0][1]), ("zz", full.entries[-1][1])), m.rank
-        )
-        for alpha in (WeightSystem(full.entries[:-1], m.rank), extra):
-            for d in (0, 1):
-                want = _outcome(lambda: oracle_chamber_filter(oracle_t_d_quotient_reps(d, m), alpha))
-                assert _outcome(lambda: stabilizer_d_alpha_quotient(d, alpha, m)) == want
+        entries = rand_generic_weights(rng, m).entries
+        extra = (("zy", entries[0][1]), ("zz", entries[-1][1]))
+        for sub in (entries[:-1], entries[1:], entries[:1] + entries[2:], entries[:1], entries + extra,
+                    entries[1:] + extra, extra, ()):
+            alpha = WeightSystem(sub, m.rank)
+            if is_generic(alpha)[0]:
+                cases.append((m, alpha))
+    pointless = model_g1r3n0()
+    extra = WeightSystem({"zy": (0, Fraction(2, 97), Fraction(51, 101)),
+                          "zz": (0, Fraction(30, 103), Fraction(77, 107))}, 3)
+    assert is_generic(extra)[0]
+    return cases + [(pointless, WeightSystem((), 3)), (pointless, extra)]
+
+
+def test_sector_filter_raises_like_the_old_loop(rng=random.Random(89)):
+    """Weights on fewer or more points than the model, the pointless model,
+    and caps of 1 and 26 that stop the Hecke tuples or the walls: the
+    filter keeps the same representatives as the stepwise action over the
+    old representatives and as the full scan, or raises the same first
+    error, by type and message, at every degree -3..3."""
+    outcomes = []
+    for m, alpha in _foreign_point_cases(rng):
+        for d in range(-3, 4):
+            for cap in (10**6, 1, 26):
+                want = _outcome(lambda: full_scan_chamber_filter(d, alpha, m, cap))
+                assert _outcome(lambda: stabilizer_d_alpha_quotient(d, alpha, m, cap)) == want
+                stepwise = _outcome(lambda: oracle_chamber_filter(oracle_t_d_quotient_reps(d, m, cap), alpha, cap))
+                assert stepwise == want
+                outcomes.append(want if isinstance(want, tuple) else ("kept", len(want)))
+    # every refusal shows up, and kept lists of one representative and of more
+    kinds = {o[0] for o in outcomes}
+    assert {"UnknownPoint", "EnumerationCapExceeded", "kept"} <= kinds
+    assert any("(walls)" in o[1] for o in outcomes if o[0] == "EnumerationCapExceeded")
+    assert any("(hecke sectors)" in o[1] for o in outcomes if o[0] == "EnumerationCapExceeded")
+    assert {1, 2} <= {o[1] for o in outcomes if o[0] == "kept"}
     # weights of another rank are refused before any sector is tested
     m = _action_model(("cyclic", 3, 3))
     for rank in (2, 4):
@@ -1056,6 +1200,51 @@ def test_sector_filter_raises_like_the_old_loop(rng=random.Random(89)):
     with pytest.raises(EnumerationCapExceeded) as err:
         stabilizer_d_alpha_quotient(0, alpha, m, cap=26)
     assert (err.value.count, err.value.what) == (27, "hecke sectors")
+
+
+def _symmetric_weights(rng, model, invariant):
+    """A generic alpha on the model's points: the first on a row over a
+    prime near 100, the next `invariant` on (0, 1/r, ..., (r - 1)/r),
+    which Hecke steps and the dual keep, and the rest on one shared row
+    over 7. Its stabilizer keeps about r^invariant representatives."""
+    r = model.rank
+
+    def row(den):
+        return (0,) + tuple(Fraction(k, den) for k in sorted(rng.sample(range(1, den), r - 1)))
+
+    first, *rest = model.point_names
+    for _ in range(200):
+        shared = row(7)
+        alpha = WeightSystem({first: row(rng.choice((97, 101, 103))),
+                              **{x: tuple(Fraction(k, r) for k in range(r)) if i < invariant else shared
+                                 for i, x in enumerate(rest)}}, r)
+        if is_generic(alpha)[0]:
+            return alpha
+    raise AssertionError("no generic symmetric system drawn")
+
+
+# past the stepwise oracle's reach: rank 3 at 9-11 points and rank 4 at
+# 6-7, on trivial and permuting tables; (model, generic draws, symmetric
+# draws), each symmetric one with two invariant points
+_LARGE_FILTER_MODELS = [
+    (("plain", 9, 3), 2, 2), (("plain", 10, 3), 2, 1), (("plain", 11, 3), 1, 0), (("cyclic", 9, 3), 1, 1),
+    (("plain", 6, 4), 2, 1), (("plain", 7, 4), 1, 1), (("cyclic", 6, 4), 1, 1), (("orbits", 4, 3), 2, 1),
+]
+
+
+def test_chamber_filter_matches_full_scan_on_large_models(rng=random.Random(93)):
+    """The level candidates against the full scan of every Hecke tuple, on
+    generic and on symmetric weights: the same kept representatives. The
+    draws are not vacuous: every symmetric one keeps several."""
+    for key, generic, symmetric in _LARGE_FILTER_MODELS:
+        m = _cyclic_orbits_model(3, 2, key[1]) if key[0] == "orbits" else _action_model(key)
+        alphas = [rand_generic_weights(rng, m) for _ in range(generic)]
+        alphas += [_symmetric_weights(rng, m, 2) for _ in range(symmetric)]
+        for k, alpha in enumerate(alphas):
+            d = rng.randint(-3, 3)
+            want = full_scan_chamber_filter(d, alpha, m)
+            assert _rep_texts(stabilizer_d_alpha_quotient(d, alpha, m)) == _rep_texts(want)
+            assert len(want) >= (2 if k >= generic else 1)
 
 
 # ranks 2-6 on plain, cyclic and rotation tables, small enough for the oracle
@@ -1104,6 +1293,7 @@ def test_chamber_filter_matches_oracle_on_symmetric_weights():
         m, d, alpha = case
         want = _outcome(lambda: oracle_chamber_filter(oracle_t_d_quotient_reps(d, m), alpha))
         assert _outcome(lambda: stabilizer_d_alpha_quotient(d, alpha, m)) == want
+        assert _outcome(lambda: full_scan_chamber_filter(d, alpha, m)) == want
         kept.append(len(want) if isinstance(want, list) else 0)
 
     check()
