@@ -37,7 +37,6 @@ from .weights import (
     WeightSystem,
     _act_vector,
     _sums,
-    _wall_at,
     _wall_count,
     _walls,
     is_generic,
@@ -611,23 +610,16 @@ def t_d_quotient_reps(d, model, cap=DEFAULT_ENUM_CAP):
 
 
 def _lifted_floors(alpha):
-    """(phi, first): alpha's lifted floors in wall order (see
-    _chamber_sectors), and the index of its first integral subrank-1 wall,
-    or None. They meet in the middle: with a and t the lifted sums over the
-    first half of alpha's points and over the rest, floor((a + t) / q) is
-    a's floor plus t's, plus one when their residues reach q."""
+    """alpha's lifted floors in wall order (see _chamber_sectors), met in
+    the middle: each is the floor over q of a lifted sum over the first
+    half of alpha's points plus one over the rest."""
     q, h = alpha.q, len(alpha.rows) // 2
     lifted = [[v + q * i for i, v in enumerate(row)] for row in _walls(alpha).rows(1)]
-    tails = [divmod(t, q) for t in _sums(lifted[h:])]
-    residues = {t for _, t in tails}
-    phi, first = [], None
-    for j, a in enumerate(_sums(lifted[:h])):
-        f, c = divmod(a, q)
-        c = q - c
-        if first is None and c % q in residues:
-            first = j * len(tails) + [t for _, t in tails].index(c % q)
-        phi += [f + g + (t >= c) for g, t in tails]
-    return phi, first
+    tails = _sums(lifted[h:])
+    phi = []
+    for a in _sums(lifted[:h]):
+        phi += [(a + t) // q for t in tails]
+    return phi
 
 
 def _refuse_group(names, outside, b, missing, count, cap):
@@ -686,53 +678,46 @@ def _chamber_sectors(d, alpha, model, cap):
     call, keeping the members whose digit sum puts |H| in the sign's
     bucket. Per automorphism, each member decodes digit by digit into its
     one tuple, a candidate when it takes no step at alpha's points outside
-    the model. A candidate that acts as the identity is kept. Any other is
-    tested at the walls one digit away from the pivot; it is then kept if
-    its acted rows are alpha's, and else compared a block of walls sharing
-    a head at a time.
+    the model. Each candidate is tested at the walls one digit away from
+    the pivot; one that passes is kept if its acted rows are alpha's, and
+    else compared a block of walls sharing a head at a time.
     """
     _check_weights_rank(alpha, model)
     names, r = model.point_names, model.rank
     ints, q = dict(zip(alpha.point_names, alpha.rows)), alpha.q
-    count = _wall_count(alpha)
-    if 0 < count <= cap:
-        phi, wall = _lifted_floors(alpha)
-    if 0 < count <= cap and r <= 3:
-        # the subrank-1 walls are all that is_generic reads at r <= 3
-        if wall is not None:
-            raise NotGeneric(_wall_at(alpha, 1, wall))
-    else:
-        ok, witness = is_generic(alpha, cap)
-        if not ok:
-            raise NotGeneric(witness)
+    ok, witness = is_generic(alpha, cap)
+    if not ok:
+        raise NotGeneric(witness)
     n = _hecke_count(model, cap)
     index = {x: i for i, x in enumerate(names)}
     outside = [i for x, i in index.items() if x not in ints]
+    count = _wall_count(alpha)
     if 0 < count <= cap:
+        phi = _lifted_floors(alpha)
         places = [r ** a for a in range(len(ints) - 1, -1, -1)]
         position = {x: a for a, x in enumerate(ints)}
         top, h = len(ints) * (r - 1) - 1, len(ints) // 2
         width = r ** (len(ints) - h)
         pivots, tables, levels = {}, {1: phi}, Counter(phi)
-        for s, rot in ((1, range(r)), (-1, range(r - 1, -1, -1))):
-            # the lifted floor a wall's image must have; the pivot is the first
-            # wall of the value with the fewest such images
-            image = (lambda v: v) if s == 1 else (lambda v: top - v)
-            v0 = min(levels, key=lambda v: levels.get(image(v), 0))
-            d0 = phi.index(v0)
-            at0 = [rot[d0 // p % r] for p in places]
+        for s, rot, shift in ((1, list(range(r)), 0), (-1, list(range(r - 1, -1, -1)), top)):
+            # a wall of lifted floor v needs an image of lifted floor shift + s * v;
+            # the pivot is the first wall of the value with the fewest such images
+            v0 = min(levels, key=lambda v: levels.get(shift + s * v, 0))
+            d0, image = phi.index(v0), shift + s * v0
+            digits0 = [d0 // p % r for p in places]
+            at0 = [rot[g] for g in digits0]
             # |H| is E's digit sum less at0's, mod r, once no step falls outside the model
             residue = (d - s * d + sum(at0)) % r
             level, e = [], -1
-            for _ in range(levels.get(image(v0), 0)):
-                e = phi.index(image(v0), e + 1)
+            for _ in range(levels.get(image, 0)):
+                e = phi.index(image, e + 1)
                 digits = [e // p % r for p in places]
                 if sum(digits) % r == residue:
                     level.append((e, digits))
             # the walls one digit away from the pivot: alpha's point, the digit
             # there, turned as the sign turns it, and the floor its image must have
-            near = [(a, rot[t], image(phi[d0 + (t - d0 // p % r) * p]))
-                    for a, p in enumerate(places) for t in range(r) if t != d0 // p % r]
+            near = [(a, rot[t], shift + s * phi[d0 + (t - g) * p])
+                    for a, (p, g) in enumerate(zip(places, digits0)) for t in range(r) if t != g]
             pivots[s] = rot, at0, level, near
     for auto in model.automorphisms:
         src = [auto.point_perm.get(y, y) for y in ints]
@@ -741,7 +726,6 @@ def _chamber_sectors(d, alpha, model, cap):
             pos = [position[x] for x in src]
             lanes = [places[j] for j in pos]
             stray = [a for a, x in enumerate(src) if x not in index]
-            fixed = src == list(ints)
         for s in (1, -1):
             b = (d - s * d) % r
             if n or not b:
@@ -757,20 +741,19 @@ def _chamber_sectors(d, alpha, model, cap):
                     steps = [(digits[j] - c) % r for j, c in zip(pos, at0)]
                     if stray and any(steps[a] for a in stray):
                         continue
-                    if not (fixed and s == 1 and not any(steps)):  # else t acts as the identity
-                        if any(phi[e + lanes[a] * ((c + steps[a]) % r - digits[pos[a]])] != v for a, c, v in near):
+                    if any(phi[e + lanes[a] * ((c + steps[a]) % r - digits[pos[a]])] != v for a, c, v in near):
+                        continue
+                    acted = tuple(tuple(_act_vector(ints[x], k, s, q)) for x, k in zip(src, steps))
+                    if acted != alpha.rows:  # else t fixes alpha
+                        table = tables.get(s) or tables.setdefault(s, [top - v for v in phi])
+                        rows = [[p * ((c + k) % r) for c in rot] for p, k in zip(lanes, steps)]
+                        tails = _sums(rows[h:])
+                        if not all([table[a + t] for t in tails] == phi[j:j + width]
+                                   for j, a in zip(range(0, len(phi), width), _sums(rows[:h]))):
                             continue
-                        acted = tuple(tuple(_act_vector(ints[x], k, s, q)) for x, k in zip(src, steps))
-                        if acted != alpha.rows:  # else t fixes alpha
-                            table = tables.get(s) or tables.setdefault(s, [top - v for v in phi])
-                            rows = [[p * ((c + k) % r) for c in rot] for p, k in zip(lanes, steps)]
-                            tails = _sums(rows[h:])
-                            if not all([table[a + t] for t in tails] == phi[j:j + width]
-                                       for j, a in zip(range(0, len(phi), width), _sums(rows[:h]))):
-                                continue
-                            if r > 3 and not same_chamber(
-                                    WeightSystem._of_rows(alpha.point_names, q, acted, alpha.rank), alpha, cap):
-                                continue
+                        if r > 3 and not same_chamber(
+                                WeightSystem._of_rows(alpha.point_names, q, acted, alpha.rank), alpha, cap):
+                            continue
                     hecke, k = tuple(steps[src.index(x)] if x in ints else 0 for x in names), 0
                     for v in hecke:
                         k = k * r + v

@@ -54,6 +54,7 @@ from partrans.weights import dual_weights, hecke_weights, is_generic
 from conftest import (
     brute_stabilizer_count,
     build_model,
+    full_is_generic,
     full_same_chamber,
     model_cyclic,
     model_cyclic3,
@@ -1148,7 +1149,8 @@ def _foreign_point_cases(rng):
     model's points (so some sigma-images fall outside alpha on the
     permuting tables), carries two points the model lacks, both, only
     those, or none; and the pointless model under alpha with points and
-    without."""
+    without. The two extra points copy rows of alpha, so some draws lie
+    on a wall."""
     cases = []
     for key in (("cyclic", 3, 3), ("cyclic", 2, 4), ("plain", 3, 3), ("plain", 3, 2), ("rotation", 4, 2),
                 ("cyclic", 4, 3), ("plain", 1, 3)):
@@ -1157,9 +1159,7 @@ def _foreign_point_cases(rng):
         extra = (("zy", entries[0][1]), ("zz", entries[-1][1]))
         for sub in (entries[:-1], entries[1:], entries[:1] + entries[2:], entries[:1], entries + extra,
                     entries[1:] + extra, extra, ()):
-            alpha = WeightSystem(sub, m.rank)
-            if is_generic(alpha)[0]:
-                cases.append((m, alpha))
+            cases.append((m, WeightSystem(sub, m.rank)))
     pointless = model_g1r3n0()
     extra = WeightSystem({"zy": (0, Fraction(2, 97), Fraction(51, 101)),
                           "zz": (0, Fraction(30, 103), Fraction(77, 107))}, 3)
@@ -1179,12 +1179,14 @@ def test_sector_filter_raises_like_the_old_loop(rng=random.Random(89)):
             for cap in (10**6, 1, 26):
                 want = _outcome(lambda: full_scan_chamber_filter(d, alpha, m, cap))
                 assert _outcome(lambda: stabilizer_d_alpha_quotient(d, alpha, m, cap)) == want
-                stepwise = _outcome(lambda: oracle_chamber_filter(oracle_t_d_quotient_reps(d, m, cap), alpha, cap))
+                # a wall is refused before any cap, so the stepwise oracle meets it uncapped
+                ocap = cap if full_is_generic(alpha)[0] else 10**6
+                stepwise = _outcome(lambda: oracle_chamber_filter(oracle_t_d_quotient_reps(d, m, ocap), alpha, ocap))
                 assert stepwise == want
                 outcomes.append(want if isinstance(want, tuple) else ("kept", len(want)))
     # every refusal shows up, and kept lists of one representative and of more
     kinds = {o[0] for o in outcomes}
-    assert {"UnknownPoint", "EnumerationCapExceeded", "kept"} <= kinds
+    assert {"NotGeneric", "UnknownPoint", "EnumerationCapExceeded", "kept"} <= kinds
     assert any("(walls)" in o[1] for o in outcomes if o[0] == "EnumerationCapExceeded")
     assert any("(hecke sectors)" in o[1] for o in outcomes if o[0] == "EnumerationCapExceeded")
     assert {1, 2} <= {o[1] for o in outcomes if o[0] == "kept"}
@@ -1200,6 +1202,32 @@ def test_sector_filter_raises_like_the_old_loop(rng=random.Random(89)):
     with pytest.raises(EnumerationCapExceeded) as err:
         stabilizer_d_alpha_quotient(0, alpha, m, cap=26)
     assert (err.value.count, err.value.what) == (27, "hecke sectors")
+
+
+def test_chamber_filter_refuses_a_wall_as_is_generic_does(rng=random.Random(97)):
+    """alpha on a wall at ranks 2 and 3: on one of the model's points (at
+    rank 3 only, as one point of rank 2 lies on no wall), on all but the
+    last, on all of them, or on all and two more. The filter raises
+    NotGeneric with is_generic's witness at every degree -3..3, before any
+    refusal of the points, and so does the full scan."""
+    for key in (("plain", 3, 2), ("rotation", 4, 2), ("plain", 3, 3), ("cyclic", 3, 3), ("rotation", 3, 3)):
+        m = _action_model(key)
+        r, names = m.rank, list(m.point_names)
+        for shape in ([names[:1]] if r == 3 else []) + [names[:-1], names, names + ["zy", "zz"]]:
+            for _ in range(200):
+                alpha = WeightSystem(
+                    {x: (0,) + tuple(Fraction(k, den) for k in sorted(rng.sample(range(1, den), r - 1)))
+                     for x in shape for den in [rng.choice((2, 3, 4)) * r]},
+                    r,
+                )
+                ok, witness = is_generic(alpha)
+                if not ok:
+                    break
+            assert not ok
+            want = ("NotGeneric", str(NotGeneric(witness)))
+            for d in range(-3, 4):
+                assert _outcome(lambda: stabilizer_d_alpha_quotient(d, alpha, m)) == want
+                assert _outcome(lambda: full_scan_chamber_filter(d, alpha, m, 10**6)) == want
 
 
 def _symmetric_weights(rng, model, invariant):
