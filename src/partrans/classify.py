@@ -29,7 +29,7 @@ from .intmat import (
     mat_vec,
 )
 from .picard import DEFAULT_ENUM_CAP, JacobianElement, affine_image, lincomb
-from .transform import BasicTransformation, Divisor, act_degree, act_weights, describe
+from .transform import BasicTransformation, Divisor, _check_weights_points, act_degree, act_weights, describe
 from .weights import WeightSystem, canonicalize, is_generic, same_chamber
 
 
@@ -70,8 +70,7 @@ class ModuliDescriptor:
             raise ShapeMismatch(
                 f"weight vectors have length {weights.rank}, descriptor rank is {rank}"
             )
-        if tuple(weights.point_names) != model.point_names:
-            raise ShapeMismatch("weight system points do not match the model points")
+        _check_weights_points(weights, model)
         ok, witness = is_generic(weights, cap)
         if not ok:
             raise NotGeneric(witness)

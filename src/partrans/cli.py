@@ -291,6 +291,8 @@ def _cmd_verify(args):
     target = _descriptor_file(model_b, args.target, args.enum_cap)
     transform = eval_expression(args.transform, model)
     if isinstance(transform, ExtendedTransformation):
+        if args.rho is not None:
+            raise ConfigError("the Jacobian part was given twice: by an A atom in --transform and by --rho")
         rho = transform.rho
         transform = transform.basic
     else:

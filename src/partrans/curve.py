@@ -6,6 +6,7 @@ classes through the affine map (deg, j) -> (deg, M j + deg t).
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import ConfigError, DimensionMismatch, ModelError, UnknownAutomorphism, UnknownPoint
@@ -194,6 +195,14 @@ def point_class(model, name):
 # a tuple (source, key, ...): the file or option the document came from
 # (None when there is none), then the path of keys and indices to a value.
 
+# the most digits of an integer, of a JSON document or of an expression,
+# and of either part of a rational; Python itself refuses to convert a
+# decimal string of more than 4300 digits
+MAX_INT_DIGITS = 1000
+_INT_BOUND = 10**MAX_INT_DIGITS
+_TOO_LONG = f"integer of more than {MAX_INT_DIGITS} digits"
+_RATIONAL = re.compile(r"[+-]?([0-9]+)(?:/(0*[1-9][0-9]*))?")
+
 
 def _where(loc):
     """Text of a location, as `source: key.key[index]`, or None for the
@@ -272,19 +281,27 @@ def _list(value, n, loc, what):
 def _int(value, loc):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(loc, f"expected an integer, got {value!r}")
+    if abs(value) >= _INT_BOUND:
+        _fail(loc, _TOO_LONG)
     return value
 
 
 def _rational(value, loc):
-    """An int (not a bool), a rational string or a Fraction, as a Fraction."""
+    """An int (not a bool), a rational string ([+-]digits or
+    [+-]digits/digits) or a Fraction, as a Fraction."""
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        m = _RATIONAL.fullmatch(value)
+        if m is None:
             _fail(loc, f"malformed rational {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        if len(value) > MAX_INT_DIGITS and max(map(len, m.groups(""))) > MAX_INT_DIGITS:
+            _fail(loc, _TOO_LONG)
+        num, _, den = value.partition("/")
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
         _fail(loc, f"expected a rational string, got {type(value).__name__}")
-    return Fraction(value)
+    return Fraction(_int(value, loc))
 
 
 def _rationals(value, n, loc):

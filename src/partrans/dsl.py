@@ -29,6 +29,7 @@ from fractions import Fraction
 import functools
 import math
 
+from .curve import MAX_INT_DIGITS
 from .errors import ParseError, ResultTooLarge, ShapeMismatch
 from .intmat import solve_integer_system
 from .picard import (
@@ -62,9 +63,6 @@ _PUNCT = set("*^()[],+-/")
 
 # the deepest "(" expr ")" nesting the parser descends into
 MAX_NESTING = 100
-# the longest integer literal; Python itself refuses to convert a decimal
-# string of more than 4300 digits
-MAX_INT_DIGITS = 1000
 # the most digits of an integer an evaluated element carries: its line
 # degree, its coordinate denominator, an entry of its Jacobian part. The
 # canonical text writes each of them, and Python writes no int of more

@@ -9,12 +9,16 @@ of n generators takes exactly n steps.
 
 The stabilizers run over the Hecke sectors: _degree_sectors is the one
 loop over (automorphism, sign, Hecke tuple) for the listings, and
-_chamber_sectors keeps the sectors of a generic weight system's chamber
-without it, on integers: a representative keeps alpha's subrank-1 floors
-exactly when it permutes the walls so as to keep alpha's lifted floors
-(each floor plus its digit sum), reflected as n(r - 1) - 1 - phi by the
-dual. A sector's Hecke tuples send a pivot wall to distinct walls, so only
-the tuples that send it into its level are tested (see _chamber_sectors).
+_chamber_sectors keeps the sectors of the chamber of a generic weight
+system alpha without it, on integers. Like the paper's stabilizer of
+(d, alpha), it is defined only for alpha a parabolic weight at every
+marked point: alpha on any other point set is refused with the
+ShapeMismatch ModuliDescriptor raises. A representative keeps alpha's
+subrank-1 floors exactly when it permutes the walls so as to keep
+alpha's lifted floors (each floor plus its digit sum), reflected as
+n(r - 1) - 1 - phi by the dual. A sector's Hecke tuples send a pivot
+wall to distinct walls, so only the tuples that send it into its level
+are tested (see _chamber_sectors).
 """
 
 from .errors import (
@@ -47,6 +51,7 @@ import itertools
 import math
 from collections import Counter
 from functools import partial
+from operator import mul
 
 
 class Divisor:
@@ -462,6 +467,11 @@ def _check_weights_rank(alpha, model):
         raise ShapeMismatch(f"weights rank {alpha.rank} does not match model rank {model.rank}")
 
 
+def _check_weights_points(alpha, model):
+    if tuple(alpha.point_names) != model.point_names:
+        raise ShapeMismatch("weight system points do not match the model points")
+
+
 def act_invariant(t, v):
     if v.rank != t.model.rank:
         raise ShapeMismatch(f"invariant rank {v.rank} does not match model rank {t.model.rank}")
@@ -622,51 +632,27 @@ def _lifted_floors(alpha):
     return phi
 
 
-def _refuse_group(names, outside, b, missing, count, cap):
-    """Raise what the first refusing representative of the bucket-b group
-    would: per tuple in lexicographic order, UnknownPoint for its first
-    nonzero digit at a model point outside alpha (`outside`, ascending
-    indices), then UnknownPoint for a sigma-image outside alpha
-    (`missing`), then the walls cap. The bucket's first tuple is b at the
-    last point. Its first tuple with a digit outside alpha is 1 at the last
-    outside point and b - 1 at the last point, or, when the last point is
-    outside and b is 0, 1 and r - 1 at the last two points; a one-point
-    bucket 0 has none."""
-    n = len(names)
-    if b and outside and outside[-1] == n - 1:
-        raise UnknownPoint(names[-1])
-    if missing is not None:
-        raise UnknownPoint(missing)
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap, "walls")
-    if outside and n > 1:
-        i = outside[-1]
-        raise UnknownPoint(names[n - 2 if i == n - 1 and n - 2 in outside else i])
-
-
 def _chamber_sectors(d, alpha, model, cap):
     """The sectors of the degree-d stabilizer that keep alpha's chamber: per
     (automorphism, s) of _degree_sectors, in order, (automorphism, s, kept),
     where kept holds the (k, L degree, tuple) of the group whose
     representative t has same_chamber(act_weights(t, alpha), alpha, cap),
-    in the group's order; a line part does not act on weights. alpha of
-    another rank, a non-generic alpha and too many Hecke tuples raise
-    first, in that order; then each group raises what act_weights and then
-    same_chamber would for its first representative that raises (see
-    _refuse_group).
+    in the group's order; a line part does not act on weights. alpha is a
+    parabolic weight at every marked point: alpha of another rank, alpha on
+    other points than the model's (in its order), a non-generic alpha, too
+    many Hecke tuples and too many walls raise first, in that order.
 
     The lifted-floor rule: with rows1 alpha's subrank-1 wall rows over q
-    and D a wall's digits, one per point of alpha, the lifted floor
+    and D a wall's digits, one per point, the lifted floor
     phi[D] = (sum over y of rows1[y][D_y] + q * D_y) // q is the wall's
     floor plus its digit sum. k Hecke steps turn a row at digit i into
     rows1[(i + k) % r] + q * ((i + k) % r - i), and the dual into
     -rows1[r - 1 - i]. So (sigma, s, H) keeps every subrank-1 floor
     exactly when, for every D, phi[E] == phi[D] (s = 1) or
-    n(r - 1) - 1 - phi[E] == phi[D] (s = -1, as no acted wall is
-    integral), where E[sigma(y)] is D_y + H[sigma(y)] mod r, or
-    r - 1 - D_y + H[sigma(y)] mod r; alpha's points outside the model take
-    no step, and sigma permutes alpha's points (a model's permutations are
-    bijections). Subrank 1 is every wall decision at r <= 3; at a higher
+    top - phi[E] == phi[D] (s = -1), where E[sigma(y)] is
+    D_y + H[sigma(y)] mod r, or r - 1 - D_y + H[sigma(y)] mod r, and top is
+    n(r - 1) - 1, as no acted wall is integral (0 on no points, whose one
+    empty sum is). Subrank 1 is every wall decision at r <= 3; at a higher
     rank a tuple that passes is kept when its acted rows are alpha's, or
     else when same_chamber says so.
 
@@ -677,88 +663,72 @@ def _chamber_sectors(d, alpha, model, cap):
     of the value whose level is smallest, and the level is listed once per
     call, keeping the members whose digit sum puts |H| in the sign's
     bucket. Per automorphism, each member decodes digit by digit into its
-    one tuple, a candidate when it takes no step at alpha's points outside
-    the model. Each candidate is tested at the walls one digit away from
-    the pivot; one that passes is kept if its acted rows are alpha's, and
-    else compared a block of walls sharing a head at a time.
+    one tuple, which is tested at the walls one digit away from the pivot;
+    one that passes is kept if its acted rows are alpha's, and else
+    compared a block of walls sharing a head at a time.
     """
     _check_weights_rank(alpha, model)
-    names, r = model.point_names, model.rank
-    ints, q = dict(zip(alpha.point_names, alpha.rows)), alpha.q
+    _check_weights_points(alpha, model)
     ok, witness = is_generic(alpha, cap)
     if not ok:
         raise NotGeneric(witness)
-    n = _hecke_count(model, cap)
+    n, count = _hecke_count(model, cap), _wall_count(alpha)
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap, "walls")
+    names, r, q = model.point_names, model.rank, alpha.q
     index = {x: i for i, x in enumerate(names)}
-    outside = [i for x, i in index.items() if x not in ints]
-    count = _wall_count(alpha)
-    if 0 < count <= cap:
-        phi = _lifted_floors(alpha)
-        places = [r ** a for a in range(len(ints) - 1, -1, -1)]
-        position = {x: a for a, x in enumerate(ints)}
-        top, h = len(ints) * (r - 1) - 1, len(ints) // 2
-        width = r ** (len(ints) - h)
-        pivots, tables, levels = {}, {1: phi}, Counter(phi)
-        for s, rot, shift in ((1, list(range(r)), 0), (-1, list(range(r - 1, -1, -1)), top)):
-            # a wall of lifted floor v needs an image of lifted floor shift + s * v;
-            # the pivot is the first wall of the value with the fewest such images
-            v0 = min(levels, key=lambda v: levels.get(shift + s * v, 0))
-            d0, image = phi.index(v0), shift + s * v0
-            digits0 = [d0 // p % r for p in places]
-            at0 = [rot[g] for g in digits0]
-            # |H| is E's digit sum less at0's, mod r, once no step falls outside the model
-            residue = (d - s * d + sum(at0)) % r
-            level, e = [], -1
-            for _ in range(levels.get(image, 0)):
-                e = phi.index(image, e + 1)
-                digits = [e // p % r for p in places]
-                if sum(digits) % r == residue:
-                    level.append((e, digits))
-            # the walls one digit away from the pivot: alpha's point, the digit
-            # there, turned as the sign turns it, and the floor its image must have
-            near = [(a, rot[t], shift + s * phi[d0 + (t - g) * p])
-                    for a, (p, g) in enumerate(zip(places, digits0)) for t in range(r) if t != g]
-            pivots[s] = rot, at0, level, near
+    phi = _lifted_floors(alpha)
+    places = [r ** a for a in range(n - 1, -1, -1)]
+    top, h = max(n * (r - 1) - 1, 0), n // 2
+    width = r ** (n - h)
+    pivots, tables, levels = {}, {1: phi}, Counter(phi)
+    for s, rot, shift in ((1, list(range(r)), 0), (-1, list(range(r - 1, -1, -1)), top)):
+        # a wall of lifted floor v needs an image of lifted floor shift + s * v;
+        # the pivot is the first wall of the value with the fewest such images
+        v0 = min(levels, key=lambda v: levels.get(shift + s * v, 0))
+        d0, image = phi.index(v0), shift + s * v0
+        digits0 = [d0 // p % r for p in places]
+        at0 = [rot[g] for g in digits0]
+        # |H| is E's digit sum less at0's, mod r
+        residue = (d - s * d + sum(at0)) % r
+        level, e = [], -1
+        for _ in range(levels.get(image, 0)):
+            e = phi.index(image, e + 1)
+            digits = [e // p % r for p in places]
+            if sum(digits) % r == residue:
+                level.append((e, digits))
+        # the walls one digit away from the pivot: the point, the digit
+        # there, turned as the sign turns it, and the floor its image must have
+        near = [(a, rot[t], shift + s * phi[d0 + (t - g) * p])
+                for a, (p, g) in enumerate(zip(places, digits0)) for t in range(r) if t != g]
+        pivots[s] = rot, at0, level, near
     for auto in model.automorphisms:
-        src = [auto.point_perm.get(y, y) for y in ints]
-        missing = next((x for x in src if x not in ints), None)
-        if missing is None and 0 < count <= cap:
-            pos = [position[x] for x in src]
-            lanes = [places[j] for j in pos]
-            stray = [a for a, x in enumerate(src) if x not in index]
+        pos = [index.get(auto.point_perm.get(y, y)) for y in names]
+        if None in pos:  # only a hand-built model's permutation leaves its points
+            raise UnknownPoint(auto.point_perm[names[pos.index(None)]])
+        lanes = [places[j] for j in pos]
         for s in (1, -1):
-            b = (d - s * d) % r
-            if n or not b:
-                _refuse_group(names, outside, b, missing, count, cap)
-            if not n and b:
-                kept = []
-            elif not count:
-                kept = [(0, (s * d - d) // r, (0,) * n)]
-            else:
-                kept = []
-                rot, at0, level, near = pivots[s]
-                for e, digits in level:
-                    steps = [(digits[j] - c) % r for j, c in zip(pos, at0)]
-                    if stray and any(steps[a] for a in stray):
+            kept = []
+            rot, at0, level, near = pivots[s]
+            for e, digits in level:
+                steps = [(digits[j] - c) % r for j, c in zip(pos, at0)]
+                if any(phi[e + lanes[a] * ((c + steps[a]) % r - digits[pos[a]])] != v for a, c, v in near):
+                    continue
+                acted = tuple(tuple(_act_vector(alpha.rows[j], k, s, q)) for j, k in zip(pos, steps))
+                if acted != alpha.rows:  # else t fixes alpha
+                    table = tables.get(s) or tables.setdefault(s, [top - v for v in phi])
+                    rows = [[p * ((c + k) % r) for c in rot] for p, k in zip(lanes, steps)]
+                    tails = _sums(rows[h:])
+                    if not all([table[a + t] for t in tails] == phi[j:j + width]
+                               for j, a in zip(range(0, len(phi), width), _sums(rows[:h]))):
                         continue
-                    if any(phi[e + lanes[a] * ((c + steps[a]) % r - digits[pos[a]])] != v for a, c, v in near):
+                    if r > 3 and not same_chamber(WeightSystem._of_rows(names, q, acted, alpha.rank), alpha, cap):
                         continue
-                    acted = tuple(tuple(_act_vector(ints[x], k, s, q)) for x, k in zip(src, steps))
-                    if acted != alpha.rows:  # else t fixes alpha
-                        table = tables.get(s) or tables.setdefault(s, [top - v for v in phi])
-                        rows = [[p * ((c + k) % r) for c in rot] for p, k in zip(lanes, steps)]
-                        tails = _sums(rows[h:])
-                        if not all([table[a + t] for t in tails] == phi[j:j + width]
-                                   for j, a in zip(range(0, len(phi), width), _sums(rows[:h]))):
-                            continue
-                        if r > 3 and not same_chamber(
-                                WeightSystem._of_rows(alpha.point_names, q, acted, alpha.rank), alpha, cap):
-                            continue
-                    hecke, k = tuple(steps[src.index(x)] if x in ints else 0 for x in names), 0
-                    for v in hecke:
-                        k = k * r + v
-                    kept.append((k, (s * d - d + sum(hecke)) // r, hecke))
-                kept.sort()
+                hecke = [0] * n
+                for j, k in zip(pos, steps):
+                    hecke[j] = k
+                kept.append((sum(map(mul, places, hecke)), (s * d - d + sum(steps)) // r, tuple(hecke)))
+            kept.sort()
             yield auto, s, kept
 
 

@@ -774,6 +774,21 @@ _MALFORMED = {
         _torelli(), dict(_WITNESS, tranlsation=["1/2", "0"]), "f.json: unknown key 'tranlsation'"),
     "witness tranlsation (verify)": (
         _verify("--witness", "{f}"), dict(_WITNESS, tranlsation=["1/2", "0"]), "f.json: unknown key 'tranlsation'"),
+    # a rational is [+-]digits or [+-]digits/digits, each part and each
+    # integer of at most MAX_INT_DIGITS digits: an exponent string took
+    # seconds to read, or overflowed when written back, as did an integer
+    # of 4300 digits
+    "det jac entry 1e10000000": (
+        _act("--det"), {"degree": 0, "jac": ["1e10000000", "0"]}, "f.json: jac[0]: malformed rational"),
+    "det jac entry 1e-1000000": (
+        _act("--det"), {"degree": 0, "jac": ["1e-1000000", "0"]}, "f.json: jac[0]: malformed rational"),
+    "det degree of 4300 digits": (
+        ["act", "--model", "{model}", "T(1, [0, 0])", "--det", "{f}"],
+        {"degree": int("9" * 4300), "jac": ["0", "0"]}, "f.json: degree: integer of more than"),
+    "weight entry 0.5": (_DUAL, {"p": ["0", "0.5"], "q": ["0", "1/4"]}, "f.json: p[1]: malformed rational"),
+    "weight entry over the digit limit": (
+        _DUAL, {"p": ["0", "1/" + "3" * (MAX_INT_DIGITS + 1)], "q": ["0", "1/4"]},
+        "f.json: p[1]: integer of more than"),
 }
 
 
@@ -784,10 +799,30 @@ def test_malformed_json_input_exits_2_naming_file_and_field(files, tmp_path, cap
         doc = dict(json.loads(open(files["g1"]).read()), **doc)
     paths = {"desc": _write(tmp_path, "desc.json", _DESC), "model": files["g1"],
              "f": _write(tmp_path, "f.json", json.dumps(doc))}
+    start = time.perf_counter()
     rc, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert time.perf_counter() - start < 1
     assert (rc, out) == (2, "")
     assert "Traceback" not in err
     assert err.splitlines()[-1].replace(str(tmp_path) + "/", "").startswith("error: " + where)
+
+
+def test_verify_refuses_rho_beside_an_a_atom(files, tmp_path, capsys):
+    """An A atom in --transform and --rho each give the Jacobian part: both
+    at once are refused, where --rho alone is checked and the atom alone
+    is taken."""
+    desc = _write(tmp_path, "desc.json", _DESC)
+    argv = ["verify", "--model", files["g1"], "--source", desc, "--target", desc]
+    rc, out, err = run(capsys, *argv, "--transform", "A[[0,1],[0,0]]", "--rho", "[[5, 5], [5, 5]]")
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "error: the Jacobian part was given twice: by an A atom in --transform and by --rho")
+    rc, out, err = run(capsys, *argv, "--transform", "id", "--rho", "[[5, 5], [5, 5]]")
+    assert (rc, out) == (2, "")
+    assert "determinant 21" in err
+    rc, out, _ = run(capsys, *argv, "--transform", "A[[0,1],[0,0]]")
+    assert rc == 0
+    assert json.loads(out)["rho_tilde"] == [[0, 1], [0, 0]]
 
 
 # JSON-input fuzz: one document of a command, or its model, damaged at one

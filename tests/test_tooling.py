@@ -5,13 +5,16 @@ without being imported as a module, so no bytecode is written next to it.
 Its self-check (bench/selfcheck.py) runs one checked round per workload
 against its own oracle. The package's public surface, __all__, is pinned
 to the one table in partrans/__init__.py, and fresh interpreters check
-which modules each way into the package loads."""
+which modules each way into the package loads, and no helper is left
+that the package never names."""
 
+import ast
 import importlib
 import os
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,45 @@ def test_cli_loads_every_traced_layer():
     """The tracer rebinds functions in the partrans modules loaded once
     partrans.cli is imported, so that import must load every layer."""
     assert set(SPANS["LAYERS"]) <= _submodules_loaded("import partrans.cli")
+
+
+def _named(node):
+    """The names a Name, Attribute or import node refers to."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name.rpartition(".")[2] for alias in node.names]
+    return []
+
+
+def _uses(tree):
+    return Counter(name for node in ast.walk(tree) for name in _named(node))
+
+
+def test_no_dead_helpers():
+    """Every top-level function and class the package does not export, and
+    every method of such a class, is named by a Name, Attribute or import
+    node somewhere in src/partrans outside its own definition. Dunders,
+    and cli.main, the console-script entry point, are exempt."""
+    exported = {n for names in partrans._EXPORTS.values() for n in names}
+    files = sorted((ROOT / "src" / "partrans").glob("*.py"))
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+    uses = sum(map(_uses, trees.values()), Counter())
+    dead = []
+    for module, tree in trees.items():
+        defs = []
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
+                continue
+            defs.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef)]
+        for path, node in defs:
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or f"{module}.{path}" == "cli.main":
+                continue
+            if uses[name] == _uses(node)[name]:
+                dead.append(f"{module}.{path}")
+    assert dead == []

@@ -14,11 +14,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from partrans import (
     BasicTransformation,
+    CurveAutomorphism,
+    CurveModel,
     Divisor,
     EnumerationCapExceeded,
     HeckeOutOfRange,
     JacobianElement,
     LineBundleClass,
+    ModuliDescriptor,
     NotGeneric,
     ParabolicInvariant,
     ShapeMismatch,
@@ -29,6 +32,7 @@ from partrans import (
     act_det,
     act_invariant,
     act_weights,
+    automorphism_group_report,
     chamber_fingerprint,
     compose,
     curves_isomorphic,
@@ -571,59 +575,48 @@ def full_scan_chamber_filter(d, alpha, model, cap=10**6):
     what stabilizer_d_alpha_quotient raises first, at r^n steps per
     sector."""
     transform._check_weights_rank(alpha, model)
+    transform._check_weights_points(alpha, model)
     ok, witness = is_generic(alpha, cap)
     if not ok:
         raise NotGeneric(witness)
     tuples = transform._hecke_tuples(model, cap)
-    groups = []
-    ints, q, r = dict(zip(alpha.point_names, alpha.rows)), alpha.q, model.rank
-    n, count = len(ints), weights._wall_count(alpha)
+    q, r, n, count = alpha.q, model.rank, len(alpha.rows), weights._wall_count(alpha)
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap, "walls")
     index = {x: i for i, x in enumerate(model.point_names)}
-    outside = [(i, x) for x, i in index.items() if x not in ints]
-    if 0 < count <= cap:
+    groups = []
+    if count:
         rows1 = weights._walls(alpha).rows(1)
         phi = [v // q for v in weights._sums([[v + q * i for i, v in enumerate(row)] for row in rows1])]
-        place, h = {x: r ** (n - 1 - a) for a, x in enumerate(ints)}, n // 2
+        place, h = [r ** (n - 1 - a) for a in range(n)], n // 2
         blocks = [phi[j:j + r ** (n - h)] for j in range(0, len(phi), r ** (n - h))]
         top, levels = n * (r - 1) - 1, Counter(phi)
         tables = {1: phi, -1: [top - v for v in phi]}
         pivots = {1: phi.index(min(levels, key=levels.get)),
                   -1: phi.index(min(levels, key=lambda v: levels.get(top - v, 0)))}
     for auto, s, group in transform._degree_sectors(model, d, tuples):
-        src = [auto.point_perm.get(y, y) for y in ints]
-        missing = next((x for x in src if x not in ints), None)
-        if missing is None and 0 < count <= cap:
+        positions = [index[model.point(auto.point_perm.get(y, y)).name] for y in model.point_names]
+        if count:
             table, pivot = tables[s], pivots[s]
-            # lanes[y][k][D_y]: the place of sigma(y) in E times its digit there after k steps
+            # lanes[a][k][D_a]: the place of sigma(y_a) in E times its digit there after k steps
             lanes = [[row[j:] + row[:j] for j in range(0, s * r, s)]
-                     for row in (list(range(0, r * place[x], place[x]))[::s] for x in src)]
-            positions = [index.get(x) for x in src]
-            base, columns = 0, [[0] * r for _ in index]
-            for i, lane, y in zip(positions, lanes, ints):
-                digit = pivot // place[y] % r
-                if i is None:
-                    base += lane[0][digit]
-                else:
-                    columns[i] = [row[digit] for row in lane]
+                     for row in (list(range(0, r * place[i], place[i]))[::s] for i in positions)]
+            columns = [[0] * r for _ in positions]
+            for a, (i, lane) in enumerate(zip(positions, lanes)):
+                columns[i] = [row[pivot // place[a] % r] for row in lane]
             at_pivot = weights._sums(columns)
         kept = []
         for k, _, mults in group:
-            for i, x in outside:
-                if mults[i]:
-                    raise UnknownPoint(x)
-            if missing is not None:
-                raise UnknownPoint(missing)
-            if count > cap:
-                raise EnumerationCapExceeded(count, cap, "walls")
-            if not count or table[base + at_pivot[k]] != phi[pivot]:
+            if not count or table[at_pivot[k]] != phi[pivot]:
                 kept.append(not count)
                 continue
-            steps = [0 if i is None else mults[i] for i in positions]
+            steps = [mults[i] for i in positions]
             rows = list(map(list.__getitem__, lanes, steps))
             tails = weights._sums(rows[h:])
             keeps = all([table[a + t] for t in tails] == block for a, block in zip(weights._sums(rows[:h]), blocks))
             if keeps and r > 3:
-                acted = tuple(tuple(weights._act_vector(ints[x], step, s, q)) for x, step in zip(src, steps))
+                acted = tuple(tuple(weights._act_vector(alpha.rows[i], step, s, q))
+                              for i, step in zip(positions, steps))
                 keeps = acted == alpha.rows or same_chamber(
                     WeightSystem._of_rows(alpha.point_names, q, acted, alpha.rank), alpha, cap)
             kept.append(keeps)
@@ -1143,40 +1136,46 @@ def _outcome(fn):
         return type(exc).__name__, str(exc)
 
 
-def _foreign_point_cases(rng):
-    """(model, alpha) pairs where alpha and the model's points differ:
-    alpha misses the last, the first, a middle or all but one of the
-    model's points (so some sigma-images fall outside alpha on the
-    permuting tables), carries two points the model lacks, both, only
-    those, or none; and the pointless model under alpha with points and
-    without. The two extra points copy rows of alpha, so some draws lie
-    on a wall."""
+def _wall_weights(rng, model):
+    """Weights on the model's points over one small denominator, drawn
+    until they lie on a wall."""
+    r = model.rank
+    for _ in range(200):
+        alpha = WeightSystem(
+            {x: (0,) + tuple(Fraction(k, den) for k in sorted(rng.sample(range(1, den), r - 1)))
+             for x in model.point_names for den in [rng.choice((2, 3, 4)) * r]},
+            r,
+        )
+        if not is_generic(alpha)[0]:
+            return alpha
+    raise AssertionError("no weights on a wall drawn")
+
+
+def _capped_cases(rng):
+    """(model, alpha) pairs on the model's points: per model a generic
+    alpha, one on a wall and one whose points share a row, and the
+    pointless model with the empty alpha."""
     cases = []
     for key in (("cyclic", 3, 3), ("cyclic", 2, 4), ("plain", 3, 3), ("plain", 3, 2), ("rotation", 4, 2),
                 ("cyclic", 4, 3), ("plain", 1, 3)):
         m = _action_model(key)
-        entries = rand_generic_weights(rng, m).entries
-        extra = (("zy", entries[0][1]), ("zz", entries[-1][1]))
-        for sub in (entries[:-1], entries[1:], entries[:1] + entries[2:], entries[:1], entries + extra,
-                    entries[1:] + extra, extra, ()):
-            cases.append((m, WeightSystem(sub, m.rank)))
-    pointless = model_g1r3n0()
-    extra = WeightSystem({"zy": (0, Fraction(2, 97), Fraction(51, 101)),
-                          "zz": (0, Fraction(30, 103), Fraction(77, 107))}, 3)
-    assert is_generic(extra)[0]
-    return cases + [(pointless, WeightSystem((), 3)), (pointless, extra)]
+        cases += [(m, rand_generic_weights(rng, m)), (m, _wall_weights(rng, m)),
+                  (m, _symmetric_weights(rng, m, 0))]
+    return cases + [(model_g1r3n0(), WeightSystem((), 3))]
 
 
 def test_sector_filter_raises_like_the_old_loop(rng=random.Random(89)):
-    """Weights on fewer or more points than the model, the pointless model,
-    and caps of 1 and 26 that stop the Hecke tuples or the walls: the
-    filter keeps the same representatives as the stepwise action over the
-    old representatives and as the full scan, or raises the same first
-    error, by type and message, at every degree -3..3."""
+    """Weights on the model's points, generic, on a wall or symmetric, the
+    pointless model, and caps of 1, 26 and r^n, which stop the Hecke
+    tuples or the walls: the filter keeps the same representatives as the
+    stepwise action over the old representatives and as the full scan, or
+    raises the same first error, by type and message, at every degree
+    -3..3."""
     outcomes = []
-    for m, alpha in _foreign_point_cases(rng):
+    for m, alpha in _capped_cases(rng):
         for d in range(-3, 4):
-            for cap in (10**6, 1, 26):
+            # r^n passes the Hecke tuples; past rank 2 the walls are more
+            for cap in (10**6, 1, 26, m.rank ** len(m.points)):
                 want = _outcome(lambda: full_scan_chamber_filter(d, alpha, m, cap))
                 assert _outcome(lambda: stabilizer_d_alpha_quotient(d, alpha, m, cap)) == want
                 # a wall is refused before any cap, so the stepwise oracle meets it uncapped
@@ -1186,7 +1185,7 @@ def test_sector_filter_raises_like_the_old_loop(rng=random.Random(89)):
                 outcomes.append(want if isinstance(want, tuple) else ("kept", len(want)))
     # every refusal shows up, and kept lists of one representative and of more
     kinds = {o[0] for o in outcomes}
-    assert {"NotGeneric", "UnknownPoint", "EnumerationCapExceeded", "kept"} <= kinds
+    assert {"NotGeneric", "EnumerationCapExceeded", "kept"} <= kinds
     assert any("(walls)" in o[1] for o in outcomes if o[0] == "EnumerationCapExceeded")
     assert any("(hecke sectors)" in o[1] for o in outcomes if o[0] == "EnumerationCapExceeded")
     assert {1, 2} <= {o[1] for o in outcomes if o[0] == "kept"}
@@ -1202,32 +1201,68 @@ def test_sector_filter_raises_like_the_old_loop(rng=random.Random(89)):
     with pytest.raises(EnumerationCapExceeded) as err:
         stabilizer_d_alpha_quotient(0, alpha, m, cap=26)
     assert (err.value.count, err.value.what) == (27, "hecke sectors")
+    with pytest.raises(EnumerationCapExceeded) as err:
+        stabilizer_d_alpha_quotient(0, alpha, m, cap=27)
+    assert (err.value.count, err.value.what) == (2 * 3**3, "walls")
+
+
+_OFF_POINTS = "^weight system points do not match the model points$"
+
+
+def test_chamber_filter_refuses_alpha_off_the_model_points(rng=random.Random(98)):
+    """The stabilizer of (d, alpha) is defined for alpha on the model's
+    points only. Both entry points refuse alpha missing a point, with an
+    extra point or with the model's points reordered, with the
+    ShapeMismatch a ModuliDescriptor raises: after the rank check and
+    before NotGeneric, whatever the cap."""
+    for key in (("cyclic", 3, 3), ("plain", 3, 2), ("rotation", 4, 2), ("plain", 1, 3)):
+        m = _action_model(key)
+        r, names = m.rank, list(m.point_names)
+        entries = rand_generic_weights(rng, m).entries
+        wall = _wall_weights(rng, m).entries
+        shapes = [entries[:-1], entries + (("zy", entries[0][1]),), wall[:-1], wall + (("zz", wall[0][1]),)]
+        if len(names) > 1:
+            shapes += [entries[::-1], wall[::-1]]
+        for sub in shapes:
+            alpha = WeightSystem(sub, r)
+            with pytest.raises(ShapeMismatch, match=_OFF_POINTS):
+                ModuliDescriptor(m, r, 0, alpha)
+            for fn in (stabilizer_d_alpha_quotient, automorphism_group_report):
+                for d, cap in ((0, 10**6), (1, 1)):
+                    with pytest.raises(ShapeMismatch, match=_OFF_POINTS):
+                        fn(d, alpha, m, cap)
+        # the rank is checked first
+        other = rand_generic_weights(rng, _action_model(("plain", len(names) + 1, r + 1)))
+        with pytest.raises(ShapeMismatch, match=f"weights rank {r + 1} does not match model rank {r}"):
+            stabilizer_d_alpha_quotient(0, other, m)
+    # a sigma-image off the model's points, which only a hand-built model
+    # can hold, is refused by name
+    m = _action_model(("plain", 2, 3))
+    zero = JacobianElement.zero(2)
+    one = ((1, 0), (0, 1))
+    stray = CurveModel(1, 3, 0, m.points, [CurveAutomorphism("id", {}, one, zero),
+                                          CurveAutomorphism("tau", {"x0": "x1", "x1": "zz"}, one, zero)])
+    alpha = rand_generic_weights(rng, m)
+    for fn in (stabilizer_d_alpha_quotient, automorphism_group_report):
+        with pytest.raises(UnknownPoint) as err:
+            fn(0, alpha, stray)
+        assert err.value.name == "zz"
 
 
 def test_chamber_filter_refuses_a_wall_as_is_generic_does(rng=random.Random(97)):
-    """alpha on a wall at ranks 2 and 3: on one of the model's points (at
-    rank 3 only, as one point of rank 2 lies on no wall), on all but the
-    last, on all of them, or on all and two more. The filter raises
-    NotGeneric with is_generic's witness at every degree -3..3, before any
-    refusal of the points, and so does the full scan."""
-    for key in (("plain", 3, 2), ("rotation", 4, 2), ("plain", 3, 3), ("cyclic", 3, 3), ("rotation", 3, 3)):
+    """alpha on a wall at ranks 2 and 3, on the model's points (one point
+    at rank 3 only, as one point of rank 2 lies on no wall): the filter
+    raises NotGeneric with is_generic's witness at every degree -3..3,
+    before any cap, and so does the full scan."""
+    for key in (("plain", 1, 3), ("plain", 3, 2), ("rotation", 4, 2), ("plain", 3, 3), ("cyclic", 3, 3),
+                ("rotation", 3, 3)):
         m = _action_model(key)
-        r, names = m.rank, list(m.point_names)
-        for shape in ([names[:1]] if r == 3 else []) + [names[:-1], names, names + ["zy", "zz"]]:
-            for _ in range(200):
-                alpha = WeightSystem(
-                    {x: (0,) + tuple(Fraction(k, den) for k in sorted(rng.sample(range(1, den), r - 1)))
-                     for x in shape for den in [rng.choice((2, 3, 4)) * r]},
-                    r,
-                )
-                ok, witness = is_generic(alpha)
-                if not ok:
-                    break
-            assert not ok
-            want = ("NotGeneric", str(NotGeneric(witness)))
-            for d in range(-3, 4):
-                assert _outcome(lambda: stabilizer_d_alpha_quotient(d, alpha, m)) == want
-                assert _outcome(lambda: full_scan_chamber_filter(d, alpha, m, 10**6)) == want
+        alpha = _wall_weights(rng, m)
+        want = ("NotGeneric", str(NotGeneric(is_generic(alpha)[1])))
+        for d in range(-3, 4):
+            for cap in (10**6, 1):
+                assert _outcome(lambda: stabilizer_d_alpha_quotient(d, alpha, m, cap)) == want
+                assert _outcome(lambda: full_scan_chamber_filter(d, alpha, m, cap)) == want
 
 
 def _symmetric_weights(rng, model, invariant):
@@ -1285,14 +1320,13 @@ _SYMMETRIC_MODELS = [
 
 @st.composite
 def symmetric_filter_cases(draw):
-    """A model, a degree and a generic alpha whose points mostly share one
-    row over a small denominator, so that relabelling, Hecke steps and the
-    dual often keep its chamber; alpha lies on the model's points, on all
-    but the last, or on two more."""
+    """A model, a degree and a generic alpha on the model's points, which
+    mostly share one row over a small denominator, so that relabelling,
+    Hecke steps and the dual often keep its chamber. The first point takes
+    a row over a prime near 100, which keeps most draws off the walls."""
     m = _action_model(draw(st.sampled_from(_SYMMETRIC_MODELS)))
     r = m.rank
-    names = list(m.point_names)
-    names = draw(st.sampled_from([names, names[:-1], names + ["zy", "zz"]]))
+    first = m.point_names[0]
 
     def row(den):
         nums = draw(st.lists(st.integers(1, den - 1), min_size=r - 1, max_size=r - 1, unique=True))
@@ -1300,8 +1334,9 @@ def symmetric_filter_cases(draw):
 
     shared = row(draw(st.sampled_from((r + 1, r + 2, 2 * r + 1))))
     alpha = WeightSystem(
-        {x: row(draw(st.sampled_from((7, 11, 13)))) if draw(st.integers(0, 4)) == 0 else shared
-         for x in names},
+        {x: row(draw(st.sampled_from((97, 101, 103)))) if x == first
+         else row(draw(st.sampled_from((7, 11, 13)))) if draw(st.integers(0, 4)) == 0 else shared
+         for x in m.point_names},
         r,
     )
     assume(is_generic(alpha)[0])
