@@ -293,7 +293,7 @@ def _rational(value, loc):
         m = _RATIONAL.fullmatch(value)
         if m is None:
             _fail(loc, f"malformed rational {value!r}")
-        if len(value) > MAX_INT_DIGITS and max(map(len, m.groups(""))) > MAX_INT_DIGITS:
+        if max(map(len, m.groups(""))) > MAX_INT_DIGITS:
             _fail(loc, _TOO_LONG)
         num, _, den = value.partition("/")
         return Fraction(int(num), int(den)) if den else Fraction(int(num))

@@ -51,7 +51,6 @@ import itertools
 import math
 from collections import Counter
 from functools import partial
-from operator import mul
 
 
 class Divisor:
@@ -725,9 +724,11 @@ def _chamber_sectors(d, alpha, model, cap):
                     if r > 3 and not same_chamber(WeightSystem._of_rows(names, q, acted, alpha.rank), alpha, cap):
                         continue
                 hecke = [0] * n
+                idx = 0
                 for j, k in zip(pos, steps):
                     hecke[j] = k
-                kept.append((sum(map(mul, places, hecke)), (s * d - d + sum(steps)) // r, tuple(hecke)))
+                    idx += places[j] * k
+                kept.append((idx, (s * d - d + sum(steps)) // r, tuple(hecke)))
             kept.sort()
             yield auto, s, kept
 
