@@ -18,6 +18,8 @@ from .classify import (
     weight_system_for,
 )
 from .curve import (
+    _TOO_LONG,
+    MAX_INT_DIGITS,
     _int,
     _int_matrix,
     _object,
@@ -314,6 +316,17 @@ def _cmd_verify(args):
 # -- argument wiring -----------------------------------------------------
 
 
+def _int_option(text):
+    """argparse's int, refusing a literal of more than MAX_INT_DIGITS
+    digits, as an expression or a JSON document does."""
+    if sum(c.isdigit() for c in text) > MAX_INT_DIGITS:
+        raise argparse.ArgumentTypeError(_TOO_LONG)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="partrans",
@@ -344,7 +357,7 @@ def _build_parser():
     p = sub.add_parser("act", help="apply a transformation to data")
     common(p)
     p.add_argument("expr")
-    p.add_argument("--degree", type=int, help="integer degree to act on")
+    p.add_argument("--degree", type=_int_option, help="integer degree to act on")
     p.add_argument("--det", help="determinant class JSON file")
     p.add_argument("--weights", help="weight system JSON file")
     p.add_argument("--invariant", help="parabolic invariant JSON file")
@@ -383,13 +396,13 @@ def _build_parser():
     q.set_defaults(fn=_cmd_stabilizer_xi)
     q = ssub.add_parser("d-alpha")
     common(q)
-    q.add_argument("--degree", type=int, required=True)
+    q.add_argument("--degree", type=_int_option, required=True)
     q.add_argument("--weights", required=True, help="weight system JSON file")
     q.set_defaults(fn=_cmd_stabilizer_d_alpha)
 
     p = sub.add_parser("aut-report", help="layered automorphism report")
     common(p)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_int_option, required=True)
     p.add_argument("--weights", required=True)
     p.set_defaults(fn=_cmd_aut_report)
 
@@ -404,8 +417,8 @@ def _build_parser():
 
     p = sub.add_parser("bridge", help="degree-moving tuple at a point")
     common(p)
-    p.add_argument("--from", dest="d_from", type=int, required=True)
-    p.add_argument("--to", dest="d_to", type=int, required=True)
+    p.add_argument("--from", dest="d_from", type=_int_option, required=True)
+    p.add_argument("--to", dest="d_to", type=_int_option, required=True)
     p.add_argument("--point", required=True)
     p.set_defaults(fn=_cmd_bridge)
 

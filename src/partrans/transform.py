@@ -13,12 +13,12 @@ _chamber_sectors keeps the sectors of the chamber of a generic weight
 system alpha without it, on integers. Like the paper's stabilizer of
 (d, alpha), it is defined only for alpha a parabolic weight at every
 marked point: alpha on any other point set is refused with the
-ShapeMismatch ModuliDescriptor raises. A representative keeps alpha's
-subrank-1 floors exactly when it permutes the walls so as to keep
-alpha's lifted floors (each floor plus its digit sum), reflected as
-n(r - 1) - 1 - phi by the dual. A sector's Hecke tuples send a pivot
-wall to distinct walls, so only the tuples that send it into its level
-are tested (see _chamber_sectors).
+ShapeMismatch ModuliDescriptor raises. A representative that keeps
+alpha's chamber permutes the walls so as to keep alpha's lifted floors
+(each subrank-1 floor plus its digit sum), reflected as n(r - 1) - 1 - v
+by the dual. A sector's Hecke tuples send a pivot wall to distinct walls,
+so only the tuples that send it into the level of the least lifted floor
+are candidates, and same_chamber decides each (see _chamber_sectors).
 """
 
 from .errors import (
@@ -49,7 +49,7 @@ from .weights import (
 
 import itertools
 import math
-from collections import Counter
+from bisect import bisect_left
 from functools import partial
 
 
@@ -618,19 +618,6 @@ def t_d_quotient_reps(d, model, cap=DEFAULT_ENUM_CAP):
     return list(_sector_transforms(model, _degree_sectors(model, d, _hecke_tuples(model, cap))))
 
 
-def _lifted_floors(alpha):
-    """alpha's lifted floors in wall order (see _chamber_sectors), met in
-    the middle: each is the floor over q of a lifted sum over the first
-    half of alpha's points plus one over the rest."""
-    q, h = alpha.q, len(alpha.rows) // 2
-    lifted = [[v + q * i for i, v in enumerate(row)] for row in _walls(alpha).rows(1)]
-    tails = _sums(lifted[h:])
-    phi = []
-    for a in _sums(lifted[:h]):
-        phi += [(a + t) // q for t in tails]
-    return phi
-
-
 def _chamber_sectors(d, alpha, model, cap):
     """The sectors of the degree-d stabilizer that keep alpha's chamber: per
     (automorphism, s) of _degree_sectors, in order, (automorphism, s, kept),
@@ -639,32 +626,32 @@ def _chamber_sectors(d, alpha, model, cap):
     in the group's order; a line part does not act on weights. alpha is a
     parabolic weight at every marked point: alpha of another rank, alpha on
     other points than the model's (in its order), a non-generic alpha, too
-    many Hecke tuples and too many walls raise first, in that order.
+    many Hecke tuples and too many walls raise first, in that order (rank 3
+    at 12 points has 2 * 3^12 walls, past the default cap of 10^6).
 
     The lifted-floor rule: with rows1 alpha's subrank-1 wall rows over q
     and D a wall's digits, one per point, the lifted floor
-    phi[D] = (sum over y of rows1[y][D_y] + q * D_y) // q is the wall's
-    floor plus its digit sum. k Hecke steps turn a row at digit i into
+    (sum over y of rows1[y][D_y] + q * D_y) // q is the wall's floor plus
+    its digit sum. k Hecke steps turn a row at digit i into
     rows1[(i + k) % r] + q * ((i + k) % r - i), and the dual into
-    -rows1[r - 1 - i]. So (sigma, s, H) keeps every subrank-1 floor
-    exactly when, for every D, phi[E] == phi[D] (s = 1) or
-    top - phi[E] == phi[D] (s = -1), where E[sigma(y)] is
-    D_y + H[sigma(y)] mod r, or r - 1 - D_y + H[sigma(y)] mod r, and top is
-    n(r - 1) - 1, as no acted wall is integral (0 on no points, whose one
-    empty sum is). Subrank 1 is every wall decision at r <= 3; at a higher
-    rank a tuple that passes is kept when its acted rows are alpha's, or
-    else when same_chamber says so.
+    -rows1[r - 1 - i]. So a tuple (sigma, s, H) that keeps the chamber
+    sends every wall D to a wall E of lifted floor v (s = 1) or top - v
+    (s = -1), v that of D, where E[sigma(y)] is D_y + H[sigma(y)] mod r, or
+    r - 1 - D_y + H[sigma(y)] mod r, and top is n(r - 1) - 1, as no acted
+    wall is integral (0 on no points, whose one empty sum is).
 
-    Only the tuples a pivot wall admits are tested. For a fixed
+    Only the tuples a pivot wall admits are candidates. For a fixed
     (sigma, s), H -> E is one-to-one at any wall D0, so the tuples that
-    keep phi at D0 are the preimages of D0's level: the walls E whose phi
-    is the value the rule asks of E there. Per sign, D0 is the first wall
-    of the value whose level is smallest, and the level is listed once per
-    call, keeping the members whose digit sum puts |H| in the sign's
-    bucket. Per automorphism, each member decodes digit by digit into its
-    one tuple, which is tested at the walls one digit away from the pivot;
-    one that passes is kept if its acted rows are alpha's, and else
-    compared a block of walls sharing a head at a time.
+    keep the chamber send D0 into the level its image needs. That level is
+    the one of the least lifted floor for both signs, listed once per call
+    by meeting in the middle: per head sum, two bisects over the sorted
+    tail sums. D0 is a wall of that floor (s = 1), or of top less it
+    (s = -1), and when no wall has that floor no tuple of the sign keeps
+    the chamber. Per automorphism, each member whose digit sum puts |H| in
+    the sign's bucket decodes into its one tuple, which is tested at the
+    walls one digit away from the pivot, their floors read off the
+    member's lifted sum; one that passes is kept if its acted rows are
+    alpha's, and else when same_chamber says so.
     """
     _check_weights_rank(alpha, model)
     _check_weights_points(alpha, model)
@@ -676,53 +663,55 @@ def _chamber_sectors(d, alpha, model, cap):
         raise EnumerationCapExceeded(count, cap, "walls")
     names, r, q = model.point_names, model.rank, alpha.q
     index = {x: i for i, x in enumerate(names)}
-    phi = _lifted_floors(alpha)
+    lifted = [[v + q * i for i, v in enumerate(row)] for row in _walls(alpha).rows(1)]
     places = [r ** a for a in range(n - 1, -1, -1)]
     top, h = max(n * (r - 1) - 1, 0), n // 2
-    width = r ** (n - h)
-    pivots, tables, levels = {}, {1: phi}, Counter(phi)
+    heads = _sums(lifted[:h])
+    tails = sorted((t, i) for i, t in enumerate(_sums(lifted[h:])))
+    ends = [t for t, _ in tails]
+
+    def level(v):
+        # the walls of lifted floor v, as (lifted sum, digits)
+        for j, a in enumerate(heads):
+            for t, i in tails[bisect_left(ends, v * q - a):bisect_left(ends, (v + 1) * q - a)]:
+                e = j * len(ends) + i
+                yield a + t, [e // p % r for p in places]
+
+    least = (min(heads) + ends[0]) // q
+    lowest = list(level(least))
+    pivots = {}
     for s, rot, shift in ((1, list(range(r)), 0), (-1, list(range(r - 1, -1, -1)), top)):
-        # a wall of lifted floor v needs an image of lifted floor shift + s * v;
-        # the pivot is the first wall of the value with the fewest such images
-        v0 = min(levels, key=lambda v: levels.get(shift + s * v, 0))
-        d0, image = phi.index(v0), shift + s * v0
-        digits0 = [d0 // p % r for p in places]
+        pivot = next(level(shift + s * least), None)
+        if pivot is None:  # no wall can be sent onto the lowest level: none is kept
+            pivots[s] = (), (), ()
+            continue
+        total0, digits0 = pivot
         at0 = [rot[g] for g in digits0]
         # |H| is E's digit sum less at0's, mod r
         residue = (d - s * d + sum(at0)) % r
-        level, e = [], -1
-        for _ in range(levels.get(image, 0)):
-            e = phi.index(image, e + 1)
-            digits = [e // p % r for p in places]
-            if sum(digits) % r == residue:
-                level.append((e, digits))
+        members = [m for m in lowest if sum(m[1]) % r == residue]
         # the walls one digit away from the pivot: the point, the digit
         # there, turned as the sign turns it, and the floor its image must have
-        near = [(a, rot[t], shift + s * phi[d0 + (t - g) * p])
-                for a, (p, g) in enumerate(zip(places, digits0)) for t in range(r) if t != g]
-        pivots[s] = rot, at0, level, near
+        near = [(a, rot[t], shift + s * ((total0 - row[g] + row[t]) // q))
+                for a, (row, g) in enumerate(zip(lifted, digits0)) for t in range(r) if t != g]
+        pivots[s] = at0, members, near
     for auto in model.automorphisms:
         pos = [index.get(auto.point_perm.get(y, y)) for y in names]
         if None in pos:  # only a hand-built model's permutation leaves its points
             raise UnknownPoint(auto.point_perm[names[pos.index(None)]])
-        lanes = [places[j] for j in pos]
+        rows = [lifted[j] for j in pos]
         for s in (1, -1):
             kept = []
-            rot, at0, level, near = pivots[s]
-            for e, digits in level:
-                steps = [(digits[j] - c) % r for j, c in zip(pos, at0)]
-                if any(phi[e + lanes[a] * ((c + steps[a]) % r - digits[pos[a]])] != v for a, c, v in near):
+            at0, members, near = pivots[s]
+            for total, digits in members:
+                at = [digits[j] for j in pos]
+                steps = [(g - c) % r for g, c in zip(at, at0)]
+                if any((total - rows[a][at[a]] + rows[a][(c + steps[a]) % r]) // q != v for a, c, v in near):
                     continue
                 acted = tuple(tuple(_act_vector(alpha.rows[j], k, s, q)) for j, k in zip(pos, steps))
-                if acted != alpha.rows:  # else t fixes alpha
-                    table = tables.get(s) or tables.setdefault(s, [top - v for v in phi])
-                    rows = [[p * ((c + k) % r) for c in rot] for p, k in zip(lanes, steps)]
-                    tails = _sums(rows[h:])
-                    if not all([table[a + t] for t in tails] == phi[j:j + width]
-                               for j, a in zip(range(0, len(phi), width), _sums(rows[:h]))):
-                        continue
-                    if r > 3 and not same_chamber(WeightSystem._of_rows(names, q, acted, alpha.rank), alpha, cap):
-                        continue
+                if acted != alpha.rows and not same_chamber(
+                        WeightSystem._of_rows(names, q, acted, alpha.rank), alpha, cap):
+                    continue
                 hecke = [0] * n
                 idx = 0
                 for j, k in zip(pos, steps):

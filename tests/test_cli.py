@@ -319,6 +319,40 @@ def test_usage_error_raises_system_exit(files):
     assert exc.value.code == 2
 
 
+# an integer option holds at most MAX_INT_DIGITS digits, as a JSON integer
+# and an expression literal do: a degree of 4300 nines made act fail with
+# a ValueError traceback and bridge print a 4300-digit line
+_INT_OPTIONS = {
+    "act --degree": ["act", "--model", "{g1}", "T(1, [0, 0])", "--degree", "{n}"],
+    "stabilizer d-alpha --degree": ["stabilizer", "d-alpha", "--model", "{g1}", "--degree", "{n}", "--weights", "{wa}"],
+    "aut-report --degree": ["aut-report", "--model", "{g1}", "--degree", "{n}", "--weights", "{wa}"],
+    "bridge --from": ["bridge", "--model", "{g1}", "--from", "{n}", "--to", "0", "--point", "p"],
+    "bridge --to": ["bridge", "--model", "{g1}", "--from", "0", "--to", "{n}", "--point", "p"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INT_OPTIONS))
+def test_integer_options_refuse_more_than_max_int_digits(files, capsys, case):
+    """Past the limit (4300 nines, and one digit over it) the option is a
+    usage error naming the limit: exit 2, nothing on stdout, no traceback.
+    At the limit it is read, and a malformed one keeps argparse's text."""
+    def argv(n):
+        return [a.format(n=n, **files) for a in _INT_OPTIONS[case]]
+
+    for n in ("9" * 4300, "-" + "9" * (MAX_INT_DIGITS + 1)):
+        with pytest.raises(SystemExit) as exc:
+            run_command(argv(n))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "Traceback" not in err
+        assert f"integer of more than {MAX_INT_DIGITS} digits" in err
+    rc, out, err = run(capsys, *argv("-" + "9" * MAX_INT_DIGITS))
+    assert rc == 0 and out and "Traceback" not in err
+    with pytest.raises(SystemExit):
+        run_command(argv("1e3"))
+    assert "invalid int value: '1e3'" in capsys.readouterr().err
+
+
 # -- act -----------------------------------------------------------------
 
 

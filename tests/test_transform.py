@@ -1286,12 +1286,15 @@ def _symmetric_weights(rng, model, invariant):
     raise AssertionError("no generic symmetric system drawn")
 
 
-# past the stepwise oracle's reach: rank 3 at 9-11 points and rank 4 at
-# 6-7, on trivial and permuting tables; (model, generic draws, symmetric
-# draws), each symmetric one with two invariant points
+# past the stepwise oracle's reach: rank 3 at 9-12 points, rank 4 at 6-7
+# and rank 5 at 5-6, on trivial and permuting tables; (model, generic
+# draws, symmetric draws), each symmetric one with two invariant points.
+# Rank 3 at 12 points and rank 5 at 6 have over 10^6 walls, so both
+# sides run under a cap of 10^7
 _LARGE_FILTER_MODELS = [
     (("plain", 9, 3), 2, 2), (("plain", 10, 3), 2, 1), (("plain", 11, 3), 1, 0), (("cyclic", 9, 3), 1, 1),
     (("plain", 6, 4), 2, 1), (("plain", 7, 4), 1, 1), (("cyclic", 6, 4), 1, 1), (("orbits", 4, 3), 2, 1),
+    (("plain", 12, 3), 1, 0), (("plain", 5, 5), 1, 1), (("plain", 6, 5), 1, 0),
 ]
 
 
@@ -1305,9 +1308,28 @@ def test_chamber_filter_matches_full_scan_on_large_models(rng=random.Random(93))
         alphas += [_symmetric_weights(rng, m, 2) for _ in range(symmetric)]
         for k, alpha in enumerate(alphas):
             d = rng.randint(-3, 3)
-            want = full_scan_chamber_filter(d, alpha, m)
-            assert _rep_texts(stabilizer_d_alpha_quotient(d, alpha, m)) == _rep_texts(want)
+            want = full_scan_chamber_filter(d, alpha, m, 10**7)
+            assert _rep_texts(stabilizer_d_alpha_quotient(d, alpha, m, 10**7)) == _rep_texts(want)
             assert len(want) >= (2 if k >= generic else 1)
+
+
+def test_chamber_filter_keeps_no_dual_when_no_wall_reflects_the_least_floor():
+    """A generic alpha on rank 3 at 4 points where no wall has the lifted
+    floor top - least (least the least lifted floor, top = n(r - 1) - 1):
+    no s = -1 tuple can keep the chamber, and at every degree the filter
+    keeps what the full scan and the stepwise action keep."""
+    m = _action_model(("plain", 4, 3))
+    alpha = rand_generic_weights(random.Random(2), m)
+    q = alpha.q
+    lifted = [[v + q * i for i, v in enumerate(row)] for row in weights._walls(alpha).rows(1)]
+    floors = {v // q for v in weights._sums(lifted)}
+    top = 4 * (3 - 1) - 1
+    assert top - min(floors) not in floors
+    for d in range(-3, 4):
+        want = full_scan_chamber_filter(d, alpha, m)
+        assert _rep_texts(stabilizer_d_alpha_quotient(d, alpha, m)) == _rep_texts(want)
+        assert _rep_texts(oracle_chamber_filter(t_d_quotient_reps(d, m), alpha)) == _rep_texts(want)
+        assert want and all(t.s == 1 for t in want)
 
 
 # ranks 2-6 on plain, cyclic and rotation tables, small enough for the oracle
@@ -1411,6 +1433,26 @@ def test_d_alpha_quotient_rank3_cyclic_six_points_is_fast():
         calls=1,
     )
     assert best < 20
+
+
+def test_d_alpha_quotient_rank3_twelve_points_is_fast():
+    # rank 3 at 12 points, alpha over 1,000,003: 3^12 Hecke tuples and
+    # 2 * 3^12 walls, past the default cap. The level of the least lifted
+    # floor is met in the middle over 3^6 head and 3^6 tail sums. Best of 3
+    # about 1.7 ms on a shared 2-core host with Python 3.11, against 44-77 ms
+    # with a table of all 3^12 lifted floors
+    m = _action_model(("plain", 12, 3))
+    rng = random.Random(94)
+
+    def alpha():
+        while True:
+            w = WeightSystem({x: (0,) + tuple(Fraction(k, 1000003) for k in sorted(rng.sample(range(1, 1000003), 2)))
+                              for x in m.point_names}, 3)
+            if is_generic(w)[0]:
+                return (w,)
+
+    best = _best_per_call_ms(lambda w: stabilizer_d_alpha_quotient(0, w, m, 10**7), alpha, calls=1)
+    assert best < 15
 
 
 def _best_per_call_ms(fn, make, calls=20, repeat=3):
