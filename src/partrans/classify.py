@@ -13,11 +13,10 @@ import itertools
 import math
 
 from .errors import (
-    EnumerationCapExceeded,
     ModelError,
-    NotGeneric,
     ShapeMismatch,
     UnknownPoint,
+    charge,
 )
 from .curve import _affine, _names, _object, _rationals
 from .extended import default_ref_det
@@ -29,8 +28,8 @@ from .intmat import (
     mat_vec,
 )
 from .picard import DEFAULT_ENUM_CAP, JacobianElement, affine_image, lincomb
-from .transform import BasicTransformation, Divisor, _check_weights_points, act_degree, act_weights, describe
-from .weights import WeightSystem, canonicalize, is_generic, same_chamber
+from .transform import BasicTransformation, Divisor, _check_generic_alpha, act_degree, act_weights, describe
+from .weights import WeightSystem, canonicalize, same_chamber
 
 
 def weight_system_for(model, raw, loc=(None,)):
@@ -70,10 +69,7 @@ class ModuliDescriptor:
             raise ShapeMismatch(
                 f"weight vectors have length {weights.rank}, descriptor rank is {rank}"
             )
-        _check_weights_points(weights, model)
-        ok, witness = is_generic(weights, cap)
-        if not ok:
-            raise NotGeneric(witness)
+        _check_generic_alpha(weights, model, cap)
         self.model = model
         self.rank = rank
         self.degree = degree
@@ -144,9 +140,7 @@ def _witness_candidates(model_a, model_b, cap):
             cand = (a.matrix, a.translation)
             if cand not in maps:
                 maps.append(cand)
-    total = math.factorial(n) * len(maps)
-    if total > cap:
-        raise EnumerationCapExceeded(total, cap, "isomorphism candidates")
+    charge(math.factorial(n) * len(maps), cap, "isomorphism candidates")
     # matrix -> its inverse, or None when it is not unimodular; worked out
     # once, for the first bijection, and reused by the rest
     inverses = {identity: identity}

@@ -338,7 +338,7 @@ def _build_parser():
         p.add_argument("--model", required=model_required, help="model JSON file")
         p.add_argument(
             "--enum-cap",
-            type=int,
+            type=_int_option,
             default=DEFAULT_ENUM_CAP,
             help="bound on enumerated sets (default 10^6)",
         )

@@ -201,6 +201,9 @@ def point_class(model, name):
 MAX_INT_DIGITS = 1000
 _INT_BOUND = 10**MAX_INT_DIGITS
 _TOO_LONG = f"integer of more than {MAX_INT_DIGITS} digits"
+# the most integer products loading may spend on the automorphism table:
+# (2g)^2 for the identity, (2g)^3 per entry's determinant and per pair
+MAX_TABLE_WORK = 10**7
 _RATIONAL = re.compile(r"[+-]?([0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
@@ -382,6 +385,9 @@ def load_config(text, source=None):
 
     autos = []
     raw_autos = _list(doc.get("automorphisms") or [], None, loc + ("automorphisms",), "automorphisms")
+    work = dim**2 + (len(raw_autos) + len(raw_autos) ** 2) * dim**3
+    if work > MAX_TABLE_WORK:
+        _fail(loc, f"the automorphism table takes {work} products, more than MAX_TABLE_WORK ({MAX_TABLE_WORK})")
     if not raw_autos:
         autos.append(CurveAutomorphism("id", {n: n for n in point_names}, *_affine({}, dim, loc)))
     seen_autos = set()

@@ -40,7 +40,6 @@ from .picard import (
 )
 from .transform import (
     BasicTransformation,
-    Divisor,
     _coordinate_text,
     _divisor_text,
     compose,
@@ -370,12 +369,8 @@ def _value(node, model, ref_det, work):
     if kind == "dual":
         return normalize_word(model, [("D",)])
     if kind == "sigma":
-        name = node[1]
-        model.automorphism(name)
-        return normalize_word(model, [("S", name)])
+        return normalize_word(model, [("S", node[1])])
     if kind == "tensor_div":
-        for name in node[1]:
-            model.point(name)
         cls = of_divisor(model, node[1])
         return normalize_word(model, [("T", cls)] if not cls.is_trivial() else [])
     if kind == "tensor_class":
@@ -387,9 +382,7 @@ def _value(node, model, ref_det, work):
         cls = LineBundleClass(deg, JacobianElement(vec))
         return normalize_word(model, [("T", cls)] if not cls.is_trivial() else [])
     if kind == "hecke":
-        for name in node[1]:
-            model.point(name)
-        return normalize_word(model, [("H", Divisor(node[1]))])
+        return normalize_word(model, [("H", node[1])])
     if kind == "ajac":
         rho = make_jac_aut(node[1], model.rank)
         return ExtendedTransformation(

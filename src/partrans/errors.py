@@ -73,6 +73,13 @@ class EnumerationCapExceeded(PartransError):
         self.what = what
 
 
+def charge(count, cap, what):
+    """EnumerationCapExceeded when count passes cap: the one comparison of
+    an enumeration's size with its cap, made before it is built."""
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap, what)
+
+
 class ShapeMismatch(PartransError):
     pass
 

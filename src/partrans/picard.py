@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from operator import add
 
-from .errors import EnumerationCapExceeded, NotInvertible, ShapeMismatch
+from .errors import NotInvertible, ShapeMismatch, charge
 from .intmat import (
     det_int,
     identity_matrix,
@@ -238,15 +238,8 @@ def r_torsion(g, r, cap=DEFAULT_ENUM_CAP):
     """All r-torsion elements of (Q/Z)^{2g} in lexicographic coordinate order."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    count = r ** (2 * g)
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap, "r-torsion")
-
-    def gen():
-        for combo in itertools.product(range(r), repeat=2 * g):
-            yield JacobianElement.from_nums(combo, r)
-
-    return gen()
+    charge(r ** (2 * g), cap, "r-torsion")
+    return (JacobianElement.from_nums(combo, r) for combo in itertools.product(range(r), repeat=2 * g))
 
 
 def pullback(sigma, c):

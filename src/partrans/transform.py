@@ -22,11 +22,11 @@ are candidates, and same_chamber decides each (see _chamber_sectors).
 """
 
 from .errors import (
-    EnumerationCapExceeded,
     HeckeOutOfRange,
     NotGeneric,
     ShapeMismatch,
     UnknownPoint,
+    charge,
 )
 from .picard import (
     DEFAULT_ENUM_CAP,
@@ -466,9 +466,14 @@ def _check_weights_rank(alpha, model):
         raise ShapeMismatch(f"weights rank {alpha.rank} does not match model rank {model.rank}")
 
 
-def _check_weights_points(alpha, model):
+def _check_generic_alpha(alpha, model, cap):
+    """The paper's alpha: a weight at every marked point, in the model's
+    order, and generic (see is_generic)."""
     if tuple(alpha.point_names) != model.point_names:
         raise ShapeMismatch("weight system points do not match the model points")
+    ok, witness = is_generic(alpha, cap)
+    if not ok:
+        raise NotGeneric(witness)
 
 
 def act_invariant(t, v):
@@ -497,19 +502,12 @@ def subgroup_membership(t, d, xi=None, alpha=None, cap=DEFAULT_ENUM_CAP):
 # -- stabilizers ---------------------------------------------------------
 
 
-def _hecke_count(model, cap):
-    """The model's point count n, once its r^n Hecke tuples are within cap."""
-    n = len(model.points)
-    count = model.rank**n
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap, "hecke sectors")
-    return n
-
-
 def _hecke_tuples(model, cap):
     """Every in-range Hecke multiplicity tuple over model.point_names, in
-    lexicographic order."""
-    return list(itertools.product(range(model.rank), repeat=_hecke_count(model, cap)))
+    lexicographic order, once its r^n tuples are charged against cap."""
+    n = len(model.points)
+    charge(model.rank**n, cap, "hecke sectors")
+    return list(itertools.product(range(model.rank), repeat=n))
 
 
 def _degree_sectors(model, d, tuples):
@@ -625,9 +623,11 @@ def _chamber_sectors(d, alpha, model, cap):
     representative t has same_chamber(act_weights(t, alpha), alpha, cap),
     in the group's order; a line part does not act on weights. alpha is a
     parabolic weight at every marked point: alpha of another rank, alpha on
-    other points than the model's (in its order), a non-generic alpha, too
-    many Hecke tuples and too many walls raise first, in that order (rank 3
-    at 12 points has 2 * 3^12 walls, past the default cap of 10^6).
+    other points than the model's (in its order), an alpha that is_generic
+    finds on a wall or refuses (its budget admits every alpha whose walls
+    cap admits), too many Hecke tuples and too many walls raise first, in
+    that order (rank 3 at 12 points has 2 * 3^12 walls, past the default
+    cap of 10^6).
 
     The lifted-floor rule: with rows1 alpha's subrank-1 wall rows over q
     and D a wall's digits, one per point, the lifted floor
@@ -654,14 +654,10 @@ def _chamber_sectors(d, alpha, model, cap):
     alpha's, and else when same_chamber says so.
     """
     _check_weights_rank(alpha, model)
-    _check_weights_points(alpha, model)
-    ok, witness = is_generic(alpha, cap)
-    if not ok:
-        raise NotGeneric(witness)
-    n, count = _hecke_count(model, cap), _wall_count(alpha)
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap, "walls")
-    names, r, q = model.point_names, model.rank, alpha.q
+    _check_generic_alpha(alpha, model, cap)
+    names, r, q, n = model.point_names, model.rank, alpha.q, len(model.points)
+    charge(r**n, cap, "hecke sectors")
+    charge(_wall_count(alpha), cap, "walls")
     index = {x: i for i, x in enumerate(names)}
     lifted = [[v + q * i for i, v in enumerate(row)] for row in _walls(alpha).rows(1)]
     places = [r ** a for a in range(n - 1, -1, -1)]

@@ -32,7 +32,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter, lt
 
-from .errors import EnumerationCapExceeded, NotGeneric, ShapeMismatch, UnknownPoint
+from .errors import NotGeneric, ShapeMismatch, UnknownPoint, charge
 from .picard import DEFAULT_ENUM_CAP, frac_to_str, fraction_texts
 
 WALL_ORDER_HEADER = (
@@ -213,8 +213,12 @@ def parabolic_degree(d, w):
 
 
 def _wall_count(w):
-    n = len(w.rows)
-    return sum(math.comb(w.rank, rp) ** n for rp in range(1, w.rank)) if n else 0
+    """Sum of comb(r, r')^n over r' = 1..r-1, each binomial from the last."""
+    n, c, count = len(w.rows), 1, 0
+    for rp in range(1, w.rank):
+        c = c * (w.rank - rp + 1) // rp
+        count += c**n
+    return count if n else 0
 
 
 def _wall_row(ints, r, rp):
@@ -302,20 +306,29 @@ def _least_paths(rows, q):
 def is_generic(w, cap=DEFAULT_ENUM_CAP):
     """(True, None) when no wall value is integral, else (False, witness).
 
-    One algorithm, which cap does not bound: per subrank, the first head
-    residue of _least_paths whose complement a tail reaches gives the first
-    integral wall in wall order, the witness. Work and memory are about the
-    square root of the wall count, and at most q residues per half. Only
-    subranks up to r // 2 are searched: a wall of subrank r - r' is
+    Per subrank, the first head residue of _least_paths whose complement a
+    tail reaches gives the first integral wall in wall order, the witness.
+    Only subranks up to r // 2 are searched: a wall of subrank r - r' is
     integral exactly when its partner of subrank r' is, and that partner
     comes first in wall order.
+
+    Before any table is built, the sum over those subranks of
+    n * c * min(q, c^e) is charged against max(cap, DEFAULT_ENUM_CAP): n
+    points, c entries in a point's wall row, e = n - n // 2 - 1. It bounds
+    the entries of _Walls.rows and the residue steps of _least_paths on
+    both halves, and stays within the larger of the wall count and 40, so
+    whatever walls cap admits is answered; cap=1 keeps the default budget.
     """
     if not w.rows:
         return True, None
-    walls = _walls(w)
-    q, h = w.q, len(w.rows) // 2
-    for rp in range(1, w.rank // 2 + 1):
-        rows = walls.rows(rp)
+    q, n, r = w.q, len(w.rows), w.rank
+    h, e, steps, c = n // 2, n - n // 2 - 1, 0, 1
+    for rp in range(1, r // 2 + 1):
+        c = c * (r - rp + 1) // rp
+        steps += c * min(q, c**e)
+    charge(n * steps, max(cap, DEFAULT_ENUM_CAP), "residue steps")
+    for rp in range(1, r // 2 + 1):
+        rows = _walls(w).rows(rp)
         tails = _least_paths(rows[h:], q)
         for res, path in _least_paths(rows[:h], q).items():
             tail = tails.get(-res % q)
@@ -330,9 +343,7 @@ def chamber_fingerprint(w, cap=DEFAULT_ENUM_CAP):
     subrank r - r' is that of r' reversed, each floor f as -1 - f."""
     if not w.rows:
         return ChamberFingerprint(())
-    count = _wall_count(w)
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap, "walls")
+    charge(_wall_count(w), cap, "walls")
     q, blocks = w.q, []
     for rp, (rows, tails) in enumerate(_walls(w).halves(), 1):
         residues = {t % q for t in tails}
@@ -358,9 +369,7 @@ def same_chamber(w1, w2, cap=DEFAULT_ENUM_CAP):
         return True
     if w1.point_names != w2.point_names or w1.rank != w2.rank:
         raise ShapeMismatch("weight systems live on different point sets or ranks")
-    count = _wall_count(w1)
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap, "walls")
+    charge(_wall_count(w1), cap, "walls")
     hit = _first_wall_difference(w1.q, _walls(w1).halves(), w2.q, _walls(w2).halves())
     if hit is None:
         return True

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -328,6 +329,7 @@ _INT_OPTIONS = {
     "aut-report --degree": ["aut-report", "--model", "{g1}", "--degree", "{n}", "--weights", "{wa}"],
     "bridge --from": ["bridge", "--model", "{g1}", "--from", "{n}", "--to", "0", "--point", "p"],
     "bridge --to": ["bridge", "--model", "{g1}", "--from", "0", "--to", "{n}", "--point", "p"],
+    "weights check-generic --enum-cap": ["weights", "check-generic", "--model", "{g1}", "--enum-cap", "{n}", "{wa}"],
 }
 
 
@@ -511,6 +513,51 @@ def test_cap_error_names_the_enumeration_and_hints(files, capsys):
     assert rc == 2 and out == ""
     assert "error: enumeration of 4 elements exceeds cap 3 (walls)\n" in err
     assert err.endswith("hint: --enum-cap 4 or more allows this enumeration\n")
+
+
+# primes near 10^9: over them a point's wall values have distinct residues,
+# so genericity cannot meet in the middle on fewer residue states
+_PRIMES = (1000000007, 1000000009, 1000000021, 1000000033, 1000000087,
+           1000000093, 1000000097, 1000000103, 1000000123, 1000000181)
+
+
+def _shape_files(dirpath, rank, dens, seed):
+    """A genus-1 model of the rank with one point per denominator, and a
+    weight file of rank - 1 numerators drawn over each."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(len(dens))]
+    model = {"genus": 1, "rank": rank, "points": [{"name": x, "jac": ["0", "0"]} for x in names]}
+    w = {x: ["0"] + [f"{a}/{den}" for a in sorted(rng.sample(range(1, den), rank - 1))]
+         for x, den in zip(names, dens)}
+    return _write(dirpath, "model.json", model), _write(dirpath, "w.json", w)
+
+
+@pytest.mark.parametrize("rank, n", [(40, 2), (6, 10)])
+def test_check_generic_refuses_past_its_budget_within_a_second(tmp_path, capsys, rank, n):
+    """Rank 6 on 10 points over primes near 10^9 took about 10 s, and rank
+    40 on 2 points would take days; each is refused before a table is
+    built, naming its bound, with the hint that lifts it."""
+    model, w = _shape_files(tmp_path, rank, _PRIMES[:n], 5)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "weights", "check-generic", "--model", model, w)
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert "exceeds cap 1000000 (residue steps)\n" in err and "hint: --enum-cap " in err
+
+
+def test_model_past_the_table_work_bound_is_refused_within_a_second(tmp_path, capsys):
+    """A genus-320 model with one involution would take about 27 s to load,
+    its determinant and its composite (2g)^3 products each; it is refused
+    before either, naming the bound."""
+    swap = [[int(j == i ^ 1) for j in range(640)] for i in range(640)]
+    model = _write(tmp_path, "g320.json", json.dumps(
+        {"genus": 320, "rank": 2, "automorphisms": [{"name": "tau", "matrix": swap}]}))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "normalize", "--model", model, "id")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {model}: the automorphism table takes 524697600 products, "
+                   "more than MAX_TABLE_WORK (10000000)\n")
 
 
 # -- stabilizers and reports ---------------------------------------------
@@ -966,3 +1013,24 @@ def test_json_input_fuzz(fuzz_dir, case, as_json):
     assert (rc == 2) == (out.getvalue() == ""), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert elapsed < 2.0, argv
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rank=st.integers(2, 40), dens=st.data(), seed=st.integers(0, 2**16))
+def test_weight_shape_fuzz(fuzz_dir, rank, dens, seed):
+    """Weight files of rank 2-40 on 0-30 points, over denominators from the
+    rank up to primes near 10^9, through check-generic, fingerprint and
+    same-chamber: exit 0, 1 only for a false verdict, or 2 with nothing on
+    stdout, no traceback, each call within 5 s (the slowest answered shape,
+    rank 20 on one point over a prime, takes about 0.9 s)."""
+    dens = dens.draw(st.lists(st.one_of(st.integers(rank, 4 * rank), st.sampled_from(_PRIMES)), max_size=30))
+    model, w = _shape_files(fuzz_dir, rank, dens, seed)
+    for argv in (["check-generic", w], ["fingerprint", w], ["same-chamber", w, w]):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = run_command(["weights", argv[0], "--model", model, *argv[1:]])
+        assert rc in (0, 1, 2) and (rc != 1 or argv[0] != "fingerprint"), err.getvalue()
+        assert (rc == 2) == (out.getvalue() == ""), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert time.perf_counter() - start < 5, (rank, len(dens), argv[0])

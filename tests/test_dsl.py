@@ -182,6 +182,16 @@ def test_name_resolution_needs_model(cyclic3):
         parse_expression("T(O(nowhere))", cyclic3)
 
 
+def test_evaluate_checks_the_names_of_an_unresolved_ast(cyclic3):
+    """An AST parsed without a model names each unknown point or
+    automorphism when evaluated, a zero multiplicity's point too."""
+    for text, error in (("S(bogus)", UnknownAutomorphism), ("T(O(bogus))", UnknownPoint),
+                        ("H(0*bogus)", UnknownPoint), ("H(1*p + 1*bogus)", UnknownPoint)):
+        with pytest.raises(error) as exc:
+            dsl.evaluate(parse_expression(text), cyclic3)
+        assert exc.value.name == "bogus", text
+
+
 def test_vector_length_checked(elliptic2):
     with pytest.raises(ShapeMismatch):
         eval_expression("T(0, [1/2])", elliptic2)

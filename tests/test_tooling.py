@@ -109,6 +109,17 @@ def _uses(tree):
     return Counter(name for node in ast.walk(tree) for name in _named(node))
 
 
+def test_only_errors_constructs_the_cap_error():
+    """An enumeration's size meets its cap only in errors.charge: no other
+    module of src/partrans constructs EnumerationCapExceeded."""
+    makers = []
+    for path in sorted((ROOT / "src" / "partrans").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "EnumerationCapExceeded" in _named(node.func):
+                makers.append(path.stem)
+    assert makers == ["errors"]
+
+
 def test_no_dead_helpers():
     """Every top-level function and class the package does not export, and
     every method of such a class, is named by a Name, Attribute or import

@@ -575,10 +575,7 @@ def full_scan_chamber_filter(d, alpha, model, cap=10**6):
     what stabilizer_d_alpha_quotient raises first, at r^n steps per
     sector."""
     transform._check_weights_rank(alpha, model)
-    transform._check_weights_points(alpha, model)
-    ok, witness = is_generic(alpha, cap)
-    if not ok:
-        raise NotGeneric(witness)
+    transform._check_generic_alpha(alpha, model, cap)
     tuples = transform._hecke_tuples(model, cap)
     q, r, n, count = alpha.q, model.rank, len(alpha.rows), weights._wall_count(alpha)
     if count > cap:

@@ -285,6 +285,20 @@ def test_cap_exceeded_on_fingerprint():
         chamber_fingerprint(W13_14(), cap=1)
 
 
+def test_is_generic_charges_every_subrank_at_once():
+    """The residue steps of all subranks are charged before any table is
+    built, so the count a refusal names is a cap that answers: rank 40 on
+    two points, on a wall of subrank 1, is refused at the default cap and
+    answered with its witness at the named count."""
+    row = [f"{k}/41" for k in range(40)]
+    bad = ws(40, p=row, q=row)
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        is_generic(bad, cap=1)
+    assert exc.value.what == "residue steps" and exc.value.count > 10**12
+    ok, witness = is_generic(bad, cap=exc.value.count)
+    assert not ok and witness.subrank == 1 and witness.value.denominator == 1
+
+
 def test_dp_witness_matches_enumeration_on_random_systems():
     rng = random.Random(37)
     for _ in range(120):
